@@ -99,7 +99,11 @@ def kernel_cache_path(cache_dir, spec: SdeSpec, lattice) -> Path:
 def load_or_estimate_kernel(
     cache_dir, spec: SdeSpec, lattice, *, estimate: bool = True, n_threads: int = 1
 ) -> KernelGrid:
-    """Fetch the kernel for (spec, lattice) from cache, estimating on miss."""
+    """Fetch the kernel for (spec, lattice) from cache, estimating on miss.
+
+    On a miss the estimate is written to the cache and read back, so a run
+    uses the stored kernel whether it hit or missed.
+    """
     path = kernel_cache_path(cache_dir, spec, lattice)
     if path.exists():
         return vio.read_kernel(path)
@@ -110,7 +114,7 @@ def load_or_estimate_kernel(
     kernel = estimate_kernel(spec, lattice, n_threads)
     path.parent.mkdir(parents=True, exist_ok=True)
     vio.write_kernel(path, kernel, provenance={"config_hash": vio.config_hash(spec.to_dict())})
-    return kernel
+    return vio.read_kernel(path)
 
 
 @dataclass
@@ -227,7 +231,7 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
                     kernel_cache=None) -> dict:
     """Full pipeline; writes the output tree and returns the gap metrics."""
     out = Path(out_dir)
-    for sub in ("stimulus", "lifted", "kernels", "activity", "exports"):
+    for sub in ("stimulus", "kernels", "activity", "exports"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     resolved = asdict(cfg)
     chash = vio.config_hash(resolved)
@@ -376,8 +380,7 @@ class _Pipeline2:
 
     facilitate is linear, so P(F_T) = P(F_T - c0) + c0 * P(ones); the
     all-ones response depends only on kernel and grid and is computed once.
-    Thresholded fields are also cached per stimulus part so the sweep never
-    lifts the same movie twice.
+    Every stimulus part is lifted and facilitated afresh.
     """
 
     def __init__(self, cfg: Experiment2Config, kernel: KernelGrid):
@@ -386,7 +389,6 @@ class _Pipeline2:
         self.grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
         self.fac_cfg = FacilitationConfig(cfg.c_f, cfg.mu, cfg.beta)
         self._ones_response: np.ndarray | None = None
-        self._steady_cache: dict = {}
 
     def ones_response(self, template: LiftedActivity) -> np.ndarray:
         if self._ones_response is None:
@@ -394,9 +396,7 @@ class _Pipeline2:
             self._ones_response = facilitate(ones, self.kernel).values
         return self._ones_response
 
-    def steady(self, key, stim) -> LiftedActivity:
-        if key in self._steady_cache:
-            return self._steady_cache[key]
+    def steady(self, stim) -> LiftedActivity:
         cfg = self.cfg
         raw = energy_filter(stim, self.grid, cfg.p_modulus)
         thr = threshold_activity(raw, cfg.mu, cfg.beta)
@@ -406,11 +406,7 @@ class _Pipeline2:
         pattern = pattern.with_values(
             pattern.values + c0 * self.ones_response(thr), "facilitation"
         )
-        out = activity_steady(raw, pattern, self.fac_cfg)
-        if len(self._steady_cache) > 2:
-            self._steady_cache.clear()
-        self._steady_cache[key] = out
-        return out
+        return activity_steady(raw, pattern, self.fac_cfg)
 
 
 def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
@@ -439,9 +435,9 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         sspec = cfg.stimulus_spec(int(delta_t), float(delta_theta))
         s3, s1, s2, truth = occluded_trajectory(sspec)
         tag = f"dt{int(delta_t)}_dth{delta_theta:.4f}"
-        f0_full = pipe.steady(("S3", sspec.t1, sspec.t2, round(delta_theta, 12)), s3)
-        f0_first = pipe.steady(("S1", sspec.t1), s1)
-        f0_second = pipe.steady(("S2", sspec.t2, round(delta_theta, 12)), s2)
+        f0_full = pipe.steady(s3)
+        f0_first = pipe.steady(s1)
+        f0_second = pipe.steady(s2)
         f_fac = facilitation_difference(f0_full, f0_first, f0_second)
         row = {"delta_t": int(delta_t), "delta_theta": float(delta_theta)}
         row.update(gap_energy(f_fac, sspec.t1, sspec.t2, cfg.gap_margin, baseline))

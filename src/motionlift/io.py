@@ -147,7 +147,7 @@ def write_kernel(path, kernel, *, provenance=None) -> None:
 
 
 def read_kernel(path):
-    """Read a kernel cache back into a KernelGrid."""
+    """Read a kernel cache back into a KernelGrid, rescaled to unit mass."""
     from .kernels import KernelGrid, SdeSpec
 
     header, values = _read_container(path)
@@ -156,12 +156,15 @@ def read_kernel(path):
     mass = float(values.sum())
     if abs(mass - 1.0) > 1e-6:  # float32 storage rounds the unit mass slightly
         raise VolumeFormatError(f"{path}: stored kernel mass {mass} is not 1")
+    # restore unit mass in float64 so the kernel can be written out again
+    values = values.astype(np.float64)
+    values /= values.sum()
     spec = SdeSpec.from_dict(header["sde"])
     return KernelGrid(
         axes=tuple(header["axes"]),
         origin=tuple(header["origin"]),
         spacing=tuple(header["spacing"]),
-        values=values.astype(np.float64),
+        values=values,
         spec=spec,
         raw_weight=header["normalization"].get("raw_weight", 0.0),
     )

@@ -259,15 +259,7 @@ def _simulate_batch_histogram(
     sa = math.sqrt(2.0 * dt) * spec.alpha
     trajectory = spec.mode == "trajectory"
     has_ds = len(lattice.shape) == 5
-    if start_jitter == "cell":
-        # uniform over the origin cell: matches the oracle's 'cell' init
-        i_t, i_v = (3, 4) if has_ds else (2, 3)
-        jit = rng.uniform(-0.5, 0.5, size=(4, nb))
-        q1 = jit[0] * lattice.spacing[0]
-        q2 = jit[1] * lattice.spacing[1]
-        th = jit[2] * lattice.spacing[i_t]
-        v = jit[3] * lattice.spacing[i_v]
-    elif start_jitter == "gauss":
+    if start_jitter == "gauss":
         # half-cell Gaussian source: matches the oracle's 'gauss' init
         i_t, i_v = (3, 4) if has_ds else (2, 3)
         jit = rng.standard_normal((4, nb)) * 0.5
@@ -463,16 +455,13 @@ def _van_leer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _advect_axis(
-    rho: np.ndarray, u, axis: int, dx: float, dt: float, limiter: str = "vanleer"
-) -> np.ndarray:
+def _advect_axis(rho: np.ndarray, u, axis: int, dx: float, dt: float) -> np.ndarray:
     """One conservative MUSCL upwind step along an axis.
 
     ``u`` broadcasts against ``rho`` and is constant along ``axis``.  Domain
     edges are closed (zero boundary flux), so total mass is preserved
-    exactly.  ``limiter``: 'vanleer' is TVD (sign-preserving, slightly
-    dissipative at extrema), 'fromm' uses unlimited central slopes (second
-    order with minimal dissipation; adequate for smooth densities).
+    exactly.  Slopes use the van Leer limiter: TVD (sign-preserving,
+    slightly dissipative at extrema).
     """
     rho = np.moveaxis(rho, axis, 0)
     u = np.broadcast_to(np.moveaxis(np.asarray(u, dtype=float), axis, 0), rho.shape)[0]
@@ -480,12 +469,7 @@ def _advect_axis(
     d = np.diff(rho, axis=0)  # d[i] = rho[i+1]-rho[i], i = 0..n-2
     sigma = np.zeros_like(rho)
     if n > 2:
-        if limiter == "vanleer":
-            sigma[1:-1] = _van_leer(d[:-1], d[1:])
-        elif limiter == "fromm":
-            sigma[1:-1] = 0.5 * (d[:-1] + d[1:])
-        else:
-            raise ValueError(f"unknown limiter {limiter!r}")
+        sigma[1:-1] = _van_leer(d[:-1], d[1:])
     c = np.abs(u) * dt / dx
     # interface fluxes F[i] at i+1/2 for i = 0..n-2
     f_pos = u * (rho[:-1] + 0.5 * (1.0 - c) * sigma[:-1])
@@ -532,7 +516,6 @@ def fp_reference(
     cfl: float = 0.4,
     max_steps: int = 500_000,
     refine: int = 3,
-    limiter: str = "vanleer",
     transport: str = "upwind",
     init: str = "point",
 ):
@@ -611,9 +594,6 @@ def fp_reference(
     if init == "point":
         center = tuple(c_idx[a] * rf[a] + rf[a] // 2 for a in range(4))
         rho[center] = 1.0
-    elif init == "cell":
-        sl = tuple(slice(c_idx[a] * rf[a], (c_idx[a] + 1) * rf[a]) for a in range(4))
-        rho[sl] = 1.0 / float(np.prod(rf))
     elif init == "gauss":
         # separable half-coarse-cell Gaussian source (band-limited enough
         # that spectral transport does not ring)
@@ -690,7 +670,7 @@ def fp_reference(
             if k % 2:
                 axes_order = axes_order[::-1]
             for ax, u, dxa in axes_order:
-                rho = _advect_axis(rho, u, ax, dxa, dt, limiter)
+                rho = _advect_axis(rho, u, ax, dxa, dt)
         if kappa > 0:
             for _ in range(sub_th):
                 rho = _diffuse_axis(rho, kappa**2, 2, spacing[2], dt / sub_th,

@@ -12,10 +12,15 @@ orientation and velocity offsets always land exactly on kernel nodes; only
 the rotated (and, in the 5D case, velocity-sheared) spatial offsets are
 interpolated.
 
-``facilitate`` implements the gather with FFT correlations whose stencils
-are precomputed by exactly that interpolation rule, so it matches the
-explicit gather (``facilitate_reference``) to 1e-10; it is deterministic
-for fixed shapes.  Kernels are sparsified by zeroing entries below 1e-6 of
+One FFT engine, ``FacilitationPlan``, serves both kernel ranks: the 4D
+kernel is a single temporal offset ds = 0 without shear, the 5D kernel has
+the offsets ds = 1..n_ds.  For each offset the stencils are sampled from
+the kernel by exactly the lookup's interpolation rule, transformed in
+batches, and mixed over the fibers by one batched matrix product per chunk
+of Fourier bins.  The result matches the explicit gather
+(``facilitate_reference``) to 1e-10 and is deterministic for fixed shapes.
+Each public entry point builds the plan it uses; nothing is cached between
+calls.  Kernels are sparsified by zeroing entries below ``TRUNC_REL`` of
 the kernel max before either path runs.
 """
 
@@ -26,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import LiftedActivity, ManifoldGrid, sigmoid
+from .gabor import LiftedActivity, ManifoldGrid, _fast_len, sigmoid
 from .kernels import KernelGrid, kernel_lookup
 
 TRUNC_REL = 1e-6   # kernel entries below this fraction of max are dropped
-DROP_TOL = 1e-11   # constant-split residual entries below this are dropped
+_CHUNK_BYTES = 4 << 20  # working-set size of one stencil batch or mixing chunk
 
 
 @dataclass(frozen=True)
@@ -79,20 +84,6 @@ def _check_compat(grid: ManifoldGrid, kernel: KernelGrid) -> None:
             raise ValueError("trajectory kernel ds axis must start at ds = 1")
 
 
-def _fast_len(n: int) -> int:
-    best = 1 << (n - 1).bit_length()
-    k = n
-    while k < best:
-        m = k
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return k
-        k += 1
-    return best
-
-
 def _bilinear_gather(plane_stack: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Sample a stack of 2D planes bilinearly at common (px, py) points.
 
@@ -119,249 +110,127 @@ def _bilinear_gather(plane_stack: np.ndarray, px: np.ndarray, py: np.ndarray) ->
     return out
 
 
-class _ContourPlan:
-    """Rotated stencils and FFT workspace for 4D (contour-kernel) gathers.
+class FacilitationPlan:
+    """FFT gather through one kernel on one grid; ``apply`` runs it.
 
-    Stencil for input orientation bin i': value at integer offset dq is the
-    bilinear sample of the kernel's spatial slice at R(-theta') dq, one
-    plane per (dtheta, dv) pair; fiber offsets are exact kernel nodes.
+    Every temporal offset ds of the kernel carries input frame s to output
+    frame s + ds; the contour kernel is the single offset ds = 0.  For an
+    input fiber (theta', v') the relative spatial coordinate is
+    R(-theta') (dq - (v' ds, 0)).  The shear v' ds splits into an integer
+    pixel part, applied as an exact FFT phase, and a fractional class phi.
+    Stencil spectra are indexed by (theta' bin, phi class, dtheta, dv); a
+    precomputed row index maps each (input fiber, output fiber) pair to its
+    spectrum, or to a zero row when dv falls off the kernel.  Spectra are
+    built offset by offset inside ``apply``, so only one offset's are held.
     """
 
-    def __init__(self, kernel: KernelGrid, grid: ManifoldGrid, trunc_rel: float):
+    def __init__(self, kernel: KernelGrid, grid: ManifoldGrid, trunc_rel: float = TRUNC_REL):
         _check_compat(grid, kernel)
         vals = truncated_kernel_values(kernel, trunc_rel)
-        h = (vals.shape[0] - 1) // 2
-        self.n_theta = grid.n_theta
-        self.n_v = grid.n_v
-        self.n_dv = vals.shape[3]
-        ext = int(math.ceil(h * math.sqrt(2.0))) + 1
-        self.ext = ext
-        side = 2 * ext + 1
-        offs = np.arange(-ext, ext + 1, dtype=float)
-        gx, gy = np.meshgrid(offs, offs, indexing="ij")
-        planes = vals.reshape(vals.shape[0], vals.shape[1], -1)  # (2h+1, 2h+1, nth*ndv)
-        self.stencils = np.empty((grid.n_theta, side, side, vals.shape[2], self.n_dv))
-        for i_p in range(grid.n_theta):
-            th = grid.thetas[i_p]
-            c, s = math.cos(-th), math.sin(-th)
-            px = c * gx.ravel() - s * gy.ravel() + h
-            py = s * gx.ravel() + c * gy.ravel() + h
-            samp = _bilinear_gather(planes, px, py)
-            self.stencils[i_p] = samp.reshape(side, side, vals.shape[2], self.n_dv)
-        self.pad1 = _fast_len(grid.nx + side - 1)
-        self.pad2 = _fast_len(grid.ny + side - 1)
-        # FFT of each (theta', dtheta, dv) spatial stencil, flipped for
-        # correlation-via-convolution
-        nk2 = self.pad2 // 2 + 1
-        self.shat = np.empty(
-            (grid.n_theta, vals.shape[2], self.n_dv, self.pad1, nk2), dtype=np.complex128
-        )
-        buf = np.zeros((self.pad1, self.pad2))
-        for i_p in range(grid.n_theta):
-            for dth in range(vals.shape[2]):
-                for dv in range(self.n_dv):
-                    buf[:] = 0.0
-                    buf[:side, :side] = self.stencils[i_p, :, :, dth, dv]
-                    self.shat[i_p, dth, dv] = np.fft.rfft2(buf)
-
-
-def _facilitate_values_4d(
-    values: np.ndarray, grid: ManifoldGrid, plan: _ContourPlan
-) -> np.ndarray:
-    nx, ny, ns, nth, nv = values.shape
-    ext = plan.ext
-    out = np.empty_like(values)
-    n_dv_half = plan.n_dv // 2  # dv index of the zero offset
-    for si in range(ns):
-        fhat = np.empty((nth, nv, plan.pad1, plan.pad2 // 2 + 1), dtype=np.complex128)
-        buf = np.zeros((plan.pad1, plan.pad2))
-        for i_p in range(nth):
-            for j_p in range(nv):
-                buf[:] = 0.0
-                buf[:nx, :ny] = values[:, :, si, i_p, j_p]
-                fhat[i_p, j_p] = np.fft.rfft2(buf)
-        acc = np.zeros((nth, nv, plan.pad1, plan.pad2 // 2 + 1), dtype=np.complex128)
-        for i_p in range(nth):
-            for dth in range(nth):
-                i_out = (i_p + dth) % nth
-                sh = plan.shat[i_p, dth]  # (n_dv, k1, k2)
-                for j_out in range(nv):
-                    # dv node for input j_p: (j_out - j_p) + n_dv_half
-                    j_lo = max(0, j_out + n_dv_half - (plan.n_dv - 1))
-                    j_hi = min(nv - 1, j_out + n_dv_half)
-                    for j_p in range(j_lo, j_hi + 1):
-                        acc[i_out, j_out] += fhat[i_p, j_p] * sh[j_out - j_p + n_dv_half]
-        for i_out in range(nth):
-            for j_out in range(nv):
-                conv = np.fft.irfft2(acc[i_out, j_out], s=(plan.pad1, plan.pad2))
-                out[:, :, si, i_out, j_out] = conv[ext : ext + nx, ext : ext + ny]
-    return out
-
-
-class _TrajectoryPlan:
-    """Stencil machinery for 5D (trajectory-kernel) gathers.
-
-    The relative spatial coordinate is R(-theta') (dq - (v' ds, 0)), so the
-    stencil for input fiber (theta', v') at temporal offset ds is the
-    kernel's (ds, dtheta, dv) plane sampled at rotated, x-sheared points.
-    The shear u = v' ds splits into an integer pixel part (applied as an
-    exact FFT phase) and a fractional part phi; only the distinct phi
-    classes are resampled.
-    """
-
-    def __init__(self, kernel: KernelGrid, grid: ManifoldGrid, trunc_rel: float):
-        _check_compat(grid, kernel)
-        self.vals = truncated_kernel_values(kernel, trunc_rel)
-        self.h = (self.vals.shape[0] - 1) // 2
-        self.n_ds = self.vals.shape[2]
-        self.n_theta = grid.n_theta
-        self.n_v = grid.n_v
-        self.n_dv = self.vals.shape[4]
+        if kernel.is_trajectory:
+            ds = list(range(1, vals.shape[2] + 1))
+        else:
+            vals = vals[:, :, None]
+            ds = [0]
         self.grid = grid
-        # common stencil box: rotation can move support out to h*sqrt(2),
-        # the fractional shear adds at most one cell
+        self.vals = vals  # (2h+1, 2h+1, n_offsets, n_theta, n_dv)
+        self.ds = ds
+        self.h = (vals.shape[0] - 1) // 2
+        # rotation moves the support out to h*sqrt(2); the fractional shear
+        # adds at most one cell
         self.ext = int(math.ceil(self.h * math.sqrt(2.0))) + 1
-        self.side = 2 * self.ext + 1
-        # integer/fractional split of every (v', ds) shear
-        vs = grid.vs
-        self.m_shift = np.zeros((grid.n_v, self.n_ds), dtype=np.int64)
-        self.phi = np.zeros((grid.n_v, self.n_ds))
-        for j, v in enumerate(vs):
-            for d in range(self.n_ds):
-                u = v * (d + 1)
-                m = math.floor(u)
-                self.m_shift[j, d] = m
-                self.phi[j, d] = u - m
-        self.max_m = int(np.abs(self.m_shift).max())
-        self._stencil_cache: dict[tuple[float, int], np.ndarray] = {}
+        side = 2 * self.ext + 1
+        shear = grid.vs[:, None] * np.array(ds, dtype=float)  # (n_v, n_offsets)
+        m_shift = np.floor(shear).astype(np.int64)
+        self.max_m = int(np.abs(m_shift).max())
+        self.pad1 = _fast_len(grid.nx + side - 1 + 2 * self.max_m)
+        self.pad2 = _fast_len(grid.ny + side - 1)
 
-    def pad_sizes(self, bx: int, by: int) -> tuple[int, int]:
-        # shifted stencil support must fit the circular buffer without wrap
-        p1 = _fast_len(bx + self.side - 1 + 2 * self.max_m)
-        p2 = _fast_len(by + self.side - 1)
-        return p1, p2
+        nth, nv, n_dv = grid.n_theta, grid.n_v, vals.shape[4]
+        i_p = np.arange(nth)[:, None, None, None]
+        j_p = np.arange(nv)[None, :, None, None]
+        dth = (np.arange(nth)[None, None, :, None] - i_p) % nth
+        dv = np.arange(nv)[None, None, None, :] - j_p + n_dv // 2
+        self.mixing = []  # per offset: phi classes, spectrum row index, shift
+        for d in range(len(ds)):
+            phis, cls = np.unique(np.round(shear[:, d] - m_shift[:, d], 12), return_inverse=True)
+            n_rows = nth * len(phis) * nth * n_dv
+            rows = ((i_p * len(phis) + cls[j_p]) * nth + dth) * n_dv + dv
+            rows = np.where((dv >= 0) & (dv < n_dv), rows, n_rows).reshape(nth * nv, -1)
+            # a circular shift by (max_m + m) aligns every shear to one output offset
+            delta = np.tile(self.max_m + m_shift[:, d], nth)
+            self.mixing.append((phis, rows, delta))
 
-    def stencil_block(self, phi: float, i_p: int, d: int) -> np.ndarray:
-        """Resampled stencil planes for (fractional shear, theta' bin, ds bin).
-
-        Returns (side, side, n_theta * n_dv) with the (dtheta, dv) axis flat.
-        """
-        key = (round(phi * 1e12), i_p * self.n_ds + d)
-        hit = self._stencil_cache.get(key)
-        if hit is not None:
-            return hit
-        th = self.grid.thetas[i_p]
-        c, s = math.cos(-th), math.sin(-th)
-        offs = np.arange(-self.ext, self.ext + 1, dtype=float)
-        gx, gy = np.meshgrid(offs - phi, offs, indexing="ij")
-        px = c * gx.ravel() - s * gy.ravel() + self.h
-        py = s * gx.ravel() + c * gy.ravel() + self.h
-        planes = self.vals[:, :, d].reshape(self.vals.shape[0], self.vals.shape[1], -1)
-        block = _bilinear_gather(planes, px, py).reshape(self.side, self.side, -1)
-        if len(self._stencil_cache) < 4 * self.n_theta:  # one ds worth of classes
-            self._stencil_cache[key] = block
-        return block
-
-
-def _facilitate_values_5d(
-    values: np.ndarray, grid: ManifoldGrid, plan: _TrajectoryPlan
-) -> np.ndarray:
-    """Dense 5D gather via per-ds FFT mixing (exact; see module docstring).
-
-    For each temporal offset ds a fiber-mixing tensor is assembled from the
-    stencil FFTs (integer shear parts enter as exact circular-shift phases)
-    and contracted against the input spectra with k-chunked matrix products.
-    Accumulation order is fixed: ds ascending, k-chunks ascending.
-    """
-    nx, ny, ns, nth, nv = values.shape
-    nf = nth * nv
-    pad1, pad2 = plan.pad_sizes(nx, ny)
-    nk2 = pad2 // 2 + 1
-    nk = pad1 * nk2
-    frame_mass = np.abs(values).sum(axis=(0, 1, 3, 4))
-    live = np.nonzero(frame_mass > 0)[0]
-    out = np.zeros_like(values)
-    if live.size == 0:
+    def _spectra(self, d: int, phis: np.ndarray) -> np.ndarray:
+        """k-major stencil spectra of offset d, plus a trailing zero row."""
+        h, ext, pad1, pad2 = self.h, self.ext, self.pad1, self.pad2
+        nk = pad1 * (pad2 // 2 + 1)
+        side = 2 * ext + 1
+        planes = self.vals[:, :, d].reshape(2 * h + 1, 2 * h + 1, -1)
+        n_pl = planes.shape[2]
+        out = np.zeros((nk, self.grid.n_theta * len(phis) * n_pl + 1), dtype=np.complex128)
+        offs = np.arange(-ext, ext + 1, dtype=float)
+        batch = max(1, _CHUNK_BYTES // (16 * nk))
+        col = 0
+        for th in self.grid.thetas:
+            c, s = math.cos(-th), math.sin(-th)
+            for phi in phis:
+                gx, gy = np.meshgrid(offs - phi, offs, indexing="ij")
+                px = c * gx.ravel() - s * gy.ravel() + h
+                py = s * gx.ravel() + c * gy.ravel() + h
+                stencils = _bilinear_gather(planes, px, py).T.reshape(n_pl, side, side)
+                for p0 in range(0, n_pl, batch):
+                    spec = np.fft.rfft2(stencils[p0 : p0 + batch], s=(pad1, pad2))
+                    out[:, col : col + len(spec)] = spec.reshape(len(spec), nk).T
+                    col += len(spec)
         return out
-    s_lo, s_hi = int(live.min()), int(live.max())
-    n_in = s_hi - s_lo + 1
-    fhat = np.zeros((n_in, nf, nk), dtype=np.complex128)
-    buf = np.zeros((pad1, pad2))
-    for si in range(s_lo, s_hi + 1):
-        for f in range(nf):
-            i_p, j_p = divmod(f, nv)
-            buf[:] = 0.0
-            buf[:nx, :ny] = values[:, :, si, i_p, j_p]
-            fhat[si - s_lo, f] = np.fft.rfft2(buf).ravel()
-    phat = np.zeros((ns, nf, nk), dtype=np.complex128)
-    # flipped stencils are placed at the pad origin; an extra circular shift
-    # by (max_m - m) aligns all shear variants to one common output offset
-    kx1 = np.fft.fftfreq(pad1)[:, None]
-    shift_phase = {
-        d: np.exp(-2j * np.pi * kx1 * d) * np.ones((1, nk2)) for d in range(0, 2 * plan.max_m + 1)
-    }
-    n_dv_half = plan.n_dv // 2
-    mix = np.empty((nf, nf, nk), dtype=np.complex128)
-    sbuf = np.zeros((pad1, pad2))
-    chunk = max(1, (1 << 23) // (nf * 16))  # ~8 MB of A-chunk per slice
-    for d in range(plan.n_ds):
-        ds = d + 1
-        o_lo = max(0, s_lo + ds)
-        o_hi = min(ns - 1, s_hi + ds)
-        if o_lo > o_hi:
-            continue
-        mix[:] = 0.0
-        plan._stencil_cache.clear()
-        for i_p in range(nth):
-            for j_p in range(nv):
-                f_in = i_p * nv + j_p
-                block = plan.stencil_block(plan.phi[j_p, d], i_p, d)
-                delta = plan.max_m + int(plan.m_shift[j_p, d])
-                phase = shift_phase[delta].ravel()
-                for dth in range(nth):
-                    i_out = (i_p + dth) % nth
-                    for dv in range(plan.n_dv):
-                        j_out = j_p + dv - n_dv_half
-                        if j_out < 0 or j_out >= nv:
-                            continue
-                        plane = block[:, :, dth * plan.n_dv + dv]
-                        if not plane.any():
-                            continue
-                        sbuf[:] = 0.0
-                        sbuf[: plan.side, : plan.side] = plane
-                        mix[f_in, i_out * nv + j_out] = (
-                            np.fft.rfft2(sbuf).ravel() * phase
-                        )
-        src = fhat[o_lo - ds - s_lo : o_hi - ds - s_lo + 1]  # (n_win, f_in, k)
-        dst = phat[o_lo : o_hi + 1]
-        for k0 in range(0, nk, chunk):
-            k1 = min(nk, k0 + chunk)
-            a = np.ascontiguousarray(src[:, :, k0:k1].transpose(2, 0, 1))
-            b = np.ascontiguousarray(mix[:, :, k0:k1].transpose(2, 0, 1))
-            c = np.matmul(a, b)  # (kc, n_win, nf)
-            dst[:, :, k0:k1] += c.transpose(1, 2, 0)
-    off = plan.ext + plan.max_m  # common output offset along x after alignment
-    for si in range(ns):
-        if not phat[si].any():
-            continue
-        conv = np.fft.irfft2(phat[si].reshape(nf, pad1, nk2), s=(pad1, pad2))
-        block = conv[:, off : off + nx, plan.ext : plan.ext + ny]
-        out[:, :, si] = block.reshape(nth, nv, nx, ny).transpose(2, 3, 0, 1)
-    return out
 
+    def _mix(self, d: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """dst += src (k, frame, f_in) mixed through offset d, k-chunk by k-chunk."""
+        phis, rows, delta = self.mixing[d]
+        spectra = self._spectra(d, phis)
+        nf = rows.shape[0]
+        chunk = max(1, _CHUNK_BYTES // (16 * nf * nf))
+        kx = np.repeat(np.fft.fftfreq(self.pad1), self.pad2 // 2 + 1)[:, None]
+        for k0 in range(0, len(kx), chunk):
+            k1 = k0 + chunk
+            phase = np.exp(-2j * np.pi * kx[k0:k1] * delta)  # (kc, f_in)
+            mix = np.take(spectra[k0:k1], rows, axis=1)  # (kc, f_in, f_out)
+            dst[k0:k1] += np.matmul(src[k0:k1] * phase[:, None], mix)
 
-_PLAN_CACHE: dict = {}
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Facilitation of ``values`` (nx, ny, ns, n_theta, n_v).
 
-
-def _plan_for(kernel: KernelGrid, grid: ManifoldGrid, trunc_rel: float):
-    key = (id(kernel), grid.nx, grid.ny, grid.n_theta, grid.n_v, trunc_rel)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        cls = _TrajectoryPlan if kernel.is_trajectory else _ContourPlan
-        plan = cls(kernel, grid, trunc_rel)
-        _PLAN_CACHE.clear()  # keep at most one plan; they are large
-        _PLAN_CACHE[key] = plan
-    return plan
+        Accumulation order is fixed (offsets ascending, k-chunks ascending),
+        so the result is deterministic for fixed shapes.
+        """
+        nx, ny, ns, nth, nv = values.shape
+        nf = nth * nv
+        pad1, pad2 = self.pad1, self.pad2
+        nk2 = pad2 // 2 + 1
+        nk = pad1 * nk2
+        out = np.zeros_like(values, dtype=float)
+        live = np.nonzero(np.abs(values).sum(axis=(0, 1, 3, 4)) > 0)[0]
+        if live.size == 0:
+            return out
+        s_lo, s_hi = int(live[0]), int(live[-1])
+        fhat = np.empty((nk, s_hi - s_lo + 1, nf), dtype=np.complex128)
+        for i, si in enumerate(range(s_lo, s_hi + 1)):
+            spec = np.fft.rfft2(values[:, :, si], s=(pad1, pad2), axes=(0, 1))
+            fhat[:, i] = spec.reshape(nk, nf)
+        del spec
+        phat = np.zeros((nk, ns, nf), dtype=np.complex128)
+        for d, ds in enumerate(self.ds):
+            o_lo, o_hi = s_lo + ds, min(ns - 1, s_hi + ds)
+            if o_lo <= o_hi:
+                self._mix(d, fhat[:, o_lo - ds - s_lo : o_hi - ds - s_lo + 1],
+                          phat[:, o_lo : o_hi + 1])
+        off = self.ext + self.max_m  # common output offset along x after alignment
+        for si in range(s_lo + self.ds[0], min(ns, s_hi + self.ds[-1] + 1)):
+            conv = np.fft.irfft2(phat[:, si].reshape(pad1, nk2, nth, nv), s=(pad1, pad2),
+                                 axes=(0, 1))
+            out[:, :, si] = conv[off : off + nx, self.ext : self.ext + ny]
+        return out
 
 
 def facilitate(
@@ -378,13 +247,8 @@ def facilitate(
     coordinate.  Matches ``facilitate_reference`` to 1e-10 with fixed
     accumulation order.
     """
-    grid = activity.grid
-    plan = _plan_for(kernel, grid, trunc_rel)
-    if kernel.is_trajectory:
-        vals = _facilitate_values_5d(activity.values, grid, plan)
-    else:
-        vals = _facilitate_values_4d(activity.values, grid, plan)
-    return activity.with_values(vals, "facilitation")
+    plan = FacilitationPlan(kernel, activity.grid, trunc_rel)
+    return activity.with_values(plan.apply(activity.values), "facilitation")
 
 
 def facilitate_reference(
@@ -490,10 +354,9 @@ def evolve_activity(
     a = np.zeros_like(raw.values) if a0 is None else np.asarray(a0, dtype=float).copy()
     if a.shape != raw.values.shape:
         raise ValueError("a0 shape does not match the activity grid")
-    plan = _plan_for(kernel, raw.grid, trunc_rel)
-    conv = _facilitate_values_5d if kernel.is_trajectory else _facilitate_values_4d
+    plan = FacilitationPlan(kernel, raw.grid, trunc_rel)
     for _ in range(n_steps):
-        drive = cfg.c_f * conv(a, raw.grid, plan) + raw.values
+        drive = cfg.c_f * plan.apply(a) + raw.values
         a = a + dt_a * (-a + sigmoid(drive, cfg.mu, cfg.beta))
         if float(np.abs(a).max()) > 10.0:
             raise ArithmeticError("activity diverged beyond |a| = 10; unstable parameters")
@@ -505,9 +368,8 @@ def stationarity_residual(
     *, trunc_rel: float = TRUNC_REL,
 ) -> float:
     """Sup norm of -a + S(c_f K*a + F); zero exactly at a fixed point."""
-    plan = _plan_for(kernel, raw.grid, trunc_rel)
-    conv = _facilitate_values_5d if kernel.is_trajectory else _facilitate_values_4d
-    drive = cfg.c_f * conv(np.asarray(a, dtype=float), raw.grid, plan) + raw.values
+    plan = FacilitationPlan(kernel, raw.grid, trunc_rel)
+    drive = cfg.c_f * plan.apply(np.asarray(a, dtype=float)) + raw.values
     return float(np.abs(-a + sigmoid(drive, cfg.mu, cfg.beta)).max())
 
 

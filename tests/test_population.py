@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motionlift.gabor import LiftedActivity, ManifoldGrid, sigmoid
 from motionlift.kernels import (
@@ -66,6 +67,40 @@ class TestGatherContract:
         fast = facilitate(act, kernel)
         ref = facilitate_reference(act, kernel)
         assert np.abs(fast.values - ref.values).max() < 1e-10
+
+    def test_fresh_same_shape_kernels_are_each_gathered(self):
+        # a kernel built right after the previous one is dropped reuses its
+        # id(); every call must still gather through the kernel it was given
+        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
+        lat = contour_lattice(3, 6, 3, 1.0)
+        rng = np.random.default_rng(11)
+        act = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 1, 6, 3)),
+                             "facilitation", np.array([0]))
+        cases = []
+        for seed in range(6):
+            k = synthetic_kernel(lat, seed=seed)
+            cases.append((k.values, k.spec, facilitate_reference(act, k).values))
+        k = None
+        for seed, (vals, spec, ref) in enumerate(cases):
+            k = KernelGrid(lat.axes, lat.origin, lat.spacing, vals, spec)
+            assert np.abs(facilitate(act, k).values - ref).max() < 1e-10, seed
+            k = None
+
+    @given(n_theta=st.sampled_from([4, 8]), size=st.integers(5, 9),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_4d_quarter_turn_covariance(self, n_theta, size, seed):
+        # a quarter turn of the input plane that also advances every
+        # orientation by pi/2 is exact on the pixel grid and must carry
+        # through the gather unchanged
+        grid = ManifoldGrid(size, size, n_theta, 3, 1.0)
+        kernel = synthetic_kernel(contour_lattice(3, n_theta, 3, 1.0), seed=seed)
+        vals = np.random.default_rng(seed).uniform(0, 1, (size, size, 1, n_theta, 3))
+        turn = lambda v: np.roll(np.rot90(v, 1, axes=(0, 1)), n_theta // 4, axis=3)
+        mk = lambda v: LiftedActivity(grid, v, "facilitation", np.array([0]))
+        p = facilitate(mk(vals), kernel).values
+        p_turned = facilitate(mk(turn(vals)), kernel).values
+        assert np.abs(p_turned - turn(p)).max() < 1e-12
 
     def test_linearity(self, small5):
         grid, kernel = small5
