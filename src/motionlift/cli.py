@@ -173,6 +173,8 @@ def cmd_experiment2(args) -> int:
         cfg.n_frames = max(16, int(round(cfg.n_frames * args.scale)))
         cfg.kernel_halfwidth = max(4, int(round(cfg.kernel_halfwidth * args.scale)))
         cfg.kernel_n_ds = max(4, int(round(cfg.kernel_n_ds * args.scale)))
+        # the gaps shrink with the movie, so the scaled kernel still bridges them
+        cfg.sweep = tuple((int(round(dt * args.scale)), dth) for dt, dth in cfg.sweep)
     table = run_experiment2(cfg, args.out, n_threads=args.threads,
                             kernel_cache=args.kernel_cache)
     for row in table:

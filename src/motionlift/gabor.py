@@ -324,9 +324,12 @@ def energy_filter(
     f_hi = min(n_t - 1, int(frames.max()) + rt)
     sub = stimulus.data[:, :, f_lo : f_hi + 1]
     out_frames = frames - f_lo
-    px = _fast_len(nx + 2 * rx)
-    py = _fast_len(ny + 2 * rx)
-    pt = _fast_len(sub.shape[2] + 2 * rt)
+    # circular periods only need to hold the kept window: with the filter
+    # reach r, terms that wrap past a period of n + r land in the first r
+    # samples, ahead of the window; 2r + 1 keeps the whole filter
+    px = _fast_len(max(2 * rx + 1, nx + rx))
+    py = _fast_len(max(2 * rx + 1, ny + rx))
+    pt = _fast_len(max(2 * rt + 1, sub.shape[2] + rt))
     fpad = np.zeros((px, py, pt), dtype=np.complex128)
     fpad[:nx, :ny, : sub.shape[2]] = sub
     fhat = np.fft.fftn(fpad)

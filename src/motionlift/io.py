@@ -228,10 +228,11 @@ def export_isosurface_points(
         interior &= lo & hi
     shell = above & ~interior
     idx = np.argwhere(shell)
+    # whole columns of Python floats: repr gives the shortest round-trip text
+    cols = [map(repr, np.asarray(origin[d] + spacing[d] * idx[:, d], dtype=float).tolist())
+            for d in range(values.ndim)]
+    cols.append(map(repr, values[shell].astype(float).tolist()))
     with open(path, "w") as fh:
         fh.write(",".join(axes) + ",value\n")
-        for coords in idx:
-            phys = [float(origin[d] + spacing[d] * coords[d]) for d in range(values.ndim)]
-            row = ",".join(repr(p) for p in phys)
-            fh.write(f"{row},{float(values[tuple(coords)])!r}\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
     return int(len(idx))

@@ -17,7 +17,11 @@ kernel is a single temporal offset ds = 0 without shear, the 5D kernel has
 the offsets ds = 1..n_ds.  For each offset the stencils are sampled from
 the kernel by exactly the lookup's interpolation rule, transformed in
 batches, and mixed over the fibers by one batched matrix product per chunk
-of Fourier bins.  The result matches the explicit gather
+of Fourier bins.  Each FFT period only has to hold the output window that
+is kept: a stencil reaching ``ext`` cells either way, shifted by at most
+``max_m`` whole cells, spreads an input of n cells over n + 2 ext + 2 max_m
+cells, and with a period of n + ext + max_m the part that wraps around lands
+before the kept window, never in it.  The result matches the explicit gather
 (``facilitate_reference``) to 1e-10 and is deterministic for fixed shapes.
 Each public entry point builds the plan it uses; nothing is cached between
 calls.  Kernels are sparsified by zeroing entries below ``TRUNC_REL`` of
@@ -113,8 +117,9 @@ def _bilinear_gather(plane_stack: np.ndarray, px: np.ndarray, py: np.ndarray) ->
 class FacilitationPlan:
     """FFT gather through one kernel on one grid; ``apply`` runs it.
 
-    Every temporal offset ds of the kernel carries input frame s to output
-    frame s + ds; the contour kernel is the single offset ds = 0.  For an
+    Every temporal offset ds of the kernel carries the input frame at time t
+    to the output frame at time t + ds, with times taken from the activity's
+    ``s_frames``; the contour kernel is the single offset ds = 0.  For an
     input fiber (theta', v') the relative spatial coordinate is
     R(-theta') (dq - (v' ds, 0)).  The shear v' ds splits into an integer
     pixel part, applied as an exact FFT phase, and a fractional class phi.
@@ -122,6 +127,14 @@ class FacilitationPlan:
     precomputed row index maps each (input fiber, output fiber) pair to its
     spectrum, or to a zero row when dv falls off the kernel.  Spectra are
     built offset by offset inside ``apply``, so only one offset's are held.
+
+    The circular FFT periods are sized to the kept output window, not to the
+    full linear convolution: nx + ext + max_m along x and ny + ext along y,
+    with ext the stencil reach and max_m the largest integer shear.  Terms
+    that wrap past the period land in the first ext + max_m cells, ahead of
+    the window, so the window is alias-free.  Neither period is shorter than
+    the stencil side 2 ext + 1, so grids smaller than the stencil keep all of
+    it.
     """
 
     def __init__(self, kernel: KernelGrid, grid: ManifoldGrid, trunc_rel: float = TRUNC_REL):
@@ -143,8 +156,8 @@ class FacilitationPlan:
         shear = grid.vs[:, None] * np.array(ds, dtype=float)  # (n_v, n_offsets)
         m_shift = np.floor(shear).astype(np.int64)
         self.max_m = int(np.abs(m_shift).max())
-        self.pad1 = _fast_len(grid.nx + side - 1 + 2 * self.max_m)
-        self.pad2 = _fast_len(grid.ny + side - 1)
+        self.pad1 = _fast_len(max(side, grid.nx + self.ext + self.max_m))
+        self.pad2 = _fast_len(max(side, grid.ny + self.ext))
 
         nth, nv, n_dv = grid.n_theta, grid.n_v, vals.shape[4]
         i_p = np.arange(nth)[:, None, None, None]
@@ -185,8 +198,9 @@ class FacilitationPlan:
                     col += len(spec)
         return out
 
-    def _mix(self, d: int, src: np.ndarray, dst: np.ndarray) -> None:
-        """dst += src (k, frame, f_in) mixed through offset d, k-chunk by k-chunk."""
+    def _mix(self, d: int, fhat: np.ndarray, ins: np.ndarray, phat: np.ndarray,
+             outs: np.ndarray) -> None:
+        """phat[:, outs] += fhat[:, ins] mixed through offset d, k-chunk by k-chunk."""
         phis, rows, delta = self.mixing[d]
         spectra = self._spectra(d, phis)
         nf = rows.shape[0]
@@ -196,40 +210,49 @@ class FacilitationPlan:
             k1 = k0 + chunk
             phase = np.exp(-2j * np.pi * kx[k0:k1] * delta)  # (kc, f_in)
             mix = np.take(spectra[k0:k1], rows, axis=1)  # (kc, f_in, f_out)
-            dst[k0:k1] += np.matmul(src[k0:k1] * phase[:, None], mix)
+            phat[k0:k1, outs] += np.matmul(fhat[k0:k1, ins] * phase[:, None], mix)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Facilitation of ``values`` (nx, ny, ns, n_theta, n_v).
+    def apply(self, activity: LiftedActivity) -> np.ndarray:
+        """Facilitation values of ``activity``, shaped like its values.
 
+        Input frame i reaches output frame o through the offset
+        ds = s_frames[o] - s_frames[i], so frame times must be distinct.
         Accumulation order is fixed (offsets ascending, k-chunks ascending),
         so the result is deterministic for fixed shapes.
         """
+        values = activity.values
         nx, ny, ns, nth, nv = values.shape
+        times = activity.s_frames.tolist()
+        frame_at = {t: o for o, t in enumerate(times)}
+        if len(frame_at) != ns:
+            raise ValueError("activity frame times (s_frames) must be distinct")
+        out = np.zeros_like(values)
+        live = np.nonzero(np.abs(values).sum(axis=(0, 1, 3, 4)) > 0)[0].tolist()
+        routes = []  # (offset, positions in live, output frames)
+        for d, ds in enumerate(self.ds):
+            pairs = [(i, frame_at[times[si] + ds]) for i, si in enumerate(live)
+                     if times[si] + ds in frame_at]
+            if pairs:
+                routes.append((d, *np.array(pairs).T))
+        if not routes:
+            return out
         nf = nth * nv
         pad1, pad2 = self.pad1, self.pad2
         nk2 = pad2 // 2 + 1
         nk = pad1 * nk2
-        out = np.zeros_like(values, dtype=float)
-        live = np.nonzero(np.abs(values).sum(axis=(0, 1, 3, 4)) > 0)[0]
-        if live.size == 0:
-            return out
-        s_lo, s_hi = int(live[0]), int(live[-1])
-        fhat = np.empty((nk, s_hi - s_lo + 1, nf), dtype=np.complex128)
-        for i, si in enumerate(range(s_lo, s_hi + 1)):
+        fhat = np.empty((nk, len(live), nf), dtype=np.complex128)
+        for i, si in enumerate(live):
             spec = np.fft.rfft2(values[:, :, si], s=(pad1, pad2), axes=(0, 1))
             fhat[:, i] = spec.reshape(nk, nf)
         del spec
         phat = np.zeros((nk, ns, nf), dtype=np.complex128)
-        for d, ds in enumerate(self.ds):
-            o_lo, o_hi = s_lo + ds, min(ns - 1, s_hi + ds)
-            if o_lo <= o_hi:
-                self._mix(d, fhat[:, o_lo - ds - s_lo : o_hi - ds - s_lo + 1],
-                          phat[:, o_lo : o_hi + 1])
+        for d, ins, outs in routes:
+            self._mix(d, fhat, ins, phat, outs)
         off = self.ext + self.max_m  # common output offset along x after alignment
-        for si in range(s_lo + self.ds[0], min(ns, s_hi + self.ds[-1] + 1)):
-            conv = np.fft.irfft2(phat[:, si].reshape(pad1, nk2, nth, nv), s=(pad1, pad2),
+        for so in np.unique(np.concatenate([outs for _, _, outs in routes])):
+            conv = np.fft.irfft2(phat[:, so].reshape(pad1, nk2, nth, nv), s=(pad1, pad2),
                                  axes=(0, 1))
-            out[:, :, si] = conv[off : off + nx, self.ext : self.ext + ny]
+            out[:, :, so] = conv[off : off + nx, self.ext : self.ext + ny]
         return out
 
 
@@ -248,7 +271,7 @@ def facilitate(
     accumulation order.
     """
     plan = FacilitationPlan(kernel, activity.grid, trunc_rel)
-    return activity.with_values(plan.apply(activity.values), "facilitation")
+    return activity.with_values(plan.apply(activity), "facilitation")
 
 
 def facilitate_reference(
@@ -271,15 +294,27 @@ def facilitate_reference(
     )
     nx, ny, ns, nth, nv = activity.values.shape
     out = np.zeros_like(activity.values)
-    xs = np.arange(nx, dtype=float)
-    ys = np.arange(ny, dtype=float)
-    dxm = xs[:, None, None, None] - xs[None, :, None, None]  # x - x'
-    dym = ys[None, None, :, None] - ys[None, None, None, :]  # y - y'
+    # the relative element depends on (x - x', y - y') only: each difference
+    # is looked up once and spread to its (x, x', y, y') pairs
+    dxm = np.arange(1 - nx, nx, dtype=float)[:, None]  # x - x'
+    dym = np.arange(1 - ny, ny, dtype=float)[None, :]  # y - y'
+    pair_x = (np.arange(nx)[:, None] - np.arange(nx) + nx - 1)[:, :, None, None]
+    pair_y = (np.arange(ny)[:, None] - np.arange(ny) + ny - 1)[None, None]
     thetas = grid.thetas
     vs = grid.vs
+    if trunc.is_trajectory:
+        # kernel_lookup is exactly zero at and beyond one spacing off the ds axis
+        lat = trunc.lattice
+        i_s = lat.axes.index("s")
+        ds_lo = lat.origin[i_s] - lat.spacing[i_s]
+        ds_hi = lat.origin[i_s] + lat.shape[i_s] * lat.spacing[i_s]
+    # fiber offsets of every output fiber, one lookup batch per input fiber
+    fiber = (slice(None), slice(None), None, None)
     for i_p in range(nth):
         c, s = math.cos(-thetas[i_p]), math.sin(-thetas[i_p])
+        dth = ((thetas - thetas[i_p]) % (2.0 * math.pi))[:, None]
         for j_p in range(nv):
+            dv = (vs - vs[j_p])[None, :]
             for sp in range(ns):
                 f_slice = activity.values[:, :, sp, i_p, j_p]
                 if not f_slice.any():
@@ -287,34 +322,29 @@ def facilitate_reference(
                 for so in range(ns):
                     if trunc.is_trajectory:
                         ds = float(activity.s_frames[so] - activity.s_frames[sp])
+                        if not ds_lo < ds < ds_hi:
+                            continue
                         shear = vs[j_p] * ds
                     else:
                         if so != sp:
                             continue
-                        ds = None
                         shear = 0.0
-                    ax = dxm - shear  # (nx, nx', 1, 1)
+                    ax = dxm - shear
                     rel1 = c * ax - s * dym
                     rel2 = s * ax + c * dym
-                    for i_o in range(nth):
-                        dth = (thetas[i_o] - thetas[i_p]) % (2.0 * math.pi)
-                        for j_o in range(nv):
-                            dv = vs[j_o] - vs[j_p]
-                            pts = np.empty(rel1.shape + (len(trunc.axes),))
-                            pts[..., 0] = rel1
-                            pts[..., 1] = rel2
-                            if trunc.is_trajectory:
-                                pts[..., 2] = ds
-                                pts[..., 3] = dth
-                                pts[..., 4] = dv
-                            else:
-                                pts[..., 2] = dth
-                                pts[..., 3] = dv
-                            w = kernel_lookup(trunc, pts.reshape(-1, pts.shape[-1]))
-                            w = w.reshape(nx, nx, ny, ny)
-                            out[:, :, so, i_o, j_o] += np.einsum(
-                                "xayb,ab->xy", w, f_slice
-                            )
+                    pts = np.empty((nth, nv) + rel1.shape + (len(trunc.axes),))
+                    pts[..., 0] = rel1
+                    pts[..., 1] = rel2
+                    if trunc.is_trajectory:
+                        pts[..., 2] = ds
+                        pts[..., 3] = dth[fiber]
+                        pts[..., 4] = dv[fiber]
+                    else:
+                        pts[..., 2] = dth[fiber]
+                        pts[..., 3] = dv[fiber]
+                    w = kernel_lookup(trunc, pts.reshape(-1, pts.shape[-1]))
+                    w = w.reshape(pts.shape[:-1])[:, :, pair_x, pair_y]
+                    out[:, :, so] += np.einsum("ijxayb,ab->xyij", w, f_slice)
     return activity.with_values(out, "facilitation")
 
 
@@ -356,7 +386,7 @@ def evolve_activity(
         raise ValueError("a0 shape does not match the activity grid")
     plan = FacilitationPlan(kernel, raw.grid, trunc_rel)
     for _ in range(n_steps):
-        drive = cfg.c_f * plan.apply(a) + raw.values
+        drive = cfg.c_f * plan.apply(raw.with_values(a, "facilitation")) + raw.values
         a = a + dt_a * (-a + sigmoid(drive, cfg.mu, cfg.beta))
         if float(np.abs(a).max()) > 10.0:
             raise ArithmeticError("activity diverged beyond |a| = 10; unstable parameters")
@@ -369,7 +399,7 @@ def stationarity_residual(
 ) -> float:
     """Sup norm of -a + S(c_f K*a + F); zero exactly at a fixed point."""
     plan = FacilitationPlan(kernel, raw.grid, trunc_rel)
-    drive = cfg.c_f * plan.apply(np.asarray(a, dtype=float)) + raw.values
+    drive = cfg.c_f * plan.apply(raw.with_values(a, "facilitation")) + raw.values
     return float(np.abs(-a + sigmoid(drive, cfg.mu, cfg.beta)).max())
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs through the command-line entry point."""
 
+import json
 from pathlib import Path
 
 from motionlift.cli import main
@@ -23,3 +24,17 @@ def test_experiment1_rerun_on_shared_kernel_cache_is_byte_identical(tmp_path):
         runs.append(_outputs(out))
     assert len(runs[0]) >= 7  # manifest, 3 activity volumes, 3 exports
     assert runs[0] == runs[1]
+
+
+def test_experiment2_scale_shrinks_the_sweep_gaps_with_the_kernel(tmp_path):
+    # at half scale the kernel reaches 8 frames, so an unscaled 12-frame gap
+    # could never be bridged; the gap must shrink to 6 frames with it
+    out = tmp_path / "traj"
+    code = main(["experiment2", "--scale", "0.5", "--dt", "12", "--dtheta", "0",
+                 "--set", "n_paths=8192", "--set", "n_theta=8", "--set", "n_v=5",
+                 "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["kernel_n_ds"] == 8
+    assert manifest["config"]["sweep"] == [[6, 0.0]]
+    assert manifest["gap_table"][0]["energy_positive"] > 0

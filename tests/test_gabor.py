@@ -150,6 +150,18 @@ class TestEnergyFilter:
         fast = energy_filter(stim, grid, P_HALF)
         slow = energy_filter_direct(stim, grid, P_HALF)
         assert np.abs(fast.values - slow.values).max() < 1e-10
+        # bright edge cells and end frames sit where a too-short FFT period
+        # would wrap filter responses into the kept window; 3 pixels along y
+        # and 3 frames are fewer than the filter's 7-sample support
+        data = rng.uniform(0, 0.2, (12, 3, 3))
+        data[[0, -1], :, :] = 1.0
+        data[:, [0, -1], :] = 1.0
+        data[:, :, [0, -1]] = 1.0
+        edges = StimulusVolume(data)
+        grid = ManifoldGrid(12, 3, 6, 3, 1.0)
+        fast = energy_filter(edges, grid, P_HALF)
+        slow = energy_filter_direct(edges, grid, P_HALF)
+        assert np.abs(fast.values - slow.values).max() < 1e-10
 
     def test_rotation_covariance_exact_quarter_turn(self):
         # with four orientation bins one bin is a quarter turn, which acts

@@ -129,6 +129,27 @@ def test_export_isosurface_shell(tmp_path):
     assert n > 0
 
 
+def test_export_isosurface_matches_row_by_row_format(tmp_path):
+    values = np.random.default_rng(3).uniform(0, 1, (6, 5, 4))
+    origin, spacing = (-2.5, 1.0, 0.1), (0.5, 2.0, 0.3)
+    path = tmp_path / "iso.csv"
+    n = vio.export_isosurface_points(path, values, ("q1", "q2", "s"), 0.4,
+                                     origin=origin, spacing=spacing)
+    # the shell, recomputed the slow way, printed one row at a time
+    above = values >= 0.4
+    pad = np.pad(above, 1, constant_values=False)
+    interior = above.copy()
+    for axis in range(3):
+        for step in (1, -1):
+            interior &= np.roll(pad, step, axis=axis)[1:-1, 1:-1, 1:-1]
+    lines = ["q1,q2,s,value"]
+    for coords in np.argwhere(above & ~interior):
+        phys = [float(origin[d] + spacing[d] * coords[d]) for d in range(3)]
+        lines.append(",".join(repr(p) for p in phys) + f",{float(values[tuple(coords)])!r}")
+    assert n == len(lines) - 1 > 0
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_config_hash_stability():
     h1 = vio.config_hash({"b": 2, "a": [1, 2]})
     h2 = vio.config_hash({"a": [1, 2], "b": 2})

@@ -51,19 +51,35 @@ def small5():
 
 class TestGatherContract:
     def test_4d_fast_matches_reference(self, small4):
-        grid, kernel = small4
+        _, kernel = small4
         rng = np.random.default_rng(1)
-        act = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 2, 6, 3)),
-                             "facilitation", np.array([0, 1]))
-        fast = facilitate(act, kernel)
-        ref = facilitate_reference(act, kernel)
-        assert np.abs(fast.values - ref.values).max() < 1e-10
+        # the stencil is 13 cells wide: sides 3 and 5 put the FFT periods at
+        # their floor of one stencil side, 7 fills it exactly, 12 exceeds it
+        for side in (7, 3, 5, 12):
+            grid = ManifoldGrid(side, side, 6, 3, 1.0)
+            act = LiftedActivity(grid, rng.uniform(0, 1, (side, side, 2, 6, 3)),
+                                 "facilitation", np.array([0, 1]))
+            fast = facilitate(act, kernel)
+            ref = facilitate_reference(act, kernel)
+            assert np.abs(fast.values - ref.values).max() < 1e-10, side
 
     def test_5d_fast_matches_reference(self, small5):
         grid, kernel = small5
         rng = np.random.default_rng(2)
         act = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 5, 6, 3)),
                              "facilitation", np.arange(5))
+        fast = facilitate(act, kernel)
+        ref = facilitate_reference(act, kernel)
+        assert np.abs(fast.values - ref.values).max() < 1e-10
+
+    @pytest.mark.parametrize("frames", [[0, 2, 4], [0, 10, 20]])
+    def test_5d_gather_pairs_frames_by_time(self, small5, frames):
+        # offsets join frames by their times, not by their array positions:
+        # with frame times 0, 2, 4 only ds = 2 couples them, and 10 frames
+        # apart lies beyond the kernel's 3-frame reach
+        grid, kernel = small5
+        act = LiftedActivity(grid, np.random.default_rng(8).uniform(0, 1, (7, 7, 3, 6, 3)),
+                             "facilitation", np.array(frames))
         fast = facilitate(act, kernel)
         ref = facilitate_reference(act, kernel)
         assert np.abs(fast.values - ref.values).max() < 1e-10
