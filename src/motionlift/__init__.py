@@ -40,8 +40,6 @@ from .kernels import (
     KernelLattice,
     SdeSpec,
     contour_lattice,
-    estimate_gamma,
-    estimate_gamma0,
     estimate_kernel,
     estimate_slice_densities,
     fp_reference,

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -136,12 +137,29 @@ def _load_config_file(path: str | None) -> dict:
     return parse_config_text(p.read_text())
 
 
+def _thread_count(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _add_threads_arg(sp):
+    if hasattr(os, "sched_getaffinity"):
+        default = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        default = os.cpu_count() or 1
+    sp.add_argument("--threads", type=_thread_count, default=default,
+                    help="Monte Carlo kernel workers (default: every CPU this "
+                         "process may use); kernels are bit-identical for any count")
+
+
 def _common_experiment_args(sp):
     sp.add_argument("--config", help="key = value config file")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--seed", type=int, help="override the estimation seed")
     sp.add_argument("--scale", type=float, help="shrink grid dims proportionally")
-    sp.add_argument("--threads", type=int, default=1, help="worker cap")
+    _add_threads_arg(sp)
     sp.add_argument("--kernel-cache", help="shared kernel cache directory")
     sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override one config key")
@@ -342,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-theta", dest="n_theta", type=int, default=16)
     sp.add_argument("--n-v", dest="n_v", type=int, default=9)
     sp.add_argument("--v-m", dest="v_m", type=float, default=1.0)
-    sp.add_argument("--threads", type=int, default=1)
+    _add_threads_arg(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_kernel)
 

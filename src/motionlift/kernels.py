@@ -12,7 +12,16 @@ estimate.
 Estimation is deterministic: paths are organized in fixed-size batches,
 each batch draws from its own generator spawned from the seed, and batch
 histograms are merged in batch order, so results are bit-identical for a
-given spec regardless of the number of worker threads.
+given spec regardless of the number of worker threads.  With n workers the
+batches are dealt round-robin: the calling thread runs batches 0, n, 2n, ...
+and n - 1 pool threads run the others.
+
+Each batch walks its steps in blocks of ``STEP_BLOCK``: one noise draw per
+block into a reused buffer (the random stream is the same as one draw for
+all steps), the walks built by in-place row adds (the same sums in the same
+order as step by step), then sin/cos, binning and a single integer
+``bincount`` over the whole block.  Few, large numpy calls release the GIL
+for long stretches, so the workers run in parallel.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BATCH_SIZE = 8192  # fixed: part of the deterministic estimation contract
+STEP_BLOCK = 8  # steps walked per numpy call; any value gives the same bits
 MODES = ("contour", "trajectory")
 
 
@@ -252,6 +262,11 @@ def _simulate_batch_histogram(
     drift follows the spec's mode; whether deposits use a ds axis follows
     the lattice rank, so trajectory-mode paths can also be binned on the 4D
     per-parameter lattice for oracle comparisons.
+
+    Steps are walked in blocks of ``STEP_BLOCK``.  Row 0 of each walk holds
+    the state before the block and row r + 1 the state after its step r;
+    rows are built by in-place row adds, the same sums in the same order as
+    a step-by-step update, so the block length never changes a bit.
     """
     rng = np.random.default_rng(child_seed)
     dt = spec.dt_exact
@@ -259,110 +274,140 @@ def _simulate_batch_histogram(
     sa = math.sqrt(2.0 * dt) * spec.alpha
     trajectory = spec.mode == "trajectory"
     has_ds = len(lattice.shape) == 5
-    if start_jitter == "gauss":
-        # half-cell Gaussian source: matches the oracle's 'gauss' init
-        i_t, i_v = (3, 4) if has_ds else (2, 3)
-        jit = rng.standard_normal((4, nb)) * 0.5
-        q1 = jit[0] * lattice.spacing[0]
-        q2 = jit[1] * lattice.spacing[1]
-        th = jit[2] * lattice.spacing[i_t]
-        v = jit[3] * lattice.spacing[i_v]
-    else:
-        q1 = np.zeros(nb)
-        q2 = np.zeros(nb)
-        th = np.zeros(nb)
-        v = np.zeros(nb)
-    ncells = int(np.prod(lattice.shape))
-    hist = np.zeros(ncells)
-    snaps = {} if snapshot_steps is None else {k: None for k in snapshot_steps}
     sh = lattice.shape
-    if has_ds:
-        ax_t, ax_v = 3, 4
-    else:
-        ax_t, ax_v = 2, 3
-    n_th = sh[ax_t]
+    ax_t, ax_v = (3, 4) if has_ds else (2, 3)
+    n_th, n_v = sh[ax_t], sh[ax_v]
     d_th = lattice.spacing[ax_t]
-    o_v = lattice.origin[ax_v]
-    d_v = lattice.spacing[ax_v]
+    o_v, d_v = lattice.origin[ax_v], lattice.spacing[ax_v]
     o_q1, o_q2 = lattice.origin[0], lattice.origin[1]
     d_q1, d_q2 = lattice.spacing[0], lattice.spacing[1]
-    noise = rng.standard_normal((spec.n_steps, 2, nb))
-    for k in range(spec.n_steps):
-        # drift at the current state, then fiber noise
+    block = min(STEP_BLOCK, spec.n_steps)
+    q1, q2, th, v = (np.zeros((block + 1, nb)) for _ in range(4))
+    if start_jitter == "gauss":
+        # half-cell Gaussian source: matches the oracle's 'gauss' init
+        jit = rng.standard_normal((4, nb)) * 0.5
+        q1[0] = jit[0] * d_q1
+        q2[0] = jit[1] * d_q2
+        th[0] = jit[2] * d_th
+        v[0] = jit[3] * d_v
+    noise = np.empty((block, 2, nb))
+    # each bounded axis gets a guard bin either side that collects the
+    # passages off it (theta wraps); guard bins are cut away at the end.  The
+    # ds axis leads, so a step's ds bin is one offset for the whole row.
+    gshape = (sh[0] + 2, sh[1] + 2, n_th, n_v + 2)
+    gsize = int(np.prod(gshape))
+    n_s = sh[2] + 2 if has_ds else 1
+    counts = np.zeros(n_s * gsize, dtype=np.int64)
+    wanted = set() if snapshot_steps is None else set(snapshot_steps)
+    snaps = {}
+    for k0 in range(0, spec.n_steps, block):
+        m = min(block, spec.n_steps - k0)
+        z = noise[:m]
+        rng.standard_normal(out=z)  # continues the (step, channel, path) stream
+        # fiber walks first: the drift of step r is taken at row r
+        np.multiply(z[:, 0], sk, out=th[1:m + 1])
+        np.multiply(z[:, 1], sa, out=v[1:m + 1])
+        for r in range(m):
+            th[r + 1] += th[r]
+            v[r + 1] += v[r]
         if trajectory:
-            q1 += v * np.cos(th) * dt
-            q2 += v * np.sin(th) * dt
+            np.cos(th[:m], out=q1[1:m + 1])
+            np.sin(th[:m], out=q2[1:m + 1])
+            q1[1:m + 1] *= v[:m]
+            q2[1:m + 1] *= v[:m]
+            q1[1:m + 1] *= dt
         else:
-            q1 += -np.sin(th) * dt
-            q2 += np.cos(th) * dt
-        th += sk * noise[k, 0]
-        v += sa * noise[k, 1]
-        t_now = (k + 1) * dt
-        i1 = np.rint((q1 - o_q1) / d_q1).astype(np.int64)
-        i2 = np.rint((q2 - o_q2) / d_q2).astype(np.int64)
-        it = np.rint(th / d_th).astype(np.int64) % n_th
-        iv = np.rint((v - o_v) / d_v).astype(np.int64)
-        ok = (
-            (i1 >= 0) & (i1 < sh[0]) & (i2 >= 0) & (i2 < sh[1])
-            & (iv >= 0) & (iv < sh[ax_v])
-        )
-        if accumulate:
-            if has_ds:
-                i_s = int(math.ceil(t_now - 1e-9)) - 1  # ds bin k covers (k-1, k]
-                if 0 <= i_s < sh[2]:
-                    flat = (((i1 * sh[1] + i2) * sh[2] + i_s) * n_th + it) * sh[ax_v] + iv
-                    hist += np.bincount(flat[ok], minlength=ncells)
-            else:
-                flat = ((i1 * sh[1] + i2) * n_th + it) * sh[ax_v] + iv
-                hist += np.bincount(flat[ok], minlength=ncells)
-        if snapshot_steps is not None and (k + 1) in snaps:
-            snaps[k + 1] = (i1, i2, it, iv, ok.copy())
-    snap_hists = []
-    if snapshot_steps is not None:
-        # snapshot histograms live on the 4D (q1, q2, theta, v) sub-lattice
-        sub_shape = (sh[0], sh[1], n_th, sh[ax_v])
-        nsub = int(np.prod(sub_shape))
-        for k in snapshot_steps:
-            i1, i2, it, iv, ok = snaps[k]
-            flat = ((i1 * sh[1] + i2) * n_th + it) * sub_shape[3] + iv
-            snap_hists.append(np.bincount(flat[ok], minlength=nsub))
-    return hist * dt, snap_hists
+            np.sin(th[:m], out=q1[1:m + 1])
+            np.cos(th[:m], out=q2[1:m + 1])
+            q1[1:m + 1] *= -dt
+        q2[1:m + 1] *= dt
+        for r in range(m):
+            q1[r + 1] += q1[r]
+            q2[r + 1] += q2[r]
+        i1 = _guarded_bin(q1[1:m + 1], o_q1, d_q1, sh[0])
+        i2 = _guarded_bin(q2[1:m + 1], o_q2, d_q2, sh[1])
+        iv = _guarded_bin(v[1:m + 1], o_v, d_v, n_v)
+        it = np.rint(th[1:m + 1] / d_th).astype(np.int64)
+        it -= n_th * (it // n_th)  # it % n_th; the int64 remainder is far slower
+        for w in (q1, q2, th, v):
+            w[0] = w[m]
+        flat = ((i1 * gshape[1] + i2) * n_th + it) * gshape[3] + iv
+        for r in range(m):
+            if k0 + r + 1 in wanted:
+                # snapshots live on the 4D (q1, q2, theta, v) sub-lattice
+                snap = np.bincount(flat[r], minlength=gsize).reshape(gshape)
+                snaps[k0 + r + 1] = snap[1:-1, 1:-1, :, 1:-1].ravel()
+        if not accumulate:
+            continue
+        if has_ds:
+            # ds bin j covers (j-1, j]; steps past the last bin hit a guard bin
+            i_s = [math.ceil((k0 + r + 1) * dt - 1e-9) - 1 for r in range(m)]
+            flat += (np.clip(i_s, -1, sh[2]) + 1)[:, None] * gsize
+        counts += np.bincount(flat.ravel(), minlength=counts.size)
+    counts = counts.reshape(n_s, *gshape)[:, 1:-1, 1:-1, :, 1:-1]
+    if has_ds:
+        counts = np.moveaxis(counts[1:-1], 0, 2)  # to (q1, q2, s, theta, v)
+    snap_hists = [] if snapshot_steps is None else [snaps[k] for k in snapshot_steps]
+    return counts.ravel() * dt, snap_hists
+
+
+def _guarded_bin(x: np.ndarray, origin: float, spacing: float, n: int) -> np.ndarray:
+    """Nearest-bin index of x on an axis of n bins, plus one for the guard bin.
+
+    Values off the axis land in guard bin 0 (below) or n + 1 (above).
+    """
+    i = np.rint((x - origin) / spacing).astype(np.int64)
+    np.clip(i, -1, n, out=i)
+    i += 1
+    return i
 
 
 def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1,
               snapshot_steps=None, accumulate: bool = True,
               start_jitter=False):
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     counts = _batch_counts(spec.n_paths)
     children = np.random.SeedSequence(spec.seed).spawn(len(counts))
-    jobs = list(zip(counts, children))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _simulate_batch_histogram(
-                        spec, lattice, job[0], job[1], snapshot_steps, accumulate,
-                        start_jitter,
-                    ),
-                    jobs,
-                )
-            )
-    else:
-        results = [
-            _simulate_batch_histogram(spec, lattice, nb, ch, snapshot_steps,
-                                      accumulate, start_jitter)
-            for nb, ch in jobs
-        ]
-    # merge in batch order: bit-identical regardless of worker count
+    n_workers = min(n_threads, len(counts))
+    done = {}  # finished batches not merged yet
     hist = np.zeros(int(np.prod(lattice.shape)))
     snap_acc = None
-    for h, snaps in results:
-        hist += h
-        if snapshot_steps is not None:
-            if snap_acc is None:
-                snap_acc = [s.astype(np.float64) for s in snaps]
-            else:
-                for acc, s in zip(snap_acc, snaps):
-                    acc += s
+    merged = 0
+
+    def merge_ready():
+        # merge in batch order: bit-identical regardless of worker count
+        nonlocal hist, merged, snap_acc
+        while merged in done:
+            h, snaps = done.pop(merged)
+            merged += 1
+            hist += h
+            if snapshot_steps is not None:
+                if snap_acc is None:
+                    snap_acc = [s.astype(np.float64) for s in snaps]
+                else:
+                    for acc, s in zip(snap_acc, snaps):
+                        acc += s
+
+    def work(w):
+        # worker w runs batches w, w + n_workers, ...; only the caller merges
+        for b in range(w, len(counts), n_workers):
+            done[b] = _simulate_batch_histogram(
+                spec, lattice, counts[b], children[b], snapshot_steps, accumulate,
+                start_jitter,
+            )
+            if w == 0:
+                merge_ready()
+
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers - 1) as pool:
+            others = [pool.submit(work, w) for w in range(1, n_workers)]
+            work(0)  # the caller is worker 0
+            for f in others:
+                f.result()
+    else:
+        work(0)
+    merge_ready()
     return hist, snap_acc
 
 
@@ -372,7 +417,8 @@ def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -
     Every step of every path deposits weight dt at its nearest cell
     (ceiling binning on the ds axis in trajectory mode); passages outside
     the lattice deposit nothing, and paths are never killed so they may
-    re-enter.  Deterministic for a given spec including across thread counts.
+    re-enter.  Deterministic for a given spec including across thread counts;
+    ``n_threads`` must be at least 1.
     """
     want = 5 if spec.mode == "trajectory" else 4
     if len(lattice.shape) != want:
@@ -392,20 +438,6 @@ def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -
         spec=spec,
         raw_weight=float(total),
     )
-
-
-def estimate_gamma0(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -> KernelGrid:
-    """Contour-motion kernel on the 4D lattice."""
-    if spec.mode != "contour":
-        raise ValueError("estimate_gamma0 requires a contour-mode spec")
-    return estimate_kernel(spec, lattice, n_threads)
-
-
-def estimate_gamma(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -> KernelGrid:
-    """Point-trajectory kernel on the 5D lattice (all mass at ds > 0)."""
-    if spec.mode != "trajectory":
-        raise ValueError("estimate_gamma requires a trajectory-mode spec")
-    return estimate_kernel(spec, lattice, n_threads)
 
 
 def estimate_slice_densities(

@@ -82,8 +82,11 @@ def _check_compat(grid: ManifoldGrid, kernel: KernelGrid) -> None:
         raise ValueError("kernel spatial spacing must equal the grid spacing")
     if kernel.is_trajectory:
         i_s = lat.axes.index("s")
-        if abs(lat.spacing[i_s] - grid.ds) > 1e-12:
-            raise ValueError("kernel ds spacing must equal the grid frame spacing")
+        # the plan's offsets are ds = 1..n_ds whole frames, sheared by v' ds
+        if abs(lat.spacing[i_s] - 1.0) > 1e-12 or abs(grid.ds - 1.0) > 1e-12:
+            raise ValueError(
+                "trajectory kernels need a ds spacing and a grid frame spacing of 1"
+            )
         if abs(lat.origin[i_s] - 1.0) > 1e-12:
             raise ValueError("trajectory kernel ds axis must start at ds = 1")
 

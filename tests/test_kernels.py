@@ -1,18 +1,18 @@
 """Path simulation, kernel histograms, FP oracle, lookups."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import motionlift.kernels as kmod
 from motionlift.geometry import ManifoldPoint, trajectory_curve
 from motionlift.kernels import (
     KernelGrid,
     KernelLattice,
     SdeSpec,
     contour_lattice,
-    estimate_gamma,
-    estimate_gamma0,
     estimate_kernel,
     estimate_slice_densities,
     fp_reference,
@@ -20,6 +20,85 @@ from motionlift.kernels import (
     simulate_path,
     trajectory_lattice,
 )
+
+
+def _per_step_batch_histogram(spec, lattice, nb, child_seed, snapshot_steps=None,
+                              accumulate=True, start_jitter=False):
+    """Reference batch: the plain loop, one numpy call per step and per deposit."""
+    rng = np.random.default_rng(child_seed)
+    dt = spec.dt_exact
+    sk = math.sqrt(2.0 * dt) * spec.kappa
+    sa = math.sqrt(2.0 * dt) * spec.alpha
+    trajectory = spec.mode == "trajectory"
+    has_ds = len(lattice.shape) == 5
+    if start_jitter == "gauss":
+        # half-cell Gaussian source: matches the oracle's 'gauss' init
+        i_t, i_v = (3, 4) if has_ds else (2, 3)
+        jit = rng.standard_normal((4, nb)) * 0.5
+        q1 = jit[0] * lattice.spacing[0]
+        q2 = jit[1] * lattice.spacing[1]
+        th = jit[2] * lattice.spacing[i_t]
+        v = jit[3] * lattice.spacing[i_v]
+    else:
+        q1 = np.zeros(nb)
+        q2 = np.zeros(nb)
+        th = np.zeros(nb)
+        v = np.zeros(nb)
+    ncells = int(np.prod(lattice.shape))
+    hist = np.zeros(ncells)
+    snaps = {} if snapshot_steps is None else {k: None for k in snapshot_steps}
+    sh = lattice.shape
+    if has_ds:
+        ax_t, ax_v = 3, 4
+    else:
+        ax_t, ax_v = 2, 3
+    n_th = sh[ax_t]
+    d_th = lattice.spacing[ax_t]
+    o_v = lattice.origin[ax_v]
+    d_v = lattice.spacing[ax_v]
+    o_q1, o_q2 = lattice.origin[0], lattice.origin[1]
+    d_q1, d_q2 = lattice.spacing[0], lattice.spacing[1]
+    noise = rng.standard_normal((spec.n_steps, 2, nb))
+    for k in range(spec.n_steps):
+        # drift at the current state, then fiber noise
+        if trajectory:
+            q1 += v * np.cos(th) * dt
+            q2 += v * np.sin(th) * dt
+        else:
+            q1 += -np.sin(th) * dt
+            q2 += np.cos(th) * dt
+        th += sk * noise[k, 0]
+        v += sa * noise[k, 1]
+        t_now = (k + 1) * dt
+        i1 = np.rint((q1 - o_q1) / d_q1).astype(np.int64)
+        i2 = np.rint((q2 - o_q2) / d_q2).astype(np.int64)
+        it = np.rint(th / d_th).astype(np.int64) % n_th
+        iv = np.rint((v - o_v) / d_v).astype(np.int64)
+        ok = (
+            (i1 >= 0) & (i1 < sh[0]) & (i2 >= 0) & (i2 < sh[1])
+            & (iv >= 0) & (iv < sh[ax_v])
+        )
+        if accumulate:
+            if has_ds:
+                i_s = int(math.ceil(t_now - 1e-9)) - 1  # ds bin k covers (k-1, k]
+                if 0 <= i_s < sh[2]:
+                    flat = (((i1 * sh[1] + i2) * sh[2] + i_s) * n_th + it) * sh[ax_v] + iv
+                    hist += np.bincount(flat[ok], minlength=ncells)
+            else:
+                flat = ((i1 * sh[1] + i2) * n_th + it) * sh[ax_v] + iv
+                hist += np.bincount(flat[ok], minlength=ncells)
+        if snapshot_steps is not None and (k + 1) in snaps:
+            snaps[k + 1] = (i1, i2, it, iv, ok.copy())
+    snap_hists = []
+    if snapshot_steps is not None:
+        # snapshot histograms live on the 4D (q1, q2, theta, v) sub-lattice
+        sub_shape = (sh[0], sh[1], n_th, sh[ax_v])
+        nsub = int(np.prod(sub_shape))
+        for k in snapshot_steps:
+            i1, i2, it, iv, ok = snaps[k]
+            flat = ((i1 * sh[1] + i2) * n_th + it) * sub_shape[3] + iv
+            snap_hists.append(np.bincount(flat[ok], minlength=nsub))
+    return hist * dt, snap_hists
 
 
 class TestSpecValidation:
@@ -87,34 +166,58 @@ class TestLattices:
 class TestEstimation:
     def test_unit_mass_and_nonnegative(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
-        k = estimate_gamma0(spec, contour_lattice(6, 8, 5, 1.0))
+        k = estimate_kernel(spec, contour_lattice(6, 8, 5, 1.0))
         assert k.mass() == pytest.approx(1.0, abs=1e-12)
         assert k.values.min() >= 0.0
 
     def test_deterministic_across_thread_counts(self):
+        # 20k paths are 3 batches: 2 workers split them unevenly, 4 are capped
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
         lat = contour_lattice(6, 8, 5, 1.0)
-        k1 = estimate_gamma0(spec, lat)
-        k2 = estimate_gamma0(spec, lat, n_threads=4)
+        k1 = estimate_kernel(spec, lat)
+        k2 = estimate_kernel(spec, lat, n_threads=4)
         assert np.array_equal(k1.values, k2.values)
+        assert np.array_equal(k1.values, estimate_kernel(spec, lat, n_threads=2).values)
+        traj = SdeSpec("trajectory", 0.4, 0.3, 0.04, 6.0, 20_000, seed=6)
+        lat5 = trajectory_lattice(6, 4, 8, 5, 1.0)
+        t1 = estimate_kernel(traj, lat5)
+        for n in (2, 4):
+            assert np.array_equal(t1.values, estimate_kernel(traj, lat5, n_threads=n).values)
+        times1, dens1 = estimate_slice_densities(spec, lat, [0.5, 2.0], window=2,
+                                                 start_jitter="gauss")
+        for n in (2, 4):
+            times, dens = estimate_slice_densities(spec, lat, [0.5, 2.0], n_threads=n,
+                                                   window=2, start_jitter="gauss")
+            assert np.array_equal(times, times1)
+            assert np.array_equal(dens, dens1)
+
+    @pytest.mark.parametrize("n_threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, n_threads, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(kmod, "ThreadPoolExecutor", no_pool)
+        spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
+        with pytest.raises(ValueError, match="n_threads"):
+            estimate_kernel(spec, contour_lattice(6, 8, 5, 1.0), n_threads)
 
     def test_seed_changes_result(self):
         lat = contour_lattice(6, 8, 5, 1.0)
-        k1 = estimate_gamma0(SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 5000, seed=3), lat)
-        k2 = estimate_gamma0(SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 5000, seed=4), lat)
+        k1 = estimate_kernel(SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 5000, seed=3), lat)
+        k2 = estimate_kernel(SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 5000, seed=4), lat)
         assert not np.array_equal(k1.values, k2.values)
 
     def test_mode_lattice_consistency_enforced(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 100, seed=3)
         with pytest.raises(ValueError):
-            estimate_gamma0(spec, trajectory_lattice(6, 4, 8, 5, 1.0))
+            estimate_kernel(spec, trajectory_lattice(6, 4, 8, 5, 1.0))
         with pytest.raises(ValueError):
-            estimate_gamma(spec, trajectory_lattice(6, 4, 8, 5, 1.0))
+            estimate_kernel(replace(spec, mode="trajectory"), contour_lattice(6, 8, 5, 1.0))
 
     def test_contour_drift_direction(self):
         # from the origin the drift is +q2; the spatial centroid follows it
         spec = SdeSpec("contour", 0.3, 0.1, 0.02, 3.0, 30_000, seed=5)
-        k = estimate_gamma0(spec, contour_lattice(8, 8, 5, 1.0))
+        k = estimate_kernel(spec, contour_lattice(8, 8, 5, 1.0))
         q = k.lattice.coords(1)
         com2 = (k.values.sum(axis=(0, 2, 3)) * q).sum()
         com1 = (k.values.sum(axis=(1, 2, 3)) * k.lattice.coords(0)).sum()
@@ -126,7 +229,7 @@ class TestEstimation:
         # mass at ds <= 0 impossible
         spec = SdeSpec("trajectory", 0.4, 0.3, 0.04, 8.0, 20_000, seed=6)
         lat = trajectory_lattice(8, 8, 8, 5, 1.0)
-        k = estimate_gamma(spec, lat)
+        k = estimate_kernel(spec, lat)
         assert lat.coords(2).min() >= 1.0
         assert k.mass() == pytest.approx(1.0)
         # per-ds mass is flat (every step deposits once, nothing at ds<=0)
@@ -140,6 +243,52 @@ class TestEstimation:
         spec = SdeSpec("contour", 0.1, 0.1, 0.1, 1.0, 10, seed=1)
         with pytest.raises(ValueError):
             estimate_kernel(spec, lat)
+
+
+class TestBatchLoopPinned:
+    """The step-block batch loop reproduces the per-step loop bit for bit."""
+
+    def run_both(self, spec, lattice, nb, **kwargs):
+        child = np.random.SeedSequence(spec.seed).spawn(1)[0]
+        want = _per_step_batch_histogram(spec, lattice, nb, child, **kwargs)
+        got = kmod._simulate_batch_histogram(spec, lattice, nb, child, **kwargs)
+        assert np.array_equal(got[0], want[0])
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        return want
+
+    def test_contour(self):
+        spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 1001, seed=3)
+        hist, _ = self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 1001)
+        assert hist.sum() > 0
+
+    def test_trajectory_steps_past_the_last_ds_bin(self):
+        # 150 steps reach ds = 6, the lattice stops at ds = 3
+        spec = SdeSpec("trajectory", 0.5, 0.3, 0.04, 6.0, 777, seed=4)
+        lat = trajectory_lattice(4, 3, 8, 5, 1.0)
+        hist, _ = self.run_both(spec, lat, 777)
+        assert 0 < hist.sum() <= 777 * 3.0 + 1e-9  # nothing deposited past ds = 3
+
+    def test_gaussian_start_jitter(self):
+        spec = SdeSpec("contour", 0.5, 0.3, 0.05, 1.3, 513, seed=5)
+        self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 513, start_jitter="gauss")
+
+    def test_windowed_snapshots(self):
+        spec = SdeSpec("contour", 0.5, 0.3, 0.02, 1.04, 999, seed=6)
+        lat = contour_lattice(4, 8, 5, 1.0)
+        steps = [3, 7, 24, 25, 26, 27, 51, 52]  # windows across block edges
+        _, snaps = self.run_both(spec, lat, 999, snapshot_steps=steps,
+                                 accumulate=False, start_jitter="gauss")
+        assert all(s.sum() > 0 for s in snaps)
+
+    @pytest.mark.parametrize("block", [1, 7, 25, 64])
+    def test_step_count_not_a_multiple_of_the_block(self, block, monkeypatch):
+        # 40 steps: a short last block, or one block shorter than STEP_BLOCK
+        monkeypatch.setattr(kmod, "STEP_BLOCK", block)
+        spec = SdeSpec("trajectory", 0.5, 0.3, 0.05, 2.0, 999, seed=7)
+        assert block == 1 or spec.n_steps % block != 0
+        self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 999, snapshot_steps=[1, 2, 40])
 
 
 class TestKernelLookup:
@@ -258,13 +407,11 @@ class TestLeftInvarianceSymmetry:
         # seeds so only binning noise remains)
         lat = contour_lattice(6, 8, 5, 1.0)
         spec = SdeSpec("contour", 0.4, 0.25, 0.02, 2.0, 40_000, seed=21)
-        k0 = estimate_gamma0(spec, lat)
+        k0 = estimate_kernel(spec, lat)
 
         # direct re-estimation from a start displaced by a group element:
         # simulate with the same noise by reusing the spec seed and
         # transporting the deposit lattice through the group action
-
-        import motionlift.kernels as kmod
 
         theta0 = 2 * math.pi * 2 / 8  # two theta bins
         q0 = np.array([1.0, -2.0])

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from motionlift.gabor import LiftedActivity, ManifoldGrid, sigmoid
 from motionlift.kernels import (
     KernelGrid,
+    KernelLattice,
     SdeSpec,
     contour_lattice,
-    estimate_gamma0,
+    estimate_kernel,
     kernel_lookup,
     trajectory_lattice,
 )
@@ -83,6 +84,22 @@ class TestGatherContract:
         fast = facilitate(act, kernel)
         ref = facilitate_reference(act, kernel)
         assert np.abs(fast.values - ref.values).max() < 1e-10
+
+    @pytest.mark.parametrize("kernel_ds", [2.0, 1.0])
+    def test_trajectory_kernel_needs_unit_frame_spacing(self, kernel_ds):
+        # the plan steps whole frames: with grid.ds = 2 and a kernel of ds
+        # spacing 2 it missed the explicit gather by 0.107 (reference max 0.335)
+        grid = ManifoldGrid(7, 7, 6, 3, 1.0, ds=2.0)
+        lat = trajectory_lattice(3, 3, 6, 3, 1.0)
+        spacing = lat.spacing[:2] + (kernel_ds,) + lat.spacing[3:]
+        kernel = synthetic_kernel(KernelLattice(lat.axes, lat.shape, lat.origin, spacing),
+                                  mode="trajectory")
+        act = LiftedActivity(grid, np.random.default_rng(2).uniform(0, 1, (7, 7, 5, 6, 3)),
+                             "facilitation", np.arange(5))
+        with pytest.raises(ValueError, match="spacing of 1"):
+            facilitate(act, kernel)
+        with pytest.raises(ValueError, match="spacing of 1"):
+            facilitate_reference(act, kernel)
 
     def test_fresh_same_shape_kernels_are_each_gathered(self):
         # a kernel built right after the previous one is dropped reuses its
@@ -334,7 +351,7 @@ class TestRealKernelTranslation:
         # re-estimated from zeta (matched seeds), within MC binning noise
         lat = contour_lattice(5, 8, 5, 1.0)
         spec = SdeSpec("contour", 0.35, 0.2, 0.02, 2.0, 30_000, seed=31)
-        kernel = estimate_gamma0(spec, lat)
+        kernel = estimate_kernel(spec, lat)
         grid = ManifoldGrid(17, 17, 8, 5, 1.0)
         i_th, j_v = 2, 3
         vals = np.zeros((17, 17, 1, 8, 5))
