@@ -1,11 +1,13 @@
 """Facilitation gathers, steady activity, dynamic evolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motionlift import population
 from motionlift.gabor import LiftedActivity, ManifoldGrid, sigmoid
 from motionlift.kernels import (
     KernelGrid,
@@ -18,6 +20,7 @@ from motionlift.kernels import (
 )
 from motionlift.population import (
     FacilitationConfig,
+    FacilitationPlan,
     activity_steady,
     evolve_activity,
     facilitate,
@@ -34,6 +37,33 @@ def synthetic_kernel(lat, seed=5, mode="contour"):
     vals /= vals.sum()
     spec = SdeSpec(mode, 0.1, 0.1, 0.1, 1.0, 1, 0)
     return KernelGrid(lat.axes, lat.origin, lat.spacing, vals, spec)
+
+
+def record_blocks(mp):
+    """Record every block of stencil spectra built while ``mp`` is active, as
+    (input orientations, bytes)."""
+    blocks = []
+    spectra = FacilitationPlan._spectra
+
+    def recorded(plan, d, phis, thetas):
+        out = spectra(plan, d, phis, thetas)
+        blocks.append((len(thetas), out.nbytes))
+        return out
+
+    mp.setattr(FacilitationPlan, "_spectra", recorded)
+    return blocks
+
+
+def fast_in_blocks(act, kernel):
+    """facilitate() at the default spectra budget, then at one so small that
+    every offset's spectra are built in several blocks of input orientations."""
+    fast = [facilitate(act, kernel)]
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = record_blocks(mp)
+        mp.setattr(population, "_BLOCK_BYTES", 1)
+        fast.append(facilitate(act, kernel))
+    assert max(n for n, _ in blocks) < act.grid.n_theta
+    return fast
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +90,85 @@ class TestGatherContract:
             grid = ManifoldGrid(side, side, 6, 3, 1.0)
             act = LiftedActivity(grid, rng.uniform(0, 1, (side, side, 2, 6, 3)),
                                  "facilitation", np.array([0, 1]))
-            fast = facilitate(act, kernel)
             ref = facilitate_reference(act, kernel)
-            assert np.abs(fast.values - ref.values).max() < 1e-10, side
+            for fast in fast_in_blocks(act, kernel):
+                assert np.abs(fast.values - ref.values).max() < 1e-10, side
 
     def test_5d_fast_matches_reference(self, small5):
         grid, kernel = small5
         rng = np.random.default_rng(2)
-        act = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 5, 6, 3)),
-                             "facilitation", np.arange(5))
-        fast = facilitate(act, kernel)
-        ref = facilitate_reference(act, kernel)
-        assert np.abs(fast.values - ref.values).max() < 1e-10
+        # n_v = 5 has half-cell shears, so two fractional classes phi share
+        # each input orientation's block of spectra
+        grid5 = ManifoldGrid(7, 7, 6, 5, 1.0)
+        kernel5 = synthetic_kernel(trajectory_lattice(3, 3, 6, 5, 1.0), mode="trajectory")
+        for grid, kernel in ((grid, kernel), (grid5, kernel5)):
+            act = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 5, 6, grid.n_v)),
+                                 "facilitation", np.arange(5))
+            ref = facilitate_reference(act, kernel)
+            for fast in fast_in_blocks(act, kernel):
+                assert np.abs(fast.values - ref.values).max() < 1e-10, grid.n_v
+
+    def test_spectra_are_held_one_block_at_a_time(self):
+        # the single offset's spectra take 80 MiB on this grid; built and
+        # freed in blocks of input orientations, no two blocks are held at once
+        grid = ManifoldGrid(40, 40, 16, 9, 1.0)
+        kernel = synthetic_kernel(contour_lattice(4, 16, 9, 1.0))
+        act = LiftedActivity(grid, np.random.default_rng(12).uniform(0, 1, (40, 40, 1, 16, 9)),
+                             "facilitation", np.array([0]))
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = record_blocks(mp)
+            tracemalloc.start()
+            try:
+                facilitate(act, kernel)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        sizes = [b for _, b in blocks]
+        assert len(sizes) > 1
+        assert peak < sum(sizes), (peak / 2**20, sum(sizes) / 2**20)
+        assert peak < 2 * max(sizes), (peak / 2**20, max(sizes) / 2**20)
+
+    def test_blocks_are_no_smaller_than_the_output_spectra(self, small5):
+        # each block costs one pass over the output spectra: with 40 frames
+        # they outweigh an offset's whole spectra, so each of the 3 offsets
+        # is built in one block even at a 1-byte budget
+        grid, kernel = small5
+        act = LiftedActivity(grid, np.ones((7, 7, 40, 6, 3)), "facilitation", np.arange(40))
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = record_blocks(mp)
+            mp.setattr(population, "_BLOCK_BYTES", 1)
+            facilitate(act, kernel)
+        assert [n for n, _ in blocks] == [6, 6, 6]
+
+    @pytest.mark.parametrize("axis", ["q1", "q2", "theta", "v"])
+    def test_off_centre_kernel_axes_rejected(self, axis):
+        # the plan puts dtheta = 0 at bin 0 and the other zero offsets at the
+        # middle bin; a kernel shifted by one bin along v or q1 missed the
+        # explicit gather by 0.097 and 0.033 (reference maxima 0.28, 0.25)
+        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
+        lat = contour_lattice(3, 6, 3, 1.0)
+        a = lat.axes.index(axis)
+        origin = tuple(o + (lat.spacing[a] if i == a else 0.0)
+                       for i, o in enumerate(lat.origin))
+        kernel = synthetic_kernel(KernelLattice(lat.axes, lat.shape, origin, lat.spacing))
+        act = LiftedActivity(grid, np.random.default_rng(1).uniform(0, 1, (7, 7, 1, 6, 3)),
+                             "facilitation", np.array([0]))
+        with pytest.raises(ValueError, match=axis):
+            facilitate(act, kernel)
+        with pytest.raises(ValueError, match=axis):
+            facilitate_reference(act, kernel)
+
+    def test_non_square_kernel_rejected(self):
+        # the plan's stencil is square: a centred 7x9 kernel missed the
+        # explicit gather by 0.037 (reference max 0.23)
+        grid = ManifoldGrid(7, 7, 7, 3, 1.0)
+        lat = contour_lattice(3, 7, 3, 1.0)
+        lat = KernelLattice(lat.axes, (7, 9) + lat.shape[2:], (-3.0, -4.0) + lat.origin[2:],
+                            lat.spacing)
+        act = LiftedActivity(grid, np.random.default_rng(1).uniform(0, 1, (7, 7, 1, 7, 3)),
+                             "facilitation", np.array([0]))
+        with pytest.raises(ValueError, match="same length"):
+            facilitate(act, synthetic_kernel(lat))
 
     @pytest.mark.parametrize("frames", [[0, 2, 4], [0, 10, 20]])
     def test_5d_gather_pairs_frames_by_time(self, small5, frames):
