@@ -16,23 +16,17 @@ from .gabor import (
     threshold_activity,
 )
 from .geometry import (
-    ContactCovector,
     ContourPoint,
     GalileiElement,
     ManifoldPoint,
-    TangentFrame,
-    commutator,
     compose,
     compose_contour,
-    contact_covector_at,
     contour_curve,
     embed_galilei,
-    frame_at,
     galilei_compose,
     inverse_contour,
     left_inverse,
     project_galilei,
-    reduce_liouville,
     trajectory_curve,
 )
 from .kernels import (
@@ -50,7 +44,6 @@ from .kernels import (
 from .population import (
     FacilitationConfig,
     activity_steady,
-    evolve_activity,
     facilitate,
     facilitate_reference,
     facilitation_difference,

@@ -6,9 +6,9 @@ generation, filtering, kernel estimation, facilitation, exports).  Every
 run writes its resolved configuration and seed next to its outputs, and
 rerunning with the same inputs reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 invalid usage or configuration, 3 missing kernel
-cache when estimation was not allowed, 4 malformed volume/kernel file,
-5 numerical or validation failure.
+Exit codes: 0 success, 2 invalid usage or configuration, 3 a named input
+file does not exist, 4 malformed volume/kernel file, 5 numerical or
+validation failure.
 """
 
 from __future__ import annotations
@@ -187,12 +187,7 @@ def cmd_experiment2(args) -> int:
             raise CliError("--dt and --dtheta must be given together")
         cfg.sweep = ((int(args.dt), float(args.dtheta)),)
     if args.scale is not None:
-        cfg.size = max(21, int(round(cfg.size * args.scale)))
-        cfg.n_frames = max(16, int(round(cfg.n_frames * args.scale)))
-        cfg.kernel_halfwidth = max(4, int(round(cfg.kernel_halfwidth * args.scale)))
-        cfg.kernel_n_ds = max(4, int(round(cfg.kernel_n_ds * args.scale)))
-        # the gaps shrink with the movie, so the scaled kernel still bridges them
-        cfg.sweep = tuple((int(round(dt * args.scale)), dth) for dt, dth in cfg.sweep)
+        cfg = cfg.scaled(args.scale)
     table = run_experiment2(cfg, args.out, n_threads=args.threads,
                             kernel_cache=args.kernel_cache)
     for row in table:

@@ -52,6 +52,7 @@ from .stimuli import (
 )
 
 TWO_PI = 2.0 * math.pi
+KERNEL_STEPS = 200  # integrator steps over the kernel horizon
 
 
 def normalized_sde(
@@ -61,7 +62,6 @@ def normalized_sde(
     T: float,
     n_paths: int,
     seed: int,
-    n_steps: int = 200,
 ) -> SdeSpec:
     """SDE spec from normalized-horizon diffusion coefficients.
 
@@ -75,7 +75,7 @@ def normalized_sde(
         mode=mode,
         kappa=kappa_n / math.sqrt(T),
         alpha=alpha_n / math.sqrt(T),
-        dt=T / n_steps,
+        dt=T / KERNEL_STEPS,
         T=T,
         n_paths=n_paths,
         seed=seed,
@@ -96,9 +96,8 @@ def kernel_cache_path(cache_dir, spec: SdeSpec, lattice) -> Path:
     return Path(cache_dir) / f"{spec.mode}_{key}.knl"
 
 
-def load_or_estimate_kernel(
-    cache_dir, spec: SdeSpec, lattice, *, estimate: bool = True, n_threads: int = 1
-) -> KernelGrid:
+def load_or_estimate_kernel(cache_dir, spec: SdeSpec, lattice, *,
+                            n_threads: int = 1) -> KernelGrid:
     """Fetch the kernel for (spec, lattice) from cache, estimating on miss.
 
     On a miss the estimate is written to the cache and read back, so a run
@@ -107,10 +106,6 @@ def load_or_estimate_kernel(
     path = kernel_cache_path(cache_dir, spec, lattice)
     if path.exists():
         return vio.read_kernel(path)
-    if not estimate:
-        raise FileNotFoundError(
-            f"kernel cache {path} is missing and estimation was not requested"
-        )
     kernel = estimate_kernel(spec, lattice, n_threads)
     path.parent.mkdir(parents=True, exist_ok=True)
     vio.write_kernel(path, kernel, provenance={"config_hash": vio.config_hash(spec.to_dict())})
@@ -331,6 +326,16 @@ class Experiment2Config:
         (0, math.pi / 2.0),
     )
 
+    def scaled(self, factor: float) -> "Experiment2Config":
+        cfg = Experiment2Config(**asdict(self))
+        cfg.size = max(21, int(round(self.size * factor)))
+        cfg.n_frames = max(16, int(round(self.n_frames * factor)))
+        cfg.kernel_halfwidth = max(4, int(round(self.kernel_halfwidth * factor)))
+        cfg.kernel_n_ds = max(4, int(round(self.kernel_n_ds * factor)))
+        # the gaps shrink with the movie, so the scaled kernel still bridges them
+        cfg.sweep = tuple((int(round(dt * factor)), dth) for dt, dth in self.sweep)
+        return cfg
+
     def stimulus_spec(self, delta_t: int, delta_theta: float) -> TrajectoryStimulusSpec:
         return TrajectoryStimulusSpec(
             size=self.size,
@@ -410,7 +415,7 @@ class _Pipeline2:
 
 
 def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
-                    kernel_cache=None, write_volumes: bool = True) -> list[dict]:
+                    kernel_cache=None) -> list[dict]:
     """Sweep the (gap duration, turn angle) lattice; returns the gap table."""
     out = Path(out_dir)
     for sub in ("stimulus", "kernels", "activity", "exports"):
@@ -442,25 +447,24 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         row = {"delta_t": int(delta_t), "delta_theta": float(delta_theta)}
         row.update(gap_energy(f_fac, sspec.t1, sspec.t2, cfg.gap_margin, baseline))
         table.append(row)
-        if write_volumes:
-            vio.write_volume(out / "activity" / f"F_fac_{tag}.vol", f_fac.values,
-                             f_fac.axes, kind="facilitation", provenance=prov)
-            # time-course isosurfaces: fiber-integrated interaction and the
-            # fiber-max steady response of the full stimulus
-            fib_int = f_fac.values.sum(axis=(0, 1))
-            ref = float(np.abs(fib_int).max()) or 1.0
-            for frac in (0.9, 0.5, 0.1):
-                vio.export_isosurface_points(
-                    out / "exports" / f"Ffac_int_{tag}_iso{frac}.csv",
-                    fib_int, ("s", "theta", "v"), frac * ref,
-                )
-            fib_max = f0_full.values.max(axis=(3, 4))
-            ref0 = float(fib_max.max()) or 1.0
-            for frac in (0.9, 0.5, 0.1):
-                vio.export_isosurface_points(
-                    out / "exports" / f"F0_max_{tag}_iso{frac}.csv",
-                    fib_max, ("q1", "q2", "s"), frac * ref0,
-                )
+        vio.write_volume(out / "activity" / f"F_fac_{tag}.vol", f_fac.values,
+                         f_fac.axes, kind="facilitation", provenance=prov)
+        # time-course isosurfaces: fiber-integrated interaction and the
+        # fiber-max steady response of the full stimulus
+        fib_int = f_fac.values.sum(axis=(0, 1))
+        ref = float(np.abs(fib_int).max()) or 1.0
+        for frac in (0.9, 0.5, 0.1):
+            vio.export_isosurface_points(
+                out / "exports" / f"Ffac_int_{tag}_iso{frac}.csv",
+                fib_int, ("s", "theta", "v"), frac * ref,
+            )
+        fib_max = f0_full.values.max(axis=(3, 4))
+        ref0 = float(fib_max.max()) or 1.0
+        for frac in (0.9, 0.5, 0.1):
+            vio.export_isosurface_points(
+                out / "exports" / f"F0_max_{tag}_iso{frac}.csv",
+                fib_max, ("q1", "q2", "s"), frac * ref0,
+            )
     lines = ["delta_t,delta_theta,window_lo,window_hi,energy,energy_positive,peak"]
     for row in table:
         lines.append(

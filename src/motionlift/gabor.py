@@ -94,10 +94,10 @@ def gabor_profile(params: GaborParams, x, t) -> complex:
 class ManifoldGrid:
     """Discretization of the lifted domain.
 
-    Spatial nodes coincide with stimulus pixels (optionally strided), the
-    temporal axis is a chosen subset of frames (``s_slices``; None means
-    every frame), orientations are n_theta bins over [0, 2*pi) and
-    velocities n_v bins spanning [-v_m, v_m] with v = 0 a bin center.
+    Spatial nodes coincide with stimulus pixels, the temporal axis is a
+    chosen subset of frames (``s_slices``; None means every frame),
+    orientations are n_theta bins over [0, 2*pi) and velocities n_v bins
+    spanning [-v_m, v_m] with v = 0 a bin center.
     """
 
     nx: int
@@ -106,9 +106,6 @@ class ManifoldGrid:
     n_v: int = 9
     v_m: float = 1.0
     s_slices: tuple[int, ...] | None = None
-    stride: int = 1
-    dx: float = 1.0
-    ds: float = 1.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -117,10 +114,8 @@ class ManifoldGrid:
             raise ValueError(f"n_theta must be >= 4, got {self.n_theta}")
         if self.n_v < 1 or self.n_v % 2 == 0:
             raise ValueError(f"n_v must be odd so v = 0 is a bin center, got {self.n_v}")
-        if not (self.v_m > 0 and self.dx > 0 and self.ds > 0):
-            raise ValueError("v_m and spacings must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        if not self.v_m > 0:
+            raise ValueError("v_m must be positive")
         if self.s_slices is not None:
             object.__setattr__(self, "s_slices", tuple(int(s) for s in self.s_slices))
 
@@ -276,9 +271,6 @@ class GaborBank:
                 self.filters[i, j] = w * scale
                 self.norms[i, j] = matched / 4.0
 
-    def filter_array(self, i_theta: int, j_v: int) -> np.ndarray:
-        return self.filters[i_theta, j_v]
-
 
 def _fast_len(n: int) -> int:
     """Smallest 2/3/5-smooth integer >= n (numpy FFT is fast at these)."""
@@ -343,13 +335,6 @@ def energy_filter(
             conv = np.fft.ifftn(fhat * np.fft.fftn(hpad))
             lin = conv[rx : rx + nx, rx : rx + ny, rt : rt + sub.shape[2]]
             values[:, :, :, i, j] = np.abs(lin[:, :, out_frames]) ** 2
-    if grid.stride > 1:
-        values = values[:: grid.stride, :: grid.stride]
-        nx_s, ny_s = values.shape[:2]
-        grid = ManifoldGrid(
-            nx_s, ny_s, grid.n_theta, grid.n_v, grid.v_m,
-            grid.s_slices, 1, grid.dx * grid.stride, grid.ds,
-        )
     np.maximum(values, 0.0, out=values)  # |.|^2 is nonnegative up to roundoff
     return LiftedActivity(grid, values, "raw", frames)
 
@@ -374,8 +359,8 @@ def energy_filter_direct(
     values = np.zeros((nx, ny, frames.size, grid.n_theta, grid.n_v))
     data = stimulus.data
     for fi, s0 in enumerate(frames):
-        for x0 in range(0, nx, grid.stride):
-            for y0 in range(0, ny, grid.stride):
+        for x0 in range(nx):
+            for y0 in range(ny):
                 xa, xb = max(0, x0 - rx), min(nx, x0 + rx + 1)
                 ya, yb = max(0, y0 - rx), min(ny, y0 + rx + 1)
                 ta, tb = max(0, s0 - rt), min(n_t, s0 + rt + 1)
@@ -389,12 +374,6 @@ def energy_filter_direct(
                     for j in range(grid.n_v):
                         acc = (bank.filters[i, j][wsl] * patch).sum()
                         values[x0, y0, fi, i, j] = abs(acc) ** 2
-    if grid.stride > 1:
-        values = values[:: grid.stride, :: grid.stride]
-        grid = ManifoldGrid(
-            values.shape[0], values.shape[1], grid.n_theta, grid.n_v, grid.v_m,
-            grid.s_slices, 1, grid.dx * grid.stride, grid.ds,
-        )
     return LiftedActivity(grid, values, "raw", frames)
 
 

@@ -3,11 +3,15 @@
 The state space is the 5D manifold of points (q1, q2, s, theta, v): spatial
 position in pixels, time in frames, preferred orientation on the circle and
 apparent (normal) velocity in pixels per frame.  This module implements the
-horizontal frame spanning the kernel of the contact form, the smooth (but
-non-associative) composition law with its left inverse, the associative
-contour-space group law, the deterministic integral curves used as
-good-continuation generators, and the planar Galilei group that the manifold
-embeds into.
+smooth (but non-associative) composition law with its left inverse, the
+associative contour-space group law, the deterministic integral curves used
+as good-continuation generators, and the planar Galilei group that the
+manifold embeds into.
+
+The curves follow the fields X1 = (-sin theta, cos theta, 0, 0, 0) along the
+contour, X5 = (v cos theta, v sin theta, 1, 0, 0) along the apparent motion,
+X2 = d/dtheta and X4 = d/dv, in the canonical basis (d/dq1, d/dq2, d/ds,
+d/dtheta, d/dv); they are the drifts of the Monte Carlo kernel paths.
 
 Everything here is pure: no global state, no RNG, safe to call from any
 number of threads.
@@ -111,111 +115,6 @@ class ContourPoint:
 
 MANIFOLD_ORIGIN = ManifoldPoint(0.0, 0.0, 0.0, 0.0, 0.0)
 CONTOUR_ORIGIN = ContourPoint(0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ContactCovector:
-    """Coefficients of a 1-form in the cobasis (dq1, dq2, ds, dtheta, dv)."""
-
-    c_q1: float
-    c_q2: float
-    c_s: float
-    c_theta: float
-    c_v: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c_q1, self.c_q2, self.c_s, self.c_theta, self.c_v])
-
-    def pair(self, vector: np.ndarray) -> float:
-        """Evaluate the covector on a tangent vector (5 canonical components)."""
-        return float(self.as_array() @ np.asarray(vector, dtype=float))
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Horizontal frame X1, X2, X4, X5 plus the commutator direction X3.
-
-    Each entry is a coefficient 5-vector in the canonical basis
-    (d/dq1, d/dq2, d/ds, d/dtheta, d/dv) evaluated at the base point.
-    """
-
-    base: ManifoldPoint
-    X1: np.ndarray
-    X2: np.ndarray
-    X3: np.ndarray
-    X4: np.ndarray
-    X5: np.ndarray
-
-    def field(self, i: int) -> np.ndarray:
-        if i not in (1, 2, 3, 4, 5):
-            raise ValueError(f"frame index must be in 1..5, got {i}")
-        return (self.X1, self.X2, self.X3, self.X4, self.X5)[i - 1]
-
-
-def reduce_liouville(p_modulus: float, theta: float, v: float) -> ContactCovector:
-    """Normalized reduction of the Liouville form at fixed spatial frequency.
-
-    The Liouville form p1 dq1 + p2 dq2 - nu ds with p = |p| (cos theta,
-    sin theta) and nu = |p| v, divided by |p|, gives the contact form
-    cos(theta) dq1 + sin(theta) dq2 - v ds.  The result is independent of the
-    (positive) frequency modulus.
-    """
-    if not p_modulus > 0.0:
-        raise ValueError(f"p_modulus must be positive, got {p_modulus}")
-    _check_finite("reduce_liouville", theta, v)
-    p1 = p_modulus * math.cos(theta)
-    p2 = p_modulus * math.sin(theta)
-    nu = p_modulus * v
-    return ContactCovector(p1 / p_modulus, p2 / p_modulus, -nu / p_modulus, 0.0, 0.0)
-
-
-def contact_covector_at(eta: ManifoldPoint) -> ContactCovector:
-    """Contact form (cos theta, sin theta, -v, 0, 0) at the given point."""
-    return ContactCovector(math.cos(eta.theta), math.sin(eta.theta), -eta.v, 0.0, 0.0)
-
-
-def frame_at(eta: ManifoldPoint) -> TangentFrame:
-    """Horizontal frame at a point.
-
-    X1 = (-sin t, cos t, 0, 0, 0) rotates the spatial direction with
-    orientation, X2 = d/dtheta and X4 = d/dv generate the fiber, and
-    X5 = (v cos t, v sin t, 1, 0, 0) transports along the apparent motion.
-    X3 = (cos t, sin t, 0, 0, 0) completes the frame as [X1, X2].
-    """
-    ct, st = math.cos(eta.theta), math.sin(eta.theta)
-    return TangentFrame(
-        base=eta,
-        X1=np.array([-st, ct, 0.0, 0.0, 0.0]),
-        X2=np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
-        X3=np.array([ct, st, 0.0, 0.0, 0.0]),
-        X4=np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
-        X5=np.array([eta.v * ct, eta.v * st, 1.0, 0.0, 0.0]),
-    )
-
-
-def commutator(i: int, j: int, eta: ManifoldPoint) -> np.ndarray:
-    """Analytic Lie bracket [Xi, Xj] evaluated at a point.
-
-    Non-zero relations: [X1, X2] = X3, [X2, X3] = X1, [X4, X5] = X3 and
-    [X2, X5] = v X1; every other pair commutes.  Antisymmetric in (i, j).
-    """
-    for idx in (i, j):
-        if idx not in (1, 2, 3, 4, 5):
-            raise ValueError(f"field index must be in 1..5, got {idx}")
-    if i == j:
-        return np.zeros(5)
-    if i > j:
-        return -commutator(j, i, eta)
-    frame = frame_at(eta)
-    if (i, j) == (1, 2):
-        return frame.X3.copy()
-    if (i, j) == (2, 3):
-        return frame.X1.copy()
-    if (i, j) == (4, 5):
-        return frame.X3.copy()
-    if (i, j) == (2, 5):
-        return eta.v * frame.X1
-    return np.zeros(5)
 
 
 def _rot(theta: float, x: float, y: float) -> tuple[float, float]:

@@ -61,12 +61,12 @@ class FacilitationConfig:
             raise ValueError("the model is purely excitatory: c_f must be >= 0")
 
 
-def truncated_kernel_values(kernel: KernelGrid, trunc_rel: float = TRUNC_REL) -> np.ndarray:
-    """Kernel values with entries below trunc_rel * max zeroed (sparsified)."""
+def truncated_kernel_values(kernel: KernelGrid) -> np.ndarray:
+    """Kernel values with entries below TRUNC_REL * max zeroed (sparsified)."""
     vals = kernel.values
-    if vals.size == 0 or trunc_rel <= 0:
+    if vals.size == 0:
         return vals.copy()
-    cut = trunc_rel * float(vals.max())
+    cut = TRUNC_REL * float(vals.max())
     return np.where(vals >= cut, vals, 0.0)
 
 
@@ -82,8 +82,8 @@ def _check_compat(grid: ManifoldGrid, kernel: KernelGrid) -> None:
     i_v = lat.axes.index("v")
     if abs(lat.spacing[i_v] - grid.d_v) > 1e-12:
         raise ValueError("kernel and grid velocity spacings differ")
-    if abs(lat.spacing[0] - grid.dx) > 1e-12 or abs(lat.spacing[1] - grid.dx) > 1e-12:
-        raise ValueError("kernel spatial spacing must equal the grid spacing")
+    if abs(lat.spacing[0] - 1.0) > 1e-12 or abs(lat.spacing[1] - 1.0) > 1e-12:
+        raise ValueError("kernel spatial spacing must be one pixel")
     # the plan puts dtheta = 0 at bin 0 and the zero offset of q1, q2 and v
     # at the middle bin of a square stencil, where kernel_lookup finds them
     if abs(lat.origin[i_th]) > 1e-12:
@@ -97,10 +97,8 @@ def _check_compat(grid: ManifoldGrid, kernel: KernelGrid) -> None:
     if kernel.is_trajectory:
         i_s = lat.axes.index("s")
         # the plan's offsets are ds = 1..n_ds whole frames, sheared by v' ds
-        if abs(lat.spacing[i_s] - 1.0) > 1e-12 or abs(grid.ds - 1.0) > 1e-12:
-            raise ValueError(
-                "trajectory kernels need a ds spacing and a grid frame spacing of 1"
-            )
+        if abs(lat.spacing[i_s] - 1.0) > 1e-12:
+            raise ValueError("trajectory kernels need a ds spacing of 1")
         if abs(lat.origin[i_s] - 1.0) > 1e-12:
             raise ValueError("trajectory kernel ds axis must start at ds = 1")
 
@@ -159,9 +157,9 @@ class FacilitationPlan:
     it.
     """
 
-    def __init__(self, kernel: KernelGrid, grid: ManifoldGrid, trunc_rel: float = TRUNC_REL):
+    def __init__(self, kernel: KernelGrid, grid: ManifoldGrid):
         _check_compat(grid, kernel)
-        vals = truncated_kernel_values(kernel, trunc_rel)
+        vals = truncated_kernel_values(kernel)
         if kernel.is_trajectory:
             ds = list(range(1, vals.shape[2] + 1))
         else:
@@ -293,12 +291,7 @@ class FacilitationPlan:
         return out
 
 
-def facilitate(
-    activity: LiftedActivity,
-    kernel: KernelGrid,
-    *,
-    trunc_rel: float = TRUNC_REL,
-) -> LiftedActivity:
+def facilitate(activity: LiftedActivity, kernel: KernelGrid) -> LiftedActivity:
     """Facilitation pattern P = kernel-weighted gather of the activity.
 
     4D kernels couple fibers within each time slice through the contour
@@ -307,16 +300,11 @@ def facilitate(
     coordinate.  Matches ``facilitate_reference`` to 1e-10 with fixed
     accumulation order.
     """
-    plan = FacilitationPlan(kernel, activity.grid, trunc_rel)
+    plan = FacilitationPlan(kernel, activity.grid)
     return activity.with_values(plan.apply(activity), "facilitation")
 
 
-def facilitate_reference(
-    activity: LiftedActivity,
-    kernel: KernelGrid,
-    *,
-    trunc_rel: float = TRUNC_REL,
-) -> LiftedActivity:
+def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> LiftedActivity:
     """Explicit gather through compose/left_inverse and kernel_lookup.
 
     The semantic reference for ``facilitate``; quadratic cost, use on small
@@ -326,7 +314,7 @@ def facilitate_reference(
     _check_compat(grid, kernel)
     trunc = KernelGrid(
         axes=kernel.axes, origin=kernel.origin, spacing=kernel.spacing,
-        values=truncated_kernel_values(kernel, trunc_rel), spec=kernel.spec,
+        values=truncated_kernel_values(kernel), spec=kernel.spec,
         raw_weight=kernel.raw_weight,
     )
     nx, ny, ns, nth, nv = activity.values.shape
@@ -397,47 +385,6 @@ def activity_steady(
         raise ValueError("raw and facilitation grids do not match")
     vals = sigmoid(raw.values + cfg.c_f * facil.values, cfg.mu, cfg.beta)
     return raw.with_values(vals, "total")
-
-
-def evolve_activity(
-    raw: LiftedActivity,
-    kernel: KernelGrid,
-    cfg: FacilitationConfig,
-    dt_a: float,
-    n_steps: int,
-    *,
-    a0: np.ndarray | None = None,
-    trunc_rel: float = TRUNC_REL,
-) -> LiftedActivity:
-    """Explicit Euler evolution a <- a + dt (-a + S(c_f K*a + F)).
-
-    Fixed points satisfy a = S(c_f K*a + F).  Raises if the state leaves
-    [-10, 10], signalling unstable parameters.
-    """
-    if not 0.0 < dt_a <= 1.0:
-        raise ValueError("dt_a must lie in (0, 1]")
-    if raw.kind != "raw":
-        raise ValueError("evolve_activity expects raw energy input")
-    a = np.zeros_like(raw.values) if a0 is None else np.asarray(a0, dtype=float).copy()
-    if a.shape != raw.values.shape:
-        raise ValueError("a0 shape does not match the activity grid")
-    plan = FacilitationPlan(kernel, raw.grid, trunc_rel)
-    for _ in range(n_steps):
-        drive = cfg.c_f * plan.apply(raw.with_values(a, "facilitation")) + raw.values
-        a = a + dt_a * (-a + sigmoid(drive, cfg.mu, cfg.beta))
-        if float(np.abs(a).max()) > 10.0:
-            raise ArithmeticError("activity diverged beyond |a| = 10; unstable parameters")
-    return raw.with_values(a, "facilitation")
-
-
-def stationarity_residual(
-    a: np.ndarray, raw: LiftedActivity, kernel: KernelGrid, cfg: FacilitationConfig,
-    *, trunc_rel: float = TRUNC_REL,
-) -> float:
-    """Sup norm of -a + S(c_f K*a + F); zero exactly at a fixed point."""
-    plan = FacilitationPlan(kernel, raw.grid, trunc_rel)
-    drive = cfg.c_f * plan.apply(raw.with_values(a, "facilitation")) + raw.values
-    return float(np.abs(-a + sigmoid(drive, cfg.mu, cfg.beta)).max())
 
 
 def facilitation_difference(

@@ -3,10 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import motionlift.kernels as kmod
+from motionlift import io as vio
 from motionlift.cli import main
+from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice
 
 
 def _outputs(out: Path) -> dict:
@@ -74,3 +77,36 @@ def test_thread_count_below_one_is_a_usage_error(tmp_path, monkeypatch, command,
         main([*command, "--threads", value, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+EXIT_CASES = [
+    ("unknown-key", 2, "unknown config key 'nosuchkey'"),
+    ("missing-kernel", 3, "kernel.knl"),
+    ("not-a-container", 4, "not a volume container"),
+    ("orientation-mismatch", 5, "kernel has 8 orientation bins, grid has 6"),
+]
+
+
+@pytest.mark.parametrize("case, code, message", EXIT_CASES, ids=[c[0] for c in EXIT_CASES])
+def test_documented_exit_codes(tmp_path, capsys, case, code, message):
+    out = tmp_path / "out.vol"
+    if case == "unknown-key":
+        argv = ["experiment1", "--set", "nosuchkey=1", "--out", str(tmp_path / "run")]
+    else:
+        activity = tmp_path / "activity.vol"
+        vio.write_volume(activity, np.ones((7, 7, 6, 3)), ("q1", "q2", "theta", "v"),
+                         kind="facilitation")
+        kernel = tmp_path / "kernel.knl"
+        if case == "not-a-container":
+            kernel.write_bytes(b"not a kernel")
+        elif case == "orientation-mismatch":
+            lat = contour_lattice(3, 8, 3, 1.0)
+            vals = np.full(lat.shape, 1.0 / np.prod(lat.shape))
+            spec = SdeSpec("contour", 0.1, 0.1, 0.1, 1.0, 1, 0)
+            vio.write_kernel(kernel, KernelGrid(lat.axes, lat.origin, lat.spacing, vals, spec))
+        argv = ["facilitate", "--activity", str(activity), "--kernel", str(kernel),
+                "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() and not (tmp_path / "run").exists()

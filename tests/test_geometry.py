@@ -1,4 +1,4 @@
-"""Group algebra, frames, commutators and curve generators."""
+"""Group algebra and curve generators."""
 
 import math
 
@@ -13,23 +13,18 @@ from motionlift.geometry import (
     ContourPoint,
     GalileiElement,
     ManifoldPoint,
-    commutator,
     compose,
     compose_contour,
-    contact_covector_at,
     contour_curve,
     contour_rhs,
     embed_galilei,
-    frame_at,
     galilei_compose,
     inverse_contour,
     left_inverse,
     project_galilei,
-    reduce_liouville,
     rk4_curve,
     trajectory_curve,
     trajectory_rhs,
-    wrap_angle,
 )
 
 finite = st.floats(-20.0, 20.0, allow_nan=False)
@@ -43,108 +38,6 @@ contour_points = st.builds(ContourPoint, finite, finite, angles, velocities)
 def random_point(rng) -> ManifoldPoint:
     return ManifoldPoint(*rng.uniform(-5, 5, 3), rng.uniform(0, 2 * math.pi),
                          rng.uniform(-2, 2))
-
-
-class TestLiouville:
-    def test_zero_velocity_zero_angle(self):
-        om = reduce_liouville(2.0, 0.0, 0.0)
-        assert om.as_array() == pytest.approx([1, 0, 0, 0, 0])
-
-    def test_vertical_with_unit_velocity(self):
-        om = reduce_liouville(math.pi / 2, math.pi / 2, 1.0)
-        assert om.as_array() == pytest.approx([0, 1, -1, 0, 0], abs=1e-15)
-
-    def test_independent_of_modulus(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            th = rng.uniform(0, 2 * math.pi)
-            v = rng.uniform(-2, 2)
-            refs = [reduce_liouville(p, th, v).as_array() for p in (1.0, 2.0, 10.0)]
-            assert np.allclose(refs[0], refs[1]) and np.allclose(refs[0], refs[2])
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            reduce_liouville(0.0, 0.1, 0.1)
-
-
-class TestFrame:
-    def test_at_origin(self):
-        fr = frame_at(MANIFOLD_ORIGIN)
-        assert fr.X1 == pytest.approx([0, 1, 0, 0, 0])
-        assert fr.X5 == pytest.approx([0, 0, 1, 0, 0])
-
-    def test_x5_carries_velocity(self):
-        fr = frame_at(ManifoldPoint(3, 1, 0, math.pi / 2, 2.0))
-        assert fr.X5 == pytest.approx([0, 2, 1, 0, 0], abs=1e-15)
-
-    def test_contact_pairing_annihilates_horizontal(self):
-        rng = np.random.default_rng(2)
-        worst = 0.0
-        for _ in range(1000):
-            eta = random_point(rng)
-            om = contact_covector_at(eta)
-            fr = frame_at(eta)
-            for i in (1, 2, 4, 5):
-                worst = max(worst, abs(om.pair(fr.field(i))))
-        assert worst < 1e-12
-
-    def test_frame_spans_with_unit_determinant(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            fr = frame_at(random_point(rng))
-            mat = np.stack([fr.X1, fr.X2, fr.X4, fr.X5, fr.X3])
-            assert abs(abs(np.linalg.det(mat)) - 1.0) < 1e-12
-
-
-def finite_difference_bracket(i, j, eta, h=1e-5):
-    """Lie bracket of the frame coefficient fields by central differences."""
-
-    def field(idx, p):
-        return frame_at(ManifoldPoint(*p)).field(idx)
-
-    p0 = eta.as_array()
-
-    def directional(idx_target, direction):
-        out = np.zeros(5)
-        for a in range(5):
-            dp = np.zeros(5)
-            dp[a] = h
-            plus = field(idx_target, p0 + dp)
-            minus = field(idx_target, p0 - dp)
-            out += direction[a] * (plus - minus) / (2 * h)
-        return out
-
-    xi = frame_at(eta).field(i)
-    xj = frame_at(eta).field(j)
-    return directional(j, xi) - directional(i, xj)
-
-
-class TestCommutators:
-    def test_analytic_table(self):
-        eta = ManifoldPoint(1.0, -2.0, 0.5, 0.7, 2.0)
-        fr = frame_at(eta)
-        assert commutator(1, 2, eta) == pytest.approx(fr.X3)
-        assert commutator(2, 3, eta) == pytest.approx(fr.X1)
-        assert commutator(4, 5, eta) == pytest.approx(fr.X3)
-        assert commutator(2, 5, eta) == pytest.approx(2.0 * fr.X1)
-        assert commutator(1, 4, eta) == pytest.approx(np.zeros(5))
-
-    def test_antisymmetry(self):
-        eta = ManifoldPoint(0, 0, 0, 1.2, -0.5)
-        assert commutator(5, 2, eta) == pytest.approx(-commutator(2, 5, eta))
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            commutator(0, 2, MANIFOLD_ORIGIN)
-
-    def test_finite_difference_bracket_matches(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            eta = random_point(rng)
-            for i in range(1, 6):
-                for j in range(i + 1, 6):
-                    fd = finite_difference_bracket(i, j, eta)
-                    assert np.abs(fd - commutator(i, j, eta)).max() < 1e-6
 
 
 class TestComposition:
@@ -237,30 +130,6 @@ class TestGalilei:
     def test_projection_rejects_off_section(self):
         with pytest.raises(ValueError):
             project_galilei(GalileiElement(0, 0, 0, 0.0, 0.3, 0.4))
-
-
-class TestLeftInvariance:
-    def test_differential_maps_frame_at_identity_to_frame_at_point(self):
-        # push the frame at e forward through eta -> compose(a, eta) by
-        # central finite differences
-        rng = np.random.default_rng(8)
-        h = 1e-5
-        for _ in range(100):
-            a = random_point(rng)
-            target = frame_at(a)
-            for i in (1, 2, 3, 4, 5):
-                direction = frame_at(MANIFOLD_ORIGIN).field(i)
-                plus = compose(a, ManifoldPoint(*(h * direction))).as_array()
-                minus = compose(a, ManifoldPoint(*(-h * direction))).as_array()
-                d = minus.copy()
-                # compare angles on the circle before differencing
-                d[3] = wrap_angle(minus[3])
-                diff = (plus - minus) / (2 * h)
-                dth = (plus[3] - minus[3]) % (2 * math.pi)
-                if dth > math.pi:
-                    dth -= 2 * math.pi
-                diff[3] = dth / (2 * h)
-                assert np.abs(diff - target.field(i)).max() < 1e-6
 
 
 class TestCurves:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import motionlift.kernels as kmod
-from motionlift.geometry import ManifoldPoint, trajectory_curve
+from motionlift.geometry import (
+    CONTOUR_ORIGIN,
+    ContourPoint,
+    ManifoldPoint,
+    contour_curve,
+    trajectory_curve,
+)
 from motionlift.kernels import (
     KernelGrid,
     KernelLattice,
@@ -122,30 +128,19 @@ class TestSimulatePath:
         path = simulate_path(spec)
         assert path[-1] == pytest.approx([0.0, 2.0, 0.0, 0.0], abs=1e-12)
 
+    def test_zero_noise_contour_matches_curve(self):
+        spec = SdeSpec("contour", 0.0, 0.0, 0.001, 2.5, 1, seed=1)
+        start = np.array([0.5, -0.2, 1.1, 0.3])
+        path = simulate_path(spec, start=start)
+        ref = contour_curve(ContourPoint(*start), 0.0, 0.0, 2.5)
+        assert path[-1] == pytest.approx(ref.as_array(), abs=1e-9)
+
     def test_zero_noise_trajectory_matches_curve(self):
         spec = SdeSpec("trajectory", 0.0, 0.0, 0.001, 2.0, 1, seed=1)
         start = np.array([0.5, -0.2, 0.0, 0.3, 1.5])
         path = simulate_path(spec, start=start)
         ref = trajectory_curve(ManifoldPoint(*start), 0.0, 0.0, 2.0)
         assert path[-1][:3] == pytest.approx([ref.q1, ref.q2, ref.s], abs=1e-9)
-
-    def test_fiber_variance_law(self):
-        # Var(theta_T) = 2 kappa^2 T, Var(v_T) = 2 alpha^2 T
-        spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 1, seed=9)
-        n = 20000
-        rng = np.random.default_rng(0)
-        ths = np.empty(n)
-        vs = np.empty(n)
-        for i in range(n):
-            pass
-        # vectorized equivalent of many single paths
-        sk = math.sqrt(2 * spec.dt_exact) * spec.kappa
-        sa = math.sqrt(2 * spec.dt_exact) * spec.alpha
-        noise = rng.standard_normal((spec.n_steps, 2, n))
-        ths = sk * noise[:, 0].sum(axis=0)
-        vs = sa * noise[:, 1].sum(axis=0)
-        assert ths.var() == pytest.approx(2 * spec.kappa**2 * spec.T, rel=0.05)
-        assert vs.var() == pytest.approx(2 * spec.alpha**2 * spec.T, rel=0.05)
 
 
 class TestLattices:
@@ -223,6 +218,22 @@ class TestEstimation:
         com1 = (k.values.sum(axis=(1, 2, 3)) * k.lattice.coords(0)).sum()
         assert com2 > 0.5
         assert abs(com1) < 0.1
+
+    def test_zero_noise_kernel_is_the_binned_curve(self):
+        # with kappa = alpha = 0 every path is the straight contour curve;
+        # each step deposits dt at the node nearest the curve point (no
+        # sample of 0.2 k lands on a half-cell tie)
+        spec = SdeSpec("contour", 0.0, 0.0, 0.2, 6.0, 1, seed=1)
+        lat = contour_lattice(7, 8, 3, 1.0)
+        k = estimate_kernel(spec, lat)
+        want = np.zeros(lat.shape)
+        for step in range(1, spec.n_steps + 1):
+            p = contour_curve(CONTOUR_ORIGIN, 0.0, 0.0, step * spec.dt_exact)
+            node = [int(np.rint((x - o) / d)) for x, o, d in
+                    zip(p.as_array(), lat.origin, lat.spacing)]
+            want[tuple(node)] += 1
+        want *= spec.dt_exact
+        assert np.array_equal(k.values, want / want.sum())
 
     def test_trajectory_mass_only_at_positive_ds(self):
         # structural: the ds axis starts at bin 1 and ceiling binning makes
@@ -386,6 +397,27 @@ class TestFpReference:
 
 
 class TestSliceDensities:
+    def test_fiber_variance_law(self):
+        # theta_T and v_T are Gaussian with variances 2 kappa^2 T and
+        # 2 alpha^2 T.  Binned to the nearest node, the theta marginal's
+        # E[cos] gains the factor sin(d/2) / (d/2) of a d-wide cell, and the
+        # v variance Sheppard's correction dv^2 / 12.  Paths stay within
+        # T = 4 pixels of the origin, so no mass leaves the lattice.
+        spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
+        lat = contour_lattice(6, 16, 9, 2.0)
+        times, stack = estimate_slice_densities(spec, lat, [spec.T])
+        assert times[0] == pytest.approx(spec.T)
+        assert stack[0].sum() == pytest.approx(1.0)
+        d_th, d_v = lat.spacing[2], lat.spacing[3]
+        p_th = stack[0].sum(axis=(0, 1, 3))
+        p_v = stack[0].sum(axis=(0, 1, 2))
+        cos_mean = (p_th * np.cos(lat.coords(2))).sum()
+        want = math.exp(-spec.kappa**2 * spec.T) * math.sin(d_th / 2) / (d_th / 2)
+        assert cos_mean == pytest.approx(want, rel=0.05)
+        v = lat.coords(3)
+        v_var = (p_v * v**2).sum() - (p_v * v).sum() ** 2
+        assert v_var == pytest.approx(2 * spec.alpha**2 * spec.T + d_v**2 / 12, rel=0.05)
+
     def test_masses_bounded_by_one(self):
         lat = contour_lattice(8, 8, 5, 1.0)
         spec = SdeSpec("contour", 0.4, 0.2, 0.02, 2.0, 5000, seed=2)

@@ -1,4 +1,4 @@
-"""Facilitation gathers, steady activity, dynamic evolution."""
+"""Facilitation gathers and steady activity."""
 
 import math
 import tracemalloc
@@ -22,11 +22,9 @@ from motionlift.population import (
     FacilitationConfig,
     FacilitationPlan,
     activity_steady,
-    evolve_activity,
     facilitate,
     facilitate_reference,
     facilitation_difference,
-    stationarity_residual,
     truncated_kernel_values,
 )
 
@@ -182,11 +180,11 @@ class TestGatherContract:
         ref = facilitate_reference(act, kernel)
         assert np.abs(fast.values - ref.values).max() < 1e-10
 
-    @pytest.mark.parametrize("kernel_ds", [2.0, 1.0])
+    @pytest.mark.parametrize("kernel_ds", [2.0])
     def test_trajectory_kernel_needs_unit_frame_spacing(self, kernel_ds):
-        # the plan steps whole frames: with grid.ds = 2 and a kernel of ds
-        # spacing 2 it missed the explicit gather by 0.107 (reference max 0.335)
-        grid = ManifoldGrid(7, 7, 6, 3, 1.0, ds=2.0)
+        # the plan's offsets are ds = 1..n_ds whole frames, so a kernel whose
+        # ds bins lie 2 frames apart would be applied at the wrong time lags
+        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
         lat = trajectory_lattice(3, 3, 6, 3, 1.0)
         spacing = lat.spacing[:2] + (kernel_ds,) + lat.spacing[3:]
         kernel = synthetic_kernel(KernelLattice(lat.axes, lat.shape, lat.origin, spacing),
@@ -354,61 +352,6 @@ class TestSteadyActivity:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
             FacilitationConfig(-1.0, 10.0, 0.5)
-
-
-class TestEvolveActivity:
-    def test_decays_to_sigmoid_of_zero(self, small4):
-        grid, kernel = small4
-        raw = LiftedActivity(grid, np.zeros((7, 7, 1, 6, 3)), "raw", np.array([0]))
-        cfg = FacilitationConfig(0.0, 10.0, 0.5)
-        out = evolve_activity(raw, kernel, cfg, dt_a=0.5, n_steps=60,
-                              a0=np.full(raw.values.shape, 0.9))
-        assert np.abs(out.values - sigmoid(0.0, 10.0, 0.5)).max() < 1e-4
-
-    def test_one_step_from_thresholded_matches_first_order_form(self, small4):
-        # a unit step from a = S(F) lands on S(c_f K*S(F) + F): the
-        # first-order steady approximation
-        grid, kernel = small4
-        rng = np.random.default_rng(8)
-        raw = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 1, 6, 3)), "raw",
-                             np.array([0]))
-        cfg = FacilitationConfig(3.0, 10.0, 0.5)
-        thr = sigmoid(raw.values, cfg.mu, cfg.beta)
-        stepped = evolve_activity(raw, kernel, cfg, dt_a=1.0, n_steps=1, a0=thr)
-        pattern = facilitate(raw.with_values(thr, "facilitation"), kernel)
-        direct = activity_steady(raw, pattern, cfg)
-        assert np.abs(stepped.values - direct.values).max() < 1e-12
-
-    def test_residual_decreases(self, small4):
-        grid, kernel = small4
-        rng = np.random.default_rng(9)
-        raw = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 1, 6, 3)), "raw",
-                             np.array([0]))
-        cfg = FacilitationConfig(2.0, 10.0, 0.5)
-        a = sigmoid(raw.values, cfg.mu, cfg.beta)
-        res = [stationarity_residual(a, raw, kernel, cfg)]
-        state = a
-        for _ in range(3):
-            state = evolve_activity(raw, kernel, cfg, 0.8, 5, a0=state).values
-            res.append(stationarity_residual(state, raw, kernel, cfg))
-        assert res[-1] < res[0]
-        assert res[-1] < 1e-3
-
-    def test_divergence_guard(self, small4):
-        # a state far outside the model's range trips the instability guard
-        # before it can relax back
-        grid, kernel = small4
-        raw = LiftedActivity(grid, np.zeros((7, 7, 1, 6, 3)), "raw", np.array([0]))
-        cfg = FacilitationConfig(0.0, 10.0, 0.5)
-        with pytest.raises(ArithmeticError):
-            evolve_activity(raw, kernel, cfg, 0.1, 1,
-                            a0=np.full(raw.values.shape, 20.0))
-
-    def test_step_bounds_checked(self, small4):
-        grid, kernel = small4
-        raw = LiftedActivity(grid, np.zeros((7, 7, 1, 6, 3)), "raw", np.array([0]))
-        with pytest.raises(ValueError):
-            evolve_activity(raw, kernel, FacilitationConfig(0, 10, 0.5), 1.5, 1)
 
 
 class TestFacilitationDifference:
