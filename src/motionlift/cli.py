@@ -150,8 +150,16 @@ def _add_threads_arg(sp):
     else:  # pragma: no cover - platforms without CPU affinity
         default = os.cpu_count() or 1
     sp.add_argument("--threads", type=_thread_count, default=default,
-                    help="Monte Carlo kernel workers (default: every CPU this "
-                         "process may use); kernels are bit-identical for any count")
+                    help="worker threads of the Monte Carlo kernel estimate and of "
+                         "the FFT facilitation gather (default: every CPU this "
+                         "process may use); outputs are bit-identical for any count")
+
+
+def _out_path(out: str) -> Path:
+    """The ``--out`` file path, with its parent directory created."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _common_experiment_args(sp):
@@ -188,6 +196,12 @@ def cmd_experiment2(args) -> int:
         cfg.sweep = ((int(args.dt), float(args.dtheta)),)
     if args.scale is not None:
         cfg = cfg.scaled(args.scale)
+    for dt, dth in cfg.sweep:
+        if not cfg.bridges(int(dt)):
+            print(f"warning: sweep point dT={int(dt)} dtheta={float(dth):.4f}: a "
+                  f"{cfg.kernel_n_ds}-frame kernel cannot bridge this gap, so its "
+                  f"interaction is zero by construction (bridged: false)",
+                  file=sys.stderr)
     table = run_experiment2(cfg, args.out, n_threads=args.threads,
                             kernel_cache=args.kernel_cache)
     for row in table:
@@ -199,8 +213,7 @@ def cmd_experiment2(args) -> int:
 
 
 def cmd_make_stimulus(args) -> int:
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out)
     if args.kind == "circle":
         cfg = apply_config(Experiment1Config(), _load_config_file(args.config), args.set)
         stim, truth = dashed_circle(cfg.stimulus_spec())
@@ -236,7 +249,7 @@ def cmd_filter(args) -> int:
     act = energy_filter(stim, grid, args.p)
     if args.mu is not None:
         act = threshold_activity(act, args.mu, args.beta)
-    vio.write_volume(Path(args.out), act.values, act.axes, kind=act.kind,
+    vio.write_volume(_out_path(args.out), act.values, act.axes, kind=act.kind,
                      provenance={"stimulus_header": header.get("provenance", {})})
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -253,7 +266,6 @@ def cmd_kernel(args) -> int:
     kernel = estimate_kernel(spec, lattice, args.threads)
     out = Path(args.out)
     if out.is_dir() or args.out.endswith("/"):
-        out.mkdir(parents=True, exist_ok=True)
         out = kernel_cache_path(out, spec, lattice)
     out.parent.mkdir(parents=True, exist_ok=True)
     vio.write_kernel(out, kernel,
@@ -278,8 +290,8 @@ def cmd_facilitate(args) -> int:
     grid = ManifoldGrid(dims[0], dims[1], n_theta, n_v, v_m)
     act = LiftedActivity(grid, values.astype(np.float64), "facilitation",
                          np.arange(dims[2]))
-    out_act = facilitate(act, kernel)
-    vio.write_volume(Path(args.out), out_act.values, out_act.axes,
+    out_act = facilitate(act, kernel, args.threads)
+    vio.write_volume(_out_path(args.out), out_act.values, out_act.axes,
                      kind="facilitation",
                      provenance={"kernel": kernel.spec.to_dict()})
     print(f"wrote {args.out}")
@@ -289,7 +301,7 @@ def cmd_facilitate(args) -> int:
 def cmd_export(args) -> int:
     values, header = vio.read_volume(args.volume)
     axes = header["axes"]
-    out = Path(args.out)
+    out = _out_path(args.out)
     if args.iso is not None:
         n = vio.export_isosurface_points(out, values, axes, args.iso)
         print(f"wrote {out} ({n} points)")
@@ -363,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--activity", required=True)
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--out", required=True)
+    _add_threads_arg(sp)
     sp.set_defaults(func=cmd_facilitate)
 
     sp = sub.add_parser("export", help="CSV exports from a volume")

@@ -248,7 +248,7 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
     cache_dir = Path(kernel_cache) if kernel_cache is not None else out / "kernels"
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
 
-    pattern = facilitate(thresholded, kernel)
+    pattern = facilitate(thresholded, kernel, n_threads)
     steady = activity_steady(raw, pattern, FacilitationConfig(cfg.c_f, cfg.mu, cfg.beta))
 
     axes4 = ("q1", "q2", "theta", "v")
@@ -336,6 +336,12 @@ class Experiment2Config:
         cfg.sweep = tuple((int(round(dt * factor)), dth) for dt, dth in self.sweep)
         return cfg
 
+    def bridges(self, delta_t: int) -> bool:
+        """Whether the kernel can carry activity across a gap of delta_t
+        frames: delta_t + 1 frames separate the last frame before the gap
+        from the reappearance, and the kernel reaches kernel_n_ds frames."""
+        return delta_t < self.kernel_n_ds
+
     def stimulus_spec(self, delta_t: int, delta_theta: float) -> TrajectoryStimulusSpec:
         return TrajectoryStimulusSpec(
             size=self.size,
@@ -388,9 +394,10 @@ class _Pipeline2:
     Every stimulus part is lifted and facilitated afresh.
     """
 
-    def __init__(self, cfg: Experiment2Config, kernel: KernelGrid):
+    def __init__(self, cfg: Experiment2Config, kernel: KernelGrid, n_threads: int):
         self.cfg = cfg
         self.kernel = kernel
+        self.n_threads = n_threads
         self.grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
         self.fac_cfg = FacilitationConfig(cfg.c_f, cfg.mu, cfg.beta)
         self._ones_response: np.ndarray | None = None
@@ -398,7 +405,7 @@ class _Pipeline2:
     def ones_response(self, template: LiftedActivity) -> np.ndarray:
         if self._ones_response is None:
             ones = template.with_values(np.ones_like(template.values), "facilitation")
-            self._ones_response = facilitate(ones, self.kernel).values
+            self._ones_response = facilitate(ones, self.kernel, self.n_threads).values
         return self._ones_response
 
     def steady(self, stim) -> LiftedActivity:
@@ -407,7 +414,7 @@ class _Pipeline2:
         thr = threshold_activity(raw, cfg.mu, cfg.beta)
         c0 = float(thr.values.min())
         residual = thr.with_values(thr.values - c0, "facilitation")
-        pattern = facilitate(residual, self.kernel)
+        pattern = facilitate(residual, self.kernel, self.n_threads)
         pattern = pattern.with_values(
             pattern.values + c0 * self.ones_response(thr), "facilitation"
         )
@@ -416,7 +423,12 @@ class _Pipeline2:
 
 def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
                     kernel_cache=None) -> list[dict]:
-    """Sweep the (gap duration, turn angle) lattice; returns the gap table."""
+    """Sweep the (gap duration, turn angle) lattice; returns the gap table.
+
+    Each row says whether the kernel can bridge its gap (``bridged``, see
+    ``Experiment2Config.bridges``); an unbridged row's interaction is zero
+    by construction, not a measurement.
+    """
     out = Path(out_dir)
     for sub in ("stimulus", "kernels", "activity", "exports"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -433,7 +445,7 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
     vio.write_kernel(out / "kernels" / "gamma.knl", kernel, provenance=prov)
 
-    pipe = _Pipeline2(cfg, kernel)
+    pipe = _Pipeline2(cfg, kernel, n_threads)
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))
     table = []
     for delta_t, delta_theta in cfg.sweep:
@@ -444,7 +456,8 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         f0_first = pipe.steady(s1)
         f0_second = pipe.steady(s2)
         f_fac = facilitation_difference(f0_full, f0_first, f0_second)
-        row = {"delta_t": int(delta_t), "delta_theta": float(delta_theta)}
+        row = {"delta_t": int(delta_t), "delta_theta": float(delta_theta),
+               "bridged": cfg.bridges(int(delta_t))}
         row.update(gap_energy(f_fac, sspec.t1, sspec.t2, cfg.gap_margin, baseline))
         table.append(row)
         vio.write_volume(out / "activity" / f"F_fac_{tag}.vol", f_fac.values,

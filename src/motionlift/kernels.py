@@ -362,6 +362,20 @@ def _guarded_bin(x: np.ndarray, origin: float, spacing: float, n: int) -> np.nda
     return i
 
 
+def run_workers(n_workers: int, work) -> None:
+    """Run ``work(w)`` for every worker w < n_workers and return when all are
+    done.  The calling thread is worker 0 and n_workers - 1 pool threads are
+    the others; none of them outlives the call."""
+    if n_workers == 1:
+        work(0)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers - 1) as pool:
+        others = [pool.submit(work, w) for w in range(1, n_workers)]
+        work(0)
+        for f in others:
+            f.result()
+
+
 def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1,
               snapshot_steps=None, accumulate: bool = True,
               start_jitter=False):
@@ -399,14 +413,7 @@ def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1,
             if w == 0:
                 merge_ready()
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers - 1) as pool:
-            others = [pool.submit(work, w) for w in range(1, n_workers)]
-            work(0)  # the caller is worker 0
-            for f in others:
-                f.result()
-    else:
-        work(0)
+    run_workers(n_workers, work)
     merge_ready()
     return hist, snap_acc
 

@@ -27,8 +27,12 @@ by at most ``max_m`` whole cells, spreads an input of n cells over
 n + 2 ext + 2 max_m cells, and with a period of n + ext + max_m the part
 that wraps around lands before the kept window, never in it.  The result
 matches the explicit gather (``facilitate_reference``) to 1e-10 and
-is deterministic for fixed shapes.  Each public entry point builds the plan
-it uses; nothing is cached between calls.  Kernels are sparsified by
+is deterministic for fixed shapes.  The frame FFTs, the stencil spectra and
+the contraction are dealt round-robin over ``n_threads`` workers (by frame,
+by (theta', phi) unit and by chunk of Fourier bins), each worker within its
+share of the ``_CHUNK_BYTES`` working set, and the output is bit-identical
+for every worker count.  Each public entry point builds the plan it uses;
+nothing is cached between calls.  Kernels are sparsified by
 zeroing entries below ``TRUNC_REL`` of the kernel max before either path
 runs.
 """
@@ -41,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import LiftedActivity, ManifoldGrid, _fast_len, sigmoid
-from .kernels import KernelGrid, kernel_lookup
+from .kernels import KernelGrid, kernel_lookup, run_workers
 
 TRUNC_REL = 1e-6   # kernel entries below this fraction of max are dropped
-_CHUNK_BYTES = 4 << 20  # working-set size of one stencil batch or mixing chunk
+_CHUNK_BYTES = 4 << 20  # working set of one FFT batch or contraction chunk, split over workers
 _BLOCK_BYTES = 8 * _CHUNK_BYTES  # least budget of stencil spectra held at once
 
 
@@ -106,16 +110,16 @@ def _check_compat(grid: ManifoldGrid, kernel: KernelGrid) -> None:
 def _bilinear_gather(plane_stack: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Sample a stack of 2D planes bilinearly at common (px, py) points.
 
-    plane_stack has shape (n1, n2, m); px, py index the first two axes in
+    plane_stack has shape (m, n1, n2); px, py index its last two axes in
     cell units.  Points outside the planes contribute zero.  Returns
-    (npts, m).
+    (m, npts).
     """
-    n1, n2 = plane_stack.shape[:2]
+    m, n1, n2 = plane_stack.shape
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx = px - x0
     fy = py - y0
-    out = np.zeros((px.size, plane_stack.shape[2]))
+    out = np.zeros((m, px.size))
     for dx_c, wx in ((0, 1.0 - fx), (1, fx)):
         for dy_c, wy in ((0, 1.0 - fy), (1, fy)):
             xi = x0 + dx_c
@@ -124,8 +128,9 @@ def _bilinear_gather(plane_stack: np.ndarray, px: np.ndarray, py: np.ndarray) ->
             w = wx * wy
             if not ok.any():
                 continue
-            vals = plane_stack[np.clip(xi, 0, n1 - 1), np.clip(yi, 0, n2 - 1)]
-            out += np.where(ok, w, 0.0)[:, None] * vals
+            vals = plane_stack[:, np.clip(xi, 0, n1 - 1), np.clip(yi, 0, n2 - 1)]
+            vals *= np.where(ok, w, 0.0)
+            out += vals
     return out
 
 
@@ -155,6 +160,21 @@ class FacilitationPlan:
     the window, so the window is alias-free.  Neither period is shorter than
     the stencil side 2 ext + 1, so grids smaller than the stencil keep all of
     it.
+
+    ``apply(activity, n_threads)`` deals its work over n_threads workers:
+    the calling thread is worker 0 and n_threads - 1 pool threads are the
+    others, which end with each phase.  Worker w takes items w, w + n, ...
+    of each phase in turn: the per-frame forward FFTs, then for every block
+    the (theta', phi) units of its stencil spectra (each unit fills its own
+    columns) and the k-chunks of the contraction (each owning disjoint rows
+    of ``phat``), then the per-frame inverse FFTs.  Each worker's FFT batch
+    and k-chunk take its 1/n share of ``_CHUNK_BYTES``, and the calling
+    thread allocates every worker's FFT and contraction buffers, so pool
+    threads allocate nothing large and n workers hold about as much as one.
+    Every spectrum column and every k row is computed by the same
+    operations in the same order whatever n is, so the output is
+    bit-identical for every worker count.  The output array is allocated,
+    and the input spectra freed, only once the contraction is done.
     """
 
     def __init__(self, kernel: KernelGrid, grid: ManifoldGrid):
@@ -194,35 +214,54 @@ class FacilitationPlan:
             delta = np.tile(self.max_m + m_shift[:, d], nth)
             self.mixing.append((phis, rows, delta))
 
-    def _spectra(self, d: int, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    def _spectra(self, d: int, phis: np.ndarray, thetas: np.ndarray,
+                 n_workers: int) -> np.ndarray:
         """k-major stencil spectra of offset d for the input orientations
-        ``thetas``, plus a trailing zero row."""
+        ``thetas``, plus a trailing zero row.
+
+        The (theta', phi) units are dealt round-robin over the workers; unit
+        u fills columns [u n_pl, (u + 1) n_pl), and each worker samples and
+        transforms its planes in batches of its share of ``_CHUNK_BYTES``."""
         h, ext, pad1, pad2 = self.h, self.ext, self.pad1, self.pad2
         nk = pad1 * (pad2 // 2 + 1)
         side = 2 * ext + 1
-        planes = self.vals[:, :, d].reshape(2 * h + 1, 2 * h + 1, -1)
-        n_pl = planes.shape[2]
-        out = np.zeros((nk, len(thetas) * len(phis) * n_pl + 1), dtype=np.complex128)
+        planes = np.moveaxis(self.vals[:, :, d].reshape(2 * h + 1, 2 * h + 1, -1), 2, 0)
+        planes = np.ascontiguousarray(planes)  # (plane, q1, q2)
+        n_pl = len(planes)
+        units = [(th, phi) for th in thetas for phi in phis]
+        out = np.zeros((nk, len(units) * n_pl + 1), dtype=np.complex128)
         offs = np.arange(-ext, ext + 1, dtype=float)
-        batch = max(1, _CHUNK_BYTES // (16 * nk))
-        col = 0
-        for th in thetas:
-            c, s = math.cos(-th), math.sin(-th)
-            for phi in phis:
+        n = min(n_workers, len(units))
+        batch = min(n_pl, max(1, _CHUNK_BYTES // n // (16 * nk)))
+        # rfft2 as its two passes, into every worker's buffers, which are
+        # allocated here in the calling thread
+        bufs = [(np.empty((batch, side, pad2 // 2 + 1), np.complex128),
+                 np.empty((batch, pad1, pad2 // 2 + 1), np.complex128)) for _ in range(n)]
+
+        def build(w):
+            half, spec = bufs[w]
+            for u in range(w, len(units), n):
+                th, phi = units[u]
+                c, s = math.cos(-th), math.sin(-th)
                 gx, gy = np.meshgrid(offs - phi, offs, indexing="ij")
                 px = c * gx.ravel() - s * gy.ravel() + h
                 py = s * gx.ravel() + c * gy.ravel() + h
-                stencils = _bilinear_gather(planes, px, py).T.reshape(n_pl, side, side)
                 for p0 in range(0, n_pl, batch):
-                    spec = np.fft.rfft2(stencils[p0 : p0 + batch], s=(pad1, pad2))
-                    out[:, col : col + len(spec)] = spec.reshape(len(spec), nk).T
-                    col += len(spec)
+                    stencils = _bilinear_gather(planes[p0 : p0 + batch], px, py)
+                    b = len(stencils)
+                    np.fft.rfft(stencils.reshape(b, side, side), n=pad2, axis=2, out=half[:b])
+                    np.fft.fft(half[:b], n=pad1, axis=1, out=spec[:b])
+                    col = u * n_pl + p0
+                    out[:, col : col + b] = spec[:b].reshape(b, nk).T
+
+        run_workers(n, build)
         return out
 
     def _mix(self, d: int, fhat: np.ndarray, ins: np.ndarray, phat: np.ndarray,
-             outs: np.ndarray) -> None:
+             outs: np.ndarray, n_workers: int) -> None:
         """phat[:, outs] += fhat[:, ins] mixed through offset d, block of input
-        orientations by block, k-chunk by k-chunk."""
+        orientations by block; within a block the k-chunks are dealt
+        round-robin over the workers, each owning disjoint rows of phat."""
         phis, rows, delta = self.mixing[d]
         nth, nv = self.grid.n_theta, self.grid.n_v
         nk, nf = len(phat), rows.shape[1]
@@ -233,35 +272,62 @@ class FacilitationPlan:
         # slower on 2 cores
         per = max(1, max(_BLOCK_BYTES, phat.nbytes) // (16 * nk * blk))
         kx = np.repeat(np.fft.fftfreq(self.pad1), self.pad2 // 2 + 1)[:, None]
+        kphase = -2j * np.pi * kx
+        runs = _runs(outs)
         for t0 in range(0, nth, per):
             t1 = min(t0 + per, nth)
             f_in = slice(t0 * nv, t1 * nv)
-            spectra = self._spectra(d, phis, self.grid.thetas[t0:t1])
+            n_in = (t1 - t0) * nv
+            spectra = self._spectra(d, phis, self.grid.thetas[t0:t1], n_workers)
             # rows of other blocks never occur here; the zero row moves to the block's end
             block_rows = np.minimum(rows[f_in] - t0 * blk, (t1 - t0) * blk)
-            chunk = max(1, _CHUNK_BYTES // (16 * (t1 - t0) * nv * nf))
-            for k0 in range(0, nk, chunk):
-                k1 = k0 + chunk
-                phase = np.exp(-2j * np.pi * kx[k0:k1] * delta[f_in])  # (kc, f_in)
-                mix = np.take(spectra[k0:k1], block_rows, axis=1)  # (kc, f_in, f_out)
-                phat[k0:k1, outs] += np.matmul(fhat[k0:k1, ins, f_in] * phase[:, None], mix)
-            del spectra, mix
+            # one row of every buffer: phase, input, mixing block, product
+            row = 16 * (n_in + len(ins) * n_in + n_in * nf + len(ins) * nf)
+            chunk = max(1, _CHUNK_BYTES // n_workers // row)
+            n = min(n_workers, -(-nk // chunk))
+            # every worker's buffers are allocated here, in the calling thread,
+            # so that pool threads allocate nothing large
+            bufs = [(np.empty((chunk, n_in), np.complex128),
+                     np.empty((chunk, len(ins), n_in), np.complex128),
+                     np.empty((chunk, n_in, nf), np.complex128),
+                     np.empty((chunk, len(ins), nf), np.complex128)) for _ in range(n)]
 
-    def apply(self, activity: LiftedActivity) -> np.ndarray:
+            def contract(w):
+                phase, f, mix, prod = bufs[w]
+                for k0 in range(w * chunk, nk, n * chunk):
+                    k1 = min(k0 + chunk, nk)
+                    kc = k1 - k0
+                    np.multiply(kphase[k0:k1], delta[f_in], out=phase[:kc])
+                    np.exp(phase[:kc], out=phase[:kc])  # (kc, f_in)
+                    np.take(fhat[k0:k1, :, f_in], ins, axis=1, out=f[:kc], mode="clip")
+                    np.multiply(f[:kc], phase[:kc, None], out=f[:kc])
+                    np.take(spectra[k0:k1], block_rows, axis=1, out=mix[:kc], mode="clip")
+                    np.matmul(f[:kc], mix[:kc], out=prod[:kc])
+                    for j0, j1, o0 in runs:
+                        phat[k0:k1, o0 : o0 + j1 - j0] += prod[:kc, j0:j1]
+
+            run_workers(n, contract)
+            del spectra, bufs
+
+    def apply(self, activity: LiftedActivity, n_threads: int = 1) -> np.ndarray:
         """Facilitation values of ``activity``, shaped like its values.
 
         Input frame i reaches output frame o through the offset
         ds = s_frames[o] - s_frames[i], so frame times must be distinct.
         Accumulation order is fixed (offsets, orientation blocks and k-chunks
-        ascending), so the result is deterministic for fixed shapes.
+        ascending), so the result is deterministic for fixed shapes.  The
+        work is dealt over ``n_threads`` workers (the caller and
+        n_threads - 1 pool threads) and the result is bit-identical for
+        every count.
         """
+        if n_threads < 1:
+            raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         values = activity.values
         nx, ny, ns, nth, nv = values.shape
         times = activity.s_frames.tolist()
         frame_at = {t: o for o, t in enumerate(times)}
         if len(frame_at) != ns:
             raise ValueError("activity frame times (s_frames) must be distinct")
-        out = np.zeros_like(values)
         live = np.nonzero(np.abs(values).sum(axis=(0, 1, 3, 4)) > 0)[0].tolist()
         routes = []  # (offset, positions in live, output frames)
         for d, ds in enumerate(self.ds):
@@ -270,38 +336,67 @@ class FacilitationPlan:
             if pairs:
                 routes.append((d, *np.array(pairs).T))
         if not routes:
-            return out
+            return np.zeros_like(values)
         nf = nth * nv
         pad1, pad2 = self.pad1, self.pad2
         nk2 = pad2 // 2 + 1
         nk = pad1 * nk2
         fhat = np.empty((nk, len(live), nf), dtype=np.complex128)
-        for i, si in enumerate(live):
-            spec = np.fft.rfft2(values[:, :, si], s=(pad1, pad2), axes=(0, 1))
-            fhat[:, i] = spec.reshape(nk, nf)
-        del spec
+        n = min(n_threads, len(live))
+        # rfft2 as its two passes: each worker's first pass goes to a buffer
+        # allocated here, the second straight into its frame's fhat columns
+        halves = [np.empty((nx, nk2, nth, nv), np.complex128) for _ in range(n)]
+
+        def forward(w):
+            for i in range(w, len(live), n):
+                np.fft.rfft(values[:, :, live[i]], n=pad2, axis=1, out=halves[w])
+                np.fft.fft(halves[w], n=pad1, axis=0,
+                           out=fhat[:, i].reshape(pad1, nk2, nth, nv))
+
+        run_workers(n, forward)
         phat = np.zeros((nk, ns, nf), dtype=np.complex128)
         for d, ins, outs in routes:
-            self._mix(d, fhat, ins, phat, outs)
+            self._mix(d, fhat, ins, phat, outs, n_threads)
+        # the output is only needed from here on, and the input spectra no more
+        del fhat, halves
+        out = np.zeros_like(values)
         off = self.ext + self.max_m  # common output offset along x after alignment
-        for so in np.unique(np.concatenate([outs for _, _, outs in routes])):
-            conv = np.fft.irfft2(phat[:, so].reshape(pad1, nk2, nth, nv), s=(pad1, pad2),
-                                 axes=(0, 1))
-            out[:, :, so] = conv[off : off + nx, self.ext : self.ext + ny]
+        frames = np.unique(np.concatenate([outs for _, _, outs in routes]))
+        m = min(n_threads, len(frames))
+        # irfft2 as its two passes, the second only over the kept rows
+        bufs = [(np.empty((pad1, nk2, nth, nv), np.complex128),
+                 np.empty((nx, pad2, nth, nv))) for _ in range(m)]
+
+        def inverse(w):
+            spec, conv = bufs[w]
+            for so in frames[w::m]:
+                np.fft.ifft(phat[:, so].reshape(pad1, nk2, nth, nv), n=pad1, axis=0, out=spec)
+                np.fft.irfft(spec[off : off + nx], n=pad2, axis=1, out=conv)
+                out[:, :, so] = conv[:, self.ext : self.ext + ny]
+
+        run_workers(m, inverse)
         return out
 
 
-def facilitate(activity: LiftedActivity, kernel: KernelGrid) -> LiftedActivity:
+def _runs(idx: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, first value) of each run of consecutive integers in idx."""
+    breaks = (np.nonzero(np.diff(idx) != 1)[0] + 1).tolist()
+    starts, stops = [0, *breaks], [*breaks, len(idx)]
+    return [(a, b, int(idx[a])) for a, b in zip(starts, stops)]
+
+
+def facilitate(activity: LiftedActivity, kernel: KernelGrid,
+               n_threads: int = 1) -> LiftedActivity:
     """Facilitation pattern P = kernel-weighted gather of the activity.
 
     4D kernels couple fibers within each time slice through the contour
     group; 5D kernels reach strictly forward in time through the trajectory
     law, including the velocity shear of the left-inverse relative
     coordinate.  Matches ``facilitate_reference`` to 1e-10 with fixed
-    accumulation order.
+    accumulation order, and is bit-identical for every ``n_threads`` >= 1.
     """
     plan = FacilitationPlan(kernel, activity.grid)
-    return activity.with_values(plan.apply(activity), "facilitation")
+    return activity.with_values(plan.apply(activity, n_threads), "facilitation")
 
 
 def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> LiftedActivity:

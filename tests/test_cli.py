@@ -9,7 +9,7 @@ import pytest
 import motionlift.kernels as kmod
 from motionlift import io as vio
 from motionlift.cli import main
-from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice
+from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, trajectory_lattice
 
 
 def _outputs(out: Path) -> dict:
@@ -65,6 +65,7 @@ def test_experiment1_outputs_do_not_depend_on_the_thread_count(tmp_path):
     ["experiment1", "--scale", "0.2", "--set", "n_paths=100"],
     ["experiment2", "--scale", "0.5", "--set", "n_paths=100"],
     ["kernel", "--mode", "contour", "--paths", "100", "--seed", "1"],
+    ["facilitate", "--activity", "activity.vol", "--kernel", "kernel.knl"],
 ])
 def test_thread_count_below_one_is_a_usage_error(tmp_path, monkeypatch, command, value):
     # small runs, so that a parser that let the value through fails fast
@@ -110,3 +111,63 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists() and not (tmp_path / "run").exists()
+
+
+def _facilitate_inputs(tmp_path: Path) -> tuple[Path, Path]:
+    """A 5-frame activity volume and a trajectory kernel that fits it."""
+    activity = tmp_path / "activity.vol"
+    vals = np.random.default_rng(4).uniform(0, 1, (9, 9, 5, 6, 3))
+    vals[:, :, 2] = 0.0
+    vio.write_volume(activity, vals, ("q1", "q2", "s", "theta", "v"), kind="facilitation")
+    lat = trajectory_lattice(3, 3, 6, 3, 1.0)
+    kvals = np.random.default_rng(5).uniform(0, 1, lat.shape)
+    spec = SdeSpec("trajectory", 0.1, 0.1, 0.1, 1.0, 1, 0)
+    kernel = tmp_path / "kernel.knl"
+    vio.write_kernel(kernel, KernelGrid(lat.axes, lat.origin, lat.spacing,
+                                        kvals / kvals.sum(), spec))
+    return activity, kernel
+
+
+def test_facilitate_output_does_not_depend_on_the_thread_count(tmp_path):
+    activity, kernel = _facilitate_inputs(tmp_path)
+    outs = []
+    for tag, threads in (("one", ["--threads", "1"]), ("three", ["--threads", "3"]),
+                         ("default", [])):
+        out = tmp_path / f"{tag}.vol"
+        assert main(["facilitate", "--activity", str(activity), "--kernel", str(kernel),
+                     "--out", str(out), *threads]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_output_directory_is_created(tmp_path):
+    activity, kernel = _facilitate_inputs(tmp_path)
+    out = tmp_path / "no" / "such" / "dir" / "out.vol"
+    assert main(["facilitate", "--activity", str(activity), "--kernel", str(kernel),
+                 "--out", str(out)]) == 0
+    values, _ = vio.read_volume(out)
+    assert values.shape == (9, 9, 5, 6, 3)
+    csv = tmp_path / "other" / "dir" / "out.csv"
+    assert main(["export", "--volume", str(out), "--iso", "0.5", "--out", str(csv)]) == 0
+    assert csv.read_text().startswith("q1,q2,s,theta,v,value")
+    # a missing input is still exit 3, and leaves no output directory behind
+    missing = tmp_path / "gone" / "out.vol"
+    assert main(["facilitate", "--activity", str(tmp_path / "nothing.vol"),
+                 "--kernel", str(kernel), "--out", str(missing)]) == 3
+    assert not missing.parent.exists()
+
+
+def test_experiment2_flags_gaps_the_kernel_cannot_bridge(tmp_path, capsys):
+    # a 4-frame kernel bridges a 2-frame gap (3 frames from the last frame
+    # before it to the reappearance) but not a 4-frame one (5 frames)
+    out = tmp_path / "traj"
+    code = main(["experiment2", "--set", "size=21", "--set", "n_frames=16",
+                 "--set", "n_theta=4", "--set", "n_v=3", "--set", "kernel_halfwidth=4",
+                 "--set", "kernel_n_ds=4", "--set", "n_paths=8192",
+                 "--set", "sweep=[[3, 0.5], [4, 0.5]]", "--out", str(out)])
+    assert code == 0
+    rows = json.loads((out / "manifest.json").read_text())["gap_table"]
+    assert [(r["delta_t"], r["bridged"]) for r in rows] == [(3, True), (4, False)]
+    err = capsys.readouterr().err
+    assert err.count("warning: ") == 1
+    assert "dT=4 " in err and "bridged: false" in err

@@ -1,6 +1,8 @@
 """Facilitation gathers and steady activity."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -43,8 +45,8 @@ def record_blocks(mp):
     blocks = []
     spectra = FacilitationPlan._spectra
 
-    def recorded(plan, d, phis, thetas):
-        out = spectra(plan, d, phis, thetas)
+    def recorded(plan, d, phis, thetas, n_workers):
+        out = spectra(plan, d, phis, thetas, n_workers)
         blocks.append((len(thetas), out.nbytes))
         return out
 
@@ -322,6 +324,105 @@ class TestGatherContract:
         p = facilitate(act, kernel).values
         assert p[:, :, :3].max() == 0.0  # nothing at ds <= 0
         assert p[:, :, 3:].max() > 0.0
+
+
+def gathered_with_workers(act, kernel, n_threads):
+    """facilitate() at ``n_threads``, and the most workers any phase ran."""
+    most = []
+    deal = population.run_workers
+
+    def recorded(n_workers, work):
+        most.append(n_workers)
+        deal(n_workers, work)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(population, "run_workers", recorded)
+        out = facilitate(act, kernel, n_threads).values
+    return out, max(most)
+
+
+class TestThreadedGather:
+    @pytest.mark.parametrize("frames", ["consecutive", "zero-frame-between"])
+    @pytest.mark.parametrize("budget", ["default", "one-byte-blocks", "one-row-chunks"])
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_identical_for_every_worker_count(self, small4, small5, rank, budget, frames):
+        grid, kernel = small4 if rank == 4 else small5
+        vals = np.random.default_rng(rank).uniform(0, 1, (7, 7, 5, 6, 3))
+        if frames == "zero-frame-between":
+            # live frames 0, 1, 3, 4: neither the input nor the output frames
+            # of an offset form one run
+            vals[:, :, 2] = 0.0
+        act = LiftedActivity(grid, vals, "facilitation", np.arange(5))
+        interval = sys.getswitchinterval()
+        # switch threads often, so that workers writing shared rows or
+        # columns would interleave
+        sys.setswitchinterval(1e-6)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget == "one-byte-blocks":
+                blocks = record_blocks(mp)
+                mp.setattr(population, "_BLOCK_BYTES", 1)
+            elif budget == "one-row-chunks":
+                # one plane per FFT batch and one Fourier bin per k-chunk
+                mp.setattr(population, "_CHUNK_BYTES", 1)
+            try:
+                one, _ = gathered_with_workers(act, kernel, 1)
+                for n in (2, 3):
+                    out, most = gathered_with_workers(act, kernel, n)
+                    assert most == n
+                    assert np.array_equal(out, one), n
+            finally:
+                sys.setswitchinterval(interval)
+        if budget == "one-byte-blocks":
+            assert max(n for n, _ in blocks) < grid.n_theta
+        if budget == "default":
+            ref = facilitate_reference(act, kernel).values
+            assert np.abs(one - ref).max() < 1e-10
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_two_workers_hold_no_more_memory(self, rank):
+        # each worker's FFT batch and k-chunk take its share of _CHUNK_BYTES,
+        # so the peak stays that of one worker
+        if rank == 4:
+            grid = ManifoldGrid(40, 40, 16, 9, 1.0)
+            kernel = synthetic_kernel(contour_lattice(4, 16, 9, 1.0))
+            ns = 1
+        else:
+            grid = ManifoldGrid(24, 24, 8, 5, 1.0)
+            kernel = synthetic_kernel(trajectory_lattice(4, 4, 8, 5, 1.0), mode="trajectory")
+            ns = 10
+        vals = np.random.default_rng(12).uniform(0, 1, (grid.nx, grid.ny, ns, grid.n_theta,
+                                                        grid.n_v))
+        act = LiftedActivity(grid, vals, "facilitation", np.arange(ns))
+        peaks = []
+        for n in (1, 2):
+            tracemalloc.start()
+            try:
+                facilitate(act, kernel, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
+
+    @pytest.mark.parametrize("n_threads", [0, -2])
+    def test_thread_count_below_one_rejected(self, small5, n_threads, monkeypatch):
+        import motionlift.kernels as kmod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(kmod, "ThreadPoolExecutor", no_pool)
+        grid, kernel = small5
+        act = LiftedActivity(grid, np.ones((7, 7, 5, 6, 3)), "facilitation", np.arange(5))
+        with pytest.raises(ValueError, match="n_threads"):
+            facilitate(act, kernel, n_threads)
+
+    def test_no_worker_outlives_the_call(self, small5):
+        grid, kernel = small5
+        act = LiftedActivity(grid, np.ones((7, 7, 5, 6, 3)), "facilitation", np.arange(5))
+        before = set(threading.enumerate())
+        _, most = gathered_with_workers(act, kernel, 3)
+        assert most == 3
+        assert set(threading.enumerate()) == before
 
 
 class TestSteadyActivity:
