@@ -4,12 +4,10 @@ stochastic connectivity kernels, and facilitated population activity."""
 
 from .gabor import (
     GaborBank,
-    GaborParams,
     LiftedActivity,
     ManifoldGrid,
     StimulusVolume,
     energy_filter,
-    gabor_profile,
     lift_surface,
     scales_from_frequency,
     sigmoid,

@@ -33,12 +33,10 @@ from .experiments import (
     run_experiment2,
 )
 from .gabor import LiftedActivity, ManifoldGrid, energy_filter, threshold_activity
-from .kernels import SdeSpec, contour_lattice, estimate_kernel, trajectory_lattice
+from .kernels import contour_lattice, estimate_kernel, trajectory_lattice
 from .population import facilitate
 from .stimuli import (
-    CircleStimulusSpec,
     StimulusError,
-    TrajectoryStimulusSpec,
     dashed_circle,
     occluded_trajectory,
     plane_wave,
@@ -155,7 +153,7 @@ def _add_threads_arg(sp):
                          "process may use); outputs are bit-identical for any count")
 
 
-def _out_path(out: str) -> Path:
+def _out_path(out) -> Path:
     """The ``--out`` file path, with its parent directory created."""
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -267,8 +265,7 @@ def cmd_kernel(args) -> int:
     out = Path(args.out)
     if out.is_dir() or args.out.endswith("/"):
         out = kernel_cache_path(out, spec, lattice)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    vio.write_kernel(out, kernel,
+    vio.write_kernel(_out_path(out), kernel,
                      provenance={"config_hash": vio.config_hash(spec.to_dict())})
     print(f"wrote {out}")
     return EXIT_OK

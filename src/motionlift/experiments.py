@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -222,15 +222,24 @@ def _sample_field(values: np.ndarray, pts) -> np.ndarray:
     return np.array([values[x, y, 0, it, iv] for (x, y, it, iv) in pts])
 
 
+def _start_run(out_dir, resolved: dict, seed: int, kernel_cache, subdirs):
+    """Create the output directories a run writes, and return the output
+    root, the config hash, the provenance every output file carries and the
+    kernel cache directory (``<out>/kernels`` unless one is shared)."""
+    out = Path(out_dir)
+    for sub in subdirs:
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    chash = vio.config_hash(resolved)
+    cache_dir = out / "kernels" if kernel_cache is None else Path(kernel_cache)
+    return out, chash, {"config_hash": chash, "seed": seed}, cache_dir
+
+
 def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
                     kernel_cache=None) -> dict:
     """Full pipeline; writes the output tree and returns the gap metrics."""
-    out = Path(out_dir)
-    for sub in ("stimulus", "kernels", "activity", "exports"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
     resolved = asdict(cfg)
-    chash = vio.config_hash(resolved)
-    prov = {"config_hash": chash, "seed": cfg.seed}
+    out, chash, prov, cache_dir = _start_run(
+        out_dir, resolved, cfg.seed, kernel_cache, ("stimulus", "kernels", "activity", "exports"))
 
     stim, truth = dashed_circle(cfg.stimulus_spec())
     vio.write_volume(out / "stimulus" / "stimulus.vol", stim.data,
@@ -245,7 +254,6 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
 
     spec = cfg.sde()
     lattice = contour_lattice(cfg.kernel_halfwidth, cfg.n_theta, cfg.n_v, cfg.v_m)
-    cache_dir = Path(kernel_cache) if kernel_cache is not None else out / "kernels"
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
 
     pattern = facilitate(thresholded, kernel, n_threads)
@@ -385,42 +393,6 @@ def gap_energy(f_fac: LiftedActivity, t1: int, t2: int, margin: int,
     }
 
 
-class _Pipeline2:
-    """Shared state for one experiment-2 sweep: kernel, and exact reuse of
-    the constant-baseline facilitation split.
-
-    facilitate is linear, so P(F_T) = P(F_T - c0) + c0 * P(ones); the
-    all-ones response depends only on kernel and grid and is computed once.
-    Every stimulus part is lifted and facilitated afresh.
-    """
-
-    def __init__(self, cfg: Experiment2Config, kernel: KernelGrid, n_threads: int):
-        self.cfg = cfg
-        self.kernel = kernel
-        self.n_threads = n_threads
-        self.grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
-        self.fac_cfg = FacilitationConfig(cfg.c_f, cfg.mu, cfg.beta)
-        self._ones_response: np.ndarray | None = None
-
-    def ones_response(self, template: LiftedActivity) -> np.ndarray:
-        if self._ones_response is None:
-            ones = template.with_values(np.ones_like(template.values), "facilitation")
-            self._ones_response = facilitate(ones, self.kernel, self.n_threads).values
-        return self._ones_response
-
-    def steady(self, stim) -> LiftedActivity:
-        cfg = self.cfg
-        raw = energy_filter(stim, self.grid, cfg.p_modulus)
-        thr = threshold_activity(raw, cfg.mu, cfg.beta)
-        c0 = float(thr.values.min())
-        residual = thr.with_values(thr.values - c0, "facilitation")
-        pattern = facilitate(residual, self.kernel, self.n_threads)
-        pattern = pattern.with_values(
-            pattern.values + c0 * self.ones_response(thr), "facilitation"
-        )
-        return activity_steady(raw, pattern, self.fac_cfg)
-
-
 def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
                     kernel_cache=None) -> list[dict]:
     """Sweep the (gap duration, turn angle) lattice; returns the gap table.
@@ -428,33 +400,51 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     Each row says whether the kernel can bridge its gap (``bridged``, see
     ``Experiment2Config.bridges``); an unbridged row's interaction is zero
     by construction, not a measurement.
+
+    facilitate is linear, so P(F_T) = P(F_T - c0) + c0 P(ones): the all-ones
+    response depends only on kernel and grid and is computed once, before
+    the sweep.  Every stimulus part is lifted and facilitated afresh.
     """
-    out = Path(out_dir)
-    for sub in ("stimulus", "kernels", "activity", "exports"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
     resolved = asdict(cfg)
     resolved["sweep"] = [list(map(float, pair)) for pair in cfg.sweep]
-    chash = vio.config_hash(resolved)
-    prov = {"config_hash": chash, "seed": cfg.seed}
+    out, chash, prov, cache_dir = _start_run(
+        out_dir, resolved, cfg.seed, kernel_cache, ("kernels", "activity", "exports"))
 
     spec = cfg.sde()
     lattice = trajectory_lattice(
         cfg.kernel_halfwidth, cfg.kernel_n_ds, cfg.n_theta, cfg.n_v, cfg.v_m
     )
-    cache_dir = Path(kernel_cache) if kernel_cache is not None else out / "kernels"
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
     vio.write_kernel(out / "kernels" / "gamma.knl", kernel, provenance=prov)
 
-    pipe = _Pipeline2(cfg, kernel, n_threads)
+    grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
+    fac_cfg = FacilitationConfig(cfg.c_f, cfg.mu, cfg.beta)
+    # the all-ones input lives only for this call (229 MB at paper scale)
+    shape = (cfg.size, cfg.size, cfg.n_frames, cfg.n_theta, cfg.n_v)
+    p_ones = facilitate(LiftedActivity(grid, np.ones(shape), "facilitation",
+                                       np.arange(cfg.n_frames)), kernel, n_threads).values
+
+    def steady(stim) -> LiftedActivity:
+        raw = energy_filter(stim, grid, cfg.p_modulus)
+        thr = threshold_activity(raw, cfg.mu, cfg.beta)
+        c0 = float(thr.values.min())
+        pattern = facilitate(thr.with_values(thr.values - c0, "facilitation"),
+                             kernel, n_threads)
+        # add into one new array, and leave facilitate's output as it was
+        total = c0 * p_ones
+        total += pattern.values
+        pattern = pattern.with_values(total, "facilitation")
+        return activity_steady(raw, pattern, fac_cfg)
+
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))
     table = []
     for delta_t, delta_theta in cfg.sweep:
         sspec = cfg.stimulus_spec(int(delta_t), float(delta_theta))
         s3, s1, s2, truth = occluded_trajectory(sspec)
         tag = f"dt{int(delta_t)}_dth{delta_theta:.4f}"
-        f0_full = pipe.steady(s3)
-        f0_first = pipe.steady(s1)
-        f0_second = pipe.steady(s2)
+        f0_full = steady(s3)
+        f0_first = steady(s1)
+        f0_second = steady(s2)
         f_fac = facilitation_difference(f0_full, f0_first, f0_second)
         row = {"delta_t": int(delta_t), "delta_theta": float(delta_theta),
                "bridged": cfg.bridges(int(delta_t))}

@@ -40,24 +40,6 @@ class StimulusVolume:
         return self.data.shape  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class GaborParams:
-    """Center, frequency and width parameters of one complex Gabor filter."""
-
-    q1: float
-    q2: float
-    s: float
-    p_modulus: float
-    theta: float
-    nu: float
-    sigma_x: float
-    sigma_t: float
-
-    def __post_init__(self):
-        if not (self.sigma_x > 0 and self.sigma_t > 0 and self.p_modulus > 0):
-            raise ValueError("sigma_x, sigma_t and p_modulus must be positive")
-
-
 def scales_from_frequency(p_modulus: float, v_m: float) -> tuple[float, float]:
     """Gabor widths from the frequency modulus and the bank's peak velocity.
 
@@ -73,21 +55,6 @@ def scales_from_frequency(p_modulus: float, v_m: float) -> tuple[float, float]:
     nu_m = p_modulus * v_m
     sigma_t = math.pi / (2.0 * nu_m)
     return sigma_x, sigma_t
-
-
-def gabor_profile(params: GaborParams, x, t) -> complex:
-    """Complex Gabor value: plane wave at (p, nu) under a Gaussian envelope."""
-    x = np.asarray(x, dtype=float)
-    dx1 = x[0] - params.q1
-    dx2 = x[1] - params.q2
-    dt = t - params.s
-    p1 = params.p_modulus * math.cos(params.theta)
-    p2 = params.p_modulus * math.sin(params.theta)
-    phase = p1 * dx1 + p2 * dx2 - params.nu * dt
-    envelope = math.exp(
-        -(dx1 * dx1 + dx2 * dx2) / params.sigma_x**2 - dt * dt / params.sigma_t**2
-    )
-    return complex(math.cos(phase), math.sin(phase)) * envelope
 
 
 @dataclass(frozen=True)
@@ -249,7 +216,6 @@ class GaborBank:
         self.filters = np.empty(
             (grid.n_theta, grid.n_v, ax.size, ax.size, at.size), dtype=np.complex128
         )
-        self.norms = np.empty((grid.n_theta, grid.n_v))
         a_sum = envelope.sum()
         for i, theta in enumerate(self.grid.thetas):
             p1 = p_modulus * math.cos(theta)
@@ -269,21 +235,28 @@ class GaborBank:
                 matched = np.abs((w * wave).sum())
                 scale = 4.0 / matched  # unit-contrast sinusoid -> energy 1
                 self.filters[i, j] = w * scale
-                self.norms[i, j] = matched / 4.0
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 2/3/5-smooth integer >= n (numpy FFT is fast at these)."""
+def fft_period(n: int, reach: int) -> int:
+    """Alias-free circular FFT period for an n-cell input under a filter
+    that reaches ``reach`` cells either way.
+
+    The linear result spreads over n + 2 reach cells, but only the n-cell
+    window that starts ``reach`` cells in is kept.  With a period of
+    n + reach, the terms that wrap around land in the first reach cells,
+    ahead of the window, never in it; the period is at least 2 reach + 1,
+    so the whole filter fits.  The length is rounded up to the next
+    2/3/5-smooth integer, where numpy's FFT is fast.
+    """
+    n = max(2 * reach + 1, n + reach)
     best = 1 << (n - 1).bit_length()
-    k = n
-    while k < best:
+    for k in range(n, best):
         m = k
         for p in (2, 3, 5):
             while m % p == 0:
                 m //= p
         if m == 1:
             return k
-        k += 1
     return best
 
 
@@ -299,7 +272,9 @@ def energy_filter(
     Uses FFT correlation per fiber bin (equivalent to the direct node sums to
     floating-point roundoff; see ``energy_filter_direct``).  Filters
     overhanging the movie boundary see zero padding, so responses within
-    3 sigma of an edge are attenuated; tests should avoid those bands.
+    3 sigma of an edge are attenuated; tests should avoid those bands.  The
+    circular periods per axis are ``fft_period`` of the input length and the
+    filter reach.
     """
     nx, ny, n_t = stimulus.dims
     if (grid.nx, grid.ny) != (nx, ny):
@@ -316,12 +291,7 @@ def energy_filter(
     f_hi = min(n_t - 1, int(frames.max()) + rt)
     sub = stimulus.data[:, :, f_lo : f_hi + 1]
     out_frames = frames - f_lo
-    # circular periods only need to hold the kept window: with the filter
-    # reach r, terms that wrap past a period of n + r land in the first r
-    # samples, ahead of the window; 2r + 1 keeps the whole filter
-    px = _fast_len(max(2 * rx + 1, nx + rx))
-    py = _fast_len(max(2 * rx + 1, ny + rx))
-    pt = _fast_len(max(2 * rt + 1, sub.shape[2] + rt))
+    px, py, pt = fft_period(nx, rx), fft_period(ny, rx), fft_period(sub.shape[2], rt)
     fpad = np.zeros((px, py, pt), dtype=np.complex128)
     fpad[:nx, :ny, : sub.shape[2]] = sub
     fhat = np.fft.fftn(fpad)
@@ -340,11 +310,7 @@ def energy_filter(
 
 
 def energy_filter_direct(
-    stimulus: StimulusVolume,
-    grid: ManifoldGrid,
-    p_modulus: float,
-    *,
-    bank: GaborBank | None = None,
+    stimulus: StimulusVolume, grid: ManifoldGrid, p_modulus: float
 ) -> LiftedActivity:
     """Reference implementation: explicit truncated sums per node.
 
@@ -353,7 +319,7 @@ def energy_filter_direct(
     nx, ny, n_t = stimulus.dims
     if (grid.nx, grid.ny) != (nx, ny):
         raise ValueError("grid spatial dims do not match stimulus")
-    bank = bank or GaborBank(grid, p_modulus)
+    bank = GaborBank(grid, p_modulus)
     frames = grid.frames_for(stimulus)
     rx, rt = bank.rx, bank.rt
     values = np.zeros((nx, ny, frames.size, grid.n_theta, grid.n_v))

@@ -259,32 +259,30 @@ def embed_galilei(eta: ManifoldPoint) -> GalileiElement:
     return GalileiElement(eta.q1, eta.q2, eta.s, eta.theta, u1, u2)
 
 
-def project_galilei(g: GalileiElement, tol: float = 1e-9) -> ManifoldPoint:
+def project_galilei(g: GalileiElement) -> ManifoldPoint:
     """Invert ``embed_galilei``; fails if the boost is not orientation-aligned.
 
-    Raises ValueError when u is not of the form R_theta (v, 0) within tol,
-    i.e. when the element does not lie on the embedded manifold.
+    Raises ValueError when u is not of the form R_theta (v, 0) within a
+    relative 1e-9, i.e. when the element does not lie on the embedded
+    manifold.
     """
     # v is the signed component of u along the orientation direction
     cx, cy = _rot(-g.theta, g.u1, g.u2)
-    if abs(cy) > tol * max(1.0, abs(cx)):
+    if abs(cy) > 1e-9 * max(1.0, abs(cx)):
         raise ValueError(
             f"Galilei element is off the embedded section: transverse boost {cy!r}"
         )
     return ManifoldPoint(g.q1, g.q2, g.s, g.theta, cx)
 
 
-def rk4_curve(
-    start: np.ndarray,
-    rhs,
-    t_final: float,
-    dt: float = 1e-3,
-) -> np.ndarray:
+def rk4_curve(start: np.ndarray, rhs, t_final: float) -> np.ndarray:
     """Fixed-step RK4 integrator used as the reference oracle for curves.
 
-    The step count is ceil(t_final / dt) with the last step shortened to land
-    exactly on t_final; fixed stepping keeps oracle results bit-reproducible.
+    Steps of dt = 1e-3; the step count is ceil(t_final / dt) with the last
+    step shortened to land exactly on t_final, and fixed stepping keeps
+    oracle results bit-reproducible.
     """
+    dt = 1e-3
     state = np.asarray(start, dtype=float).copy()
     if t_final == 0.0:
         return state

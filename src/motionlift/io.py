@@ -51,11 +51,10 @@ def write_volume(
     axes,
     *,
     kind: str = "raw",
-    spacing=None,
-    origin=None,
     provenance=None,
 ) -> None:
-    """Write a scalar field with named axes to the container format."""
+    """Write a scalar field with named axes to the container format, on a
+    unit-spaced grid from the origin."""
     values = np.asarray(values)
     axes = list(axes)
     if values.ndim != len(axes):
@@ -69,8 +68,8 @@ def write_volume(
         "format_version": FORMAT_VERSION,
         "axes": axes,
         "dims": list(values.shape),
-        "spacing": list(spacing) if spacing is not None else [1.0] * values.ndim,
-        "origin": list(origin) if origin is not None else [0.0] * values.ndim,
+        "spacing": [1.0] * values.ndim,
+        "origin": [0.0] * values.ndim,
         "kind": kind,
         "provenance": provenance or {},
     }
@@ -87,7 +86,8 @@ def _write_container(path, header: dict, values: np.ndarray) -> None:
         fh.write(payload)
 
 
-def _read_container(path) -> tuple[dict, np.ndarray]:
+def read_volume(path) -> tuple[np.ndarray, dict]:
+    """Read a container (volume or kernel); returns (values, header)."""
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
         raise VolumeFormatError(f"{path}: not a volume container")
@@ -115,12 +115,6 @@ def _read_container(path) -> tuple[dict, np.ndarray]:
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    return header, values
-
-
-def read_volume(path) -> tuple[np.ndarray, dict]:
-    """Read a volume; returns (values, header)."""
-    header, values = _read_container(path)
     return values, header
 
 
@@ -150,7 +144,7 @@ def read_kernel(path):
     """Read a kernel cache back into a KernelGrid, rescaled to unit mass."""
     from .kernels import KernelGrid, SdeSpec
 
-    header, values = _read_container(path)
+    values, header = read_volume(path)
     if header.get("kind") != "kernel":
         raise VolumeFormatError(f"{path}: kind {header.get('kind')!r} is not 'kernel'")
     mass = float(values.sum())

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BATCH_SIZE = 8192  # fixed: part of the deterministic estimation contract
 STEP_BLOCK = 8  # steps walked per numpy call; any value gives the same bits
+FP_CFL = 0.4  # Courant number of the explicit steps of ``fp_reference``
 MODES = ("contour", "trajectory")
 
 
@@ -199,15 +200,16 @@ class KernelGrid:
         return float(self.values.sum())
 
 
-def simulate_path(spec: SdeSpec, start=None, rng=None) -> np.ndarray:
+def simulate_path(spec: SdeSpec, start=None) -> np.ndarray:
     """Integrate a single path, returning every state including the start.
 
     Contour mode states are (q1, q2, theta, v); trajectory mode states are
     (q1, q2, s, theta, v).  Noise increments are N(0, dt) scaled by
     sqrt(2) kappa and sqrt(2) alpha; the drift is evaluated at the current
-    state before the fiber noise is applied (Euler-Maruyama).
+    state before the fiber noise is applied (Euler-Maruyama).  The noise
+    comes from a generator seeded with ``spec.seed``.
     """
-    rng = rng or np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     dim = 4 if spec.mode == "contour" else 5
     state = np.zeros(dim) if start is None else np.asarray(start, dtype=float).copy()
     if state.shape != (dim,):
@@ -552,7 +554,6 @@ def fp_reference(
     horizon: float,
     snapshot_times,
     *,
-    cfl: float = 0.4,
     max_steps: int = 500_000,
     refine: int = 3,
     transport: str = "upwind",
@@ -575,12 +576,13 @@ def fp_reference(
     its magnitude is bounded by the mass guard).
 
     Internally the solve runs at ``refine``-fold resolution (odd factor) on
-    the theta axis and, in trajectory mode, the v axis (their values set
-    the drift); for upwind transport the spatial axes are refined as well.
-    Results are aggregated back onto the requested lattice.  The global
-    step is CFL-limited by the advection (or by splitting accuracy for
-    spectral transport); fiber diffusions are sub-cycled explicitly at
-    their own stable steps.
+    the q1, q2 and theta axes for either transport, and on the v axis too in
+    trajectory mode, where v sets the drift.  Results are aggregated back
+    onto the requested lattice.  The global step is CFL-limited by the
+    advection (or by splitting accuracy for spectral transport); fiber
+    diffusions are sub-cycled explicitly at their own stable steps.  Each
+    step is the transport, then the theta and v diffusions, then the mass
+    check.
 
     Returns (actual_times, stack of densities on ``lattice4``).
     """
@@ -618,7 +620,7 @@ def fp_reference(
         # unconditionally stable transport; dt only limits splitting error
         dt = min(0.02 * horizon, 0.25 / max(kappa**2, alpha**2, 1e-12))
     else:
-        dt = cfl / adv_rate if adv_rate > 0 else cfl / diff_rate
+        dt = FP_CFL / adv_rate if adv_rate > 0 else FP_CFL / diff_rate
     n_steps = int(math.ceil(horizon / dt))
     if n_steps > max_steps:
         raise ValueError(
@@ -626,8 +628,8 @@ def fp_reference(
         )
     dt = horizon / n_steps
     # explicit diffusion substeps per global step, per fiber axis
-    sub_th = max(1, int(math.ceil(dt * 2.0 * kappa**2 / (cfl * spacing[2] ** 2))))
-    sub_v = max(1, int(math.ceil(dt * 2.0 * alpha**2 / (cfl * spacing[3] ** 2))))
+    sub_th = max(1, int(math.ceil(dt * 2.0 * kappa**2 / (FP_CFL * spacing[2] ** 2))))
+    sub_v = max(1, int(math.ceil(dt * 2.0 * alpha**2 / (FP_CFL * spacing[3] ** 2))))
     rho = np.zeros(fine_shape)
     c_idx = tuple(int(round(-lattice4.origin[a] / lattice4.spacing[a])) for a in range(4))
     if init == "point":
@@ -641,30 +643,25 @@ def fp_reference(
             x = coords[a] - (coords[a][c_idx[a] * rf[a]] + coords[a][(c_idx[a] + 1) * rf[a] - 1]) / 2.0
             g = np.exp(-0.5 * (x / (0.5 * lattice4.spacing[a])) ** 2)
             gs.append(g / g.sum())
-        rho = gs[0][:, None, None, None] * gs[1][None, :, None, None]             * gs[2][None, None, :, None] * gs[3][None, None, None, :]
+        rho = gs[0][:, None, None, None] * gs[1][None, :, None, None] \
+            * gs[2][None, None, :, None] * gs[3][None, None, None, :]
     else:
         raise ValueError(f"unknown init {init!r}")
     snap_steps = sorted({max(0, min(n_steps, int(round(t / dt)))) for t in snapshot_times})
     mass0 = rho.sum()
     taken = {}
-
-    def aggregate(f):
-        return f.reshape(
-            sh[0], rf[0], sh[1], rf[1], sh[2], rf[2], sh[3], rf[3]
-        ).sum(axis=(1, 3, 5, 7))
-
-    shift_op = None
     if spectral:
-        # fiber-first layout (theta, v, q1, q2): contiguous FFT axes
-        rho = np.ascontiguousarray(np.transpose(rho, (2, 3, 0, 1)))
-        kx = np.fft.fftfreq(fine_shape[0], d=spacing[0])[None, None, :, None]
-        ky = np.fft.rfftfreq(fine_shape[1], d=spacing[1])[None, None, None, :]
-        u1t = np.transpose(u1, (2, 3, 0, 1))
-        u2t = np.transpose(u2, (2, 3, 0, 1))
-        shift_op = np.exp(-2j * np.pi * dt * (kx * u1t + ky * u2t))
+        kx = np.fft.fftfreq(fine_shape[0], d=spacing[0])[:, None, None, None]
+        ky = np.fft.rfftfreq(fine_shape[1], d=spacing[1])[None, :, None, None]
+        shift_op = np.exp(-2j * np.pi * dt * (kx * u1 + ky * u2))
+    # alternate the upwind sweep order every step (Strang-style
+    # symmetrization of the dimensional splitting)
+    sweeps = ((0, u1, spacing[0]), (1, u2, spacing[1]))
 
     def take_snapshot(f):
-        coarse = aggregate(f)
+        coarse = f.reshape(
+            sh[0], rf[0], sh[1], rf[1], sh[2], rf[2], sh[3], rf[3]
+        ).sum(axis=(1, 3, 5, 7))
         if spectral:
             # exact translation keeps signed ringing on sharp profiles;
             # clip it at readout and keep it within the mass guard
@@ -680,44 +677,19 @@ def fp_reference(
 
     for k in range(n_steps + 1):
         if k in snap_steps:
-            if spectral:
-                taken[k] = take_snapshot(np.transpose(rho, (2, 3, 0, 1)))
-            else:
-                taken[k] = take_snapshot(rho)
+            taken[k] = take_snapshot(rho)
         if k == n_steps:
             break
         if spectral:
-            rho = np.fft.irfft2(
-                np.fft.rfft2(rho, axes=(2, 3)) * shift_op,
-                s=(fine_shape[0], fine_shape[1]), axes=(2, 3),
-            )
-            if kappa > 0:
-                for _ in range(sub_th):
-                    rho = _diffuse_axis(rho, kappa**2, 0, spacing[2], dt / sub_th,
-                                        periodic=True)
-            if alpha > 0:
-                for _ in range(sub_v):
-                    rho = _diffuse_axis(rho, alpha**2, 1, spacing[3], dt / sub_v,
-                                        periodic=False)
-            if abs(rho.sum() - mass0) > 1e-6:
-                raise ArithmeticError("finite-difference step lost mass beyond 1e-6")
-            continue
+            rho = np.fft.irfft2(np.fft.rfft2(rho, axes=(0, 1)) * shift_op,
+                                s=fine_shape[:2], axes=(0, 1))
         else:
-            # alternate the sweep order every step (Strang-style
-            # symmetrization of the dimensional splitting)
-            axes_order = ((0, u1, spacing[0]), (1, u2, spacing[1]))
-            if k % 2:
-                axes_order = axes_order[::-1]
-            for ax, u, dxa in axes_order:
+            for ax, u, dxa in sweeps[::-1] if k % 2 else sweeps:
                 rho = _advect_axis(rho, u, ax, dxa, dt)
-        if kappa > 0:
-            for _ in range(sub_th):
-                rho = _diffuse_axis(rho, kappa**2, 2, spacing[2], dt / sub_th,
-                                    periodic=True)
-        if alpha > 0:
-            for _ in range(sub_v):
-                rho = _diffuse_axis(rho, alpha**2, 3, spacing[3], dt / sub_v,
-                                    periodic=False)
+        for _ in range(sub_th if kappa > 0 else 0):
+            rho = _diffuse_axis(rho, kappa**2, 2, spacing[2], dt / sub_th, periodic=True)
+        for _ in range(sub_v if alpha > 0 else 0):
+            rho = _diffuse_axis(rho, alpha**2, 3, spacing[3], dt / sub_v, periodic=False)
         if abs(rho.sum() - mass0) > 1e-6:
             raise ArithmeticError("finite-difference step lost mass beyond 1e-6")
     times = np.array(snap_steps, dtype=float) * dt

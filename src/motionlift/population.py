@@ -21,11 +21,8 @@ of Fourier bins.  An offset's stencil spectra are built and mixed in blocks
 of consecutive input orientations, at least one and as many as fit in the
 larger of ``_BLOCK_BYTES`` (32 MiB) and the output spectra the call holds
 anyway, and each block is freed before the next is built, so one block's
-spectra are held at a time.  Each FFT period only has to hold the output
-window that is kept: a stencil reaching ``ext`` cells either way, shifted
-by at most ``max_m`` whole cells, spreads an input of n cells over
-n + 2 ext + 2 max_m cells, and with a period of n + ext + max_m the part
-that wraps around lands before the kept window, never in it.  The result
+spectra are held at a time.  Each FFT period only holds the output window
+that is kept, by the alias-free rule of ``gabor.fft_period``.  The result
 matches the explicit gather (``facilitate_reference``) to 1e-10 and
 is deterministic for fixed shapes.  The frame FFTs, the stencil spectra and
 the contraction are dealt round-robin over ``n_threads`` workers (by frame,
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import LiftedActivity, ManifoldGrid, _fast_len, sigmoid
+from .gabor import LiftedActivity, ManifoldGrid, fft_period, sigmoid
 from .kernels import KernelGrid, kernel_lookup, run_workers
 
 TRUNC_REL = 1e-6   # kernel entries below this fraction of max are dropped
@@ -153,13 +150,11 @@ class FacilitationPlan:
     next one is built, so the spectra held at once take no more than that
     budget or one orientation's share, whichever is larger.
 
-    The circular FFT periods are sized to the kept output window, not to the
-    full linear convolution: nx + ext + max_m along x and ny + ext along y,
-    with ext the stencil reach and max_m the largest integer shear.  Terms
-    that wrap past the period land in the first ext + max_m cells, ahead of
-    the window, so the window is alias-free.  Neither period is shorter than
-    the stencil side 2 ext + 1, so grids smaller than the stencil keep all of
-    it.
+    The circular FFT periods are ``gabor.fft_period`` of the kept output
+    window, with ext the stencil reach and max_m the largest integer shear:
+    fft_period(nx + max_m, ext) along x, where aligning the integer shears
+    moves the kept window max_m cells further in, and fft_period(ny, ext)
+    along y.
 
     ``apply(activity, n_threads)`` deals its work over n_threads workers:
     the calling thread is worker 0 and n_threads - 1 pool threads are the
@@ -192,12 +187,11 @@ class FacilitationPlan:
         # rotation moves the support out to h*sqrt(2); the fractional shear
         # adds at most one cell
         self.ext = int(math.ceil(self.h * math.sqrt(2.0))) + 1
-        side = 2 * self.ext + 1
         shear = grid.vs[:, None] * np.array(ds, dtype=float)  # (n_v, n_offsets)
         m_shift = np.floor(shear).astype(np.int64)
         self.max_m = int(np.abs(m_shift).max())
-        self.pad1 = _fast_len(max(side, grid.nx + self.ext + self.max_m))
-        self.pad2 = _fast_len(max(side, grid.ny + self.ext))
+        self.pad1 = fft_period(grid.nx + self.max_m, self.ext)
+        self.pad2 = fft_period(grid.ny, self.ext)
 
         nth, nv, n_dv = grid.n_theta, grid.n_v, vals.shape[4]
         i_p = np.arange(nth)[:, None, None, None]

@@ -10,7 +10,7 @@ experiment metrics never have to re-derive geometry from pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ class CircleStimulusSpec:
     segment_width: float = 2.0
     gap_fraction: float = 0.4
     velocity: tuple[float, float] = (0.0, 0.5)
-    center0: tuple[float, float] | None = None
-    phase0: float = 0.0
 
     def __post_init__(self):
         if min(self.size, self.n_frames, self.n_segments) < 1:
@@ -58,14 +56,12 @@ class CircleStimulusSpec:
             raise ValueError(f"gap_fraction must be in (0, 1), got {self.gap_fraction}")
 
     def center_at(self, t: int) -> tuple[float, float]:
-        c0 = self.center0
-        if c0 is None:
-            # anchor so the mid frame is centered in the image
-            mid = (self.n_frames - 1) / 2.0
-            c0 = (
-                (self.size - 1) / 2.0 - self.velocity[0] * mid,
-                (self.size - 1) / 2.0 - self.velocity[1] * mid,
-            )
+        # anchored so the mid frame is centered in the image
+        mid = (self.n_frames - 1) / 2.0
+        c0 = (
+            (self.size - 1) / 2.0 - self.velocity[0] * mid,
+            (self.size - 1) / 2.0 - self.velocity[1] * mid,
+        )
         return (c0[0] + self.velocity[0] * t, c0[1] + self.velocity[1] * t)
 
 
@@ -96,13 +92,12 @@ def dashed_circle(spec: CircleStimulusSpec) -> tuple[StimulusVolume, dict]:
         dx = X - cx
         dy = Y - cy
         r = np.hypot(dx, dy)
-        phi = np.mod(np.arctan2(dy, dx) - spec.phase0, 2.0 * math.pi)
+        phi = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
         in_ring = np.abs(r - spec.radius) <= half_w
         in_segment = np.mod(phi, seg_angle) <= drawn
         frames[:, :, t] = _downsample((in_ring & in_segment).astype(np.float64))
     gap_centers = [
-        (k + 0.5 + 0.5 * (1.0 - spec.gap_fraction)) * seg_angle + spec.phase0
-        for k in range(spec.n_segments)
+        (k + 0.5 + 0.5 * (1.0 - spec.gap_fraction)) * seg_angle for k in range(spec.n_segments)
     ]
     truth = {
         "kind": "dashed_circle",
@@ -136,7 +131,6 @@ class TrajectoryStimulusSpec:
     t1: int = 45
     delta_t: int = 12
     delta_theta: float = math.pi / 6.0
-    anchor: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.eccentricity < 1.0:
@@ -157,11 +151,11 @@ class TrajectoryStimulusSpec:
     def path(self) -> dict:
         """Way-points of the piecewise-linear continuous trajectory.
 
-        The turn happens at the temporal midpoint of the occlusion; its
-        position defaults to the frame center so the gap is centered.
+        The turn happens at the temporal midpoint of the occlusion, at the
+        frame center, so the gap is centered.
         """
         t_mid = 0.5 * (self.t1 + self.t2)
-        turn = self.anchor or ((self.size - 1) / 2.0, (self.size - 1) / 2.0)
+        turn = ((self.size - 1) / 2.0, (self.size - 1) / 2.0)
         d1 = (math.cos(self.theta_init), math.sin(self.theta_init))
         th2 = self.theta_init + self.delta_theta
         d2 = (math.cos(th2), math.sin(th2))

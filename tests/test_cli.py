@@ -7,14 +7,31 @@ import numpy as np
 import pytest
 
 import motionlift.kernels as kmod
+from motionlift import experiments
 from motionlift import io as vio
 from motionlift.cli import main
 from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, trajectory_lattice
+from motionlift.population import facilitate
 
 
 def _outputs(out: Path) -> dict:
-    files = [out / "manifest.json", *out.glob("activity/*.vol"), *out.glob("exports/*.csv")]
+    files = [out / "manifest.json", *out.glob("activity/*.vol"), *out.glob("exports/*.csv"),
+             *out.glob("kernels/gamma*.knl")]
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(files)}
+
+
+def _empty_dirs(out: Path) -> list:
+    return [p for p in out.rglob("*") if p.is_dir() and not any(p.iterdir())]
+
+
+# perfbench's seconds-long trajectory configuration: two sweep points, both
+# bridged by a 6-frame kernel
+TINY_EXPERIMENT2 = [
+    "experiment2", "--set", "size=21", "--set", "n_frames=12", "--set", "n_theta=4",
+    "--set", "n_v=3", "--set", "kernel_halfwidth=4", "--set", "kernel_n_ds=6",
+    "--set", "n_paths=8192",
+    "--set", "sweep=[[2, 0.5235987755982988], [4, 0.7853981633974483]]",
+]
 
 
 def test_experiment1_rerun_on_shared_kernel_cache_is_byte_identical(tmp_path):
@@ -26,10 +43,30 @@ def test_experiment1_rerun_on_shared_kernel_cache_is_byte_identical(tmp_path):
         code = main(["experiment1", "--scale", "0.2", "--set", "n_paths=8192",
                      "--seed", "101", "--out", str(out), "--kernel-cache", str(cache)])
         assert code == 0
-        assert not (out / "lifted").exists()
+        assert _empty_dirs(out) == []
         runs.append(_outputs(out))
-    assert len(runs[0]) >= 7  # manifest, 3 activity volumes, 3 exports
+    assert len(runs[0]) >= 8  # manifest, 3 activity volumes, 3 exports, kernel
     assert runs[0] == runs[1]
+
+
+def test_experiment2_outputs_do_not_depend_on_the_kernel_cache_or_thread_count(tmp_path):
+    # one thread fills the shared cache, then every CPU reads it back
+    cache = tmp_path / "kernels"
+    runs = []
+    for tag, threads in (("miss", ["--threads", "1"]), ("hit", [])):
+        out = tmp_path / tag
+        assert main([*TINY_EXPERIMENT2, "--out", str(out), "--kernel-cache", str(cache),
+                     *threads]) == 0
+        assert _empty_dirs(out) == []
+        runs.append(_outputs(out))
+    # manifest, 2 interaction volumes, 12 isosurface exports, the gap table, kernel
+    assert len(runs[0]) == 17
+    assert runs[0] == runs[1]
+    # every CPU on a fresh cache estimates the same kernel as one thread did
+    out = tmp_path / "fresh"
+    assert main([*TINY_EXPERIMENT2, "--out", str(out)]) == 0
+    assert _empty_dirs(out) == []
+    assert _outputs(out) == runs[0]
 
 
 def test_experiment2_scale_shrinks_the_sweep_gaps_with_the_kernel(tmp_path):
@@ -155,6 +192,23 @@ def test_output_directory_is_created(tmp_path):
     assert main(["facilitate", "--activity", str(tmp_path / "nothing.vol"),
                  "--kernel", str(kernel), "--out", str(missing)]) == 3
     assert not missing.parent.exists()
+
+
+def test_experiment2_leaves_every_facilitate_output_as_returned(tmp_path, monkeypatch):
+    # perfbench's traced runs keep the last output facilitate returned and
+    # check it against the explicit gather, so the pipeline must not change it
+    returned = []
+
+    def recording(*args, **kwargs):
+        out = facilitate(*args, **kwargs)
+        returned.append((out, out.values.copy()))
+        return out
+
+    monkeypatch.setattr(experiments, "facilitate", recording)
+    out = tmp_path / "traj"
+    assert main([*TINY_EXPERIMENT2, "--dt", "2", "--dtheta", "0.5", "--out", str(out)]) == 0
+    assert len(returned) == 4  # P(ones), then the full stimulus and its two parts
+    assert all(np.array_equal(act.values, kept) for act, kept in returned)
 
 
 def test_experiment2_flags_gaps_the_kernel_cannot_bridge(tmp_path, capsys):

@@ -7,13 +7,11 @@ import pytest
 
 from motionlift.gabor import (
     GaborBank,
-    GaborParams,
     LiftedActivity,
     ManifoldGrid,
     StimulusVolume,
     energy_filter,
     energy_filter_direct,
-    gabor_profile,
     lift_surface,
     scales_from_frequency,
     sigmoid,
@@ -44,34 +42,6 @@ class TestScales:
             scales_from_frequency(-1.0, 1.0)
         with pytest.raises(ValueError):
             scales_from_frequency(1.0, 0.0)
-
-
-class TestProfile:
-    def params(self):
-        sx, st = scales_from_frequency(P_HALF, 1.0)
-        return GaborParams(q1=3.0, q2=-1.0, s=2.0, p_modulus=P_HALF,
-                           theta=0.3, nu=P_HALF * 0.5, sigma_x=sx, sigma_t=st)
-
-    def test_unit_at_center(self):
-        p = self.params()
-        assert gabor_profile(p, (3.0, -1.0), 2.0) == pytest.approx(1.0 + 0.0j)
-
-    def test_envelope_decay(self):
-        p = self.params()
-        x = (3.0 + p.sigma_x * math.cos(0.3), -1.0 + p.sigma_x * math.sin(0.3))
-        val = gabor_profile(p, x, 2.0)
-        assert abs(val) == pytest.approx(math.exp(-1.0))
-
-    def test_phase_front_moves_at_nu_over_p(self):
-        # the phase along theta advances by nu/|p| * dt per unit time
-        p = self.params()
-        v = p.nu / p.p_modulus
-        dt = 0.4
-        x0 = np.array([3.0, -1.0])
-        direction = np.array([math.cos(p.theta), math.sin(p.theta)])
-        a = gabor_profile(p, x0 + 0.05 * direction, 2.0)
-        b = gabor_profile(p, x0 + (0.05 + v * dt) * direction, 2.0 + dt)
-        assert math.isclose(np.angle(a), np.angle(b), abs_tol=1e-9)
 
 
 class TestSigmoid:

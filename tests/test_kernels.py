@@ -235,6 +235,36 @@ class TestEstimation:
         want *= spec.dt_exact
         assert np.array_equal(k.values, want / want.sum())
 
+    def test_zero_noise_trajectory_walk_is_the_binned_curve(self):
+        # with kappa = alpha = 0 each jittered path of the batch walker is the
+        # straight trajectory curve from its start; every step deposits dt at
+        # the nearest (q1, q2, theta, v) node and the ceiling ds bin, and
+        # points off the lattice deposit nothing
+        spec = SdeSpec("trajectory", 0.0, 0.0, 0.25, 6.0, 400, seed=2)
+        lat = trajectory_lattice(4, 5, 8, 5, 1.0)
+        child = np.random.SeedSequence(spec.seed).spawn(1)[0]
+        got, _ = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child,
+                                                start_jitter="gauss")
+        # the walker's first draw is the (q1, q2, theta, v) start jitter
+        jit = np.random.default_rng(child).standard_normal((4, spec.n_paths)) * 0.5
+        o, d = lat.origin, lat.spacing
+        dt = spec.dt_exact
+        counts = np.zeros(lat.shape, dtype=np.int64)
+        for q1, q2, th, v in (jit * np.array([d[0], d[1], d[3], d[4]])[:, None]).T:
+            start = ManifoldPoint(q1, q2, 0.0, th, v)
+            for step in range(1, spec.n_steps + 1):
+                p = trajectory_curve(start, 0.0, 0.0, step * dt)
+                i1, i2, i_v = (int(np.rint((x - o[a]) / d[a])) for a, x in
+                               ((0, p.q1), (1, p.q2), (4, p.v)))
+                i_s = math.ceil(step * dt - 1e-9) - 1
+                i_t = int(np.rint(p.theta / d[3])) % lat.shape[3]
+                idx = (i1, i2, i_s, i_t, i_v)
+                if all(0 <= i < n for i, n in zip(idx, lat.shape)):
+                    counts[idx] += 1
+        # the 5 ds bins take 20 of the 24 steps; most of those stay on the lattice
+        assert counts.sum() > 0.5 * spec.n_paths * 20
+        assert np.array_equal(got, counts.ravel() * dt)
+
     def test_trajectory_mass_only_at_positive_ds(self):
         # structural: the ds axis starts at bin 1 and ceiling binning makes
         # mass at ds <= 0 impossible
