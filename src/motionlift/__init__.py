@@ -40,7 +40,6 @@ from .kernels import (
     trajectory_lattice,
 )
 from .population import (
-    FacilitationConfig,
     activity_steady,
     facilitate,
     facilitate_reference,

@@ -2,9 +2,11 @@
 
 Subcommands wire plain-text configs (``key = value`` lines, ``#`` comments)
 to the experiment pipelines and to the individual stages (stimulus
-generation, filtering, kernel estimation, facilitation, exports).  Every
-run writes its resolved configuration and seed next to its outputs, and
-rerunning with the same inputs reproduces the outputs byte for byte.
+generation, filtering, kernel estimation, facilitation, exports).  Angles
+may be written as multiples of pi with one leading sign (``pi/6``, ``2pi/3``,
+``2*pi/3``, ``-pi/2``).  Every run writes its resolved configuration and seed
+next to its outputs, and rerunning with the same inputs reproduces the
+outputs byte for byte.
 
 Exit codes: 0 success, 2 invalid usage or configuration, 3 a named input
 file does not exist, 4 malformed volume/kernel file, 5 numerical or
@@ -78,23 +80,22 @@ def _coerce(value: str, target_type):
         if float(num) != int(float(num)):
             raise ValueError(f"{value!r} is not an integer")
         return int(float(num))
-    if target_type is str:
-        return value
     if target_type is tuple:
         return tuple(json.loads(value))
     raise ValueError(f"unsupported config field type {target_type}")
 
 
 def _eval_number(value: str) -> float:
-    """Numbers may use 'pi' (e.g. 'pi/6', '2pi/3') for angle settings."""
+    """Numbers may use 'pi' with one leading sign (e.g. 'pi/6', '-2pi/3') for angles."""
     token = value.replace(" ", "")
     if "pi" in token:
+        sign, token = (-1.0, token[1:]) if token[0] == "-" else (1.0, token.removeprefix("+"))
         token = token.replace("pi", f"*{math.pi}").lstrip("*")
         num, _, den = token.partition("/")
         result = _product(num)
         if den:
             result /= _product(den)
-        return result
+        return sign * result
     return float(token)
 
 
@@ -129,10 +130,7 @@ def apply_config(cfg, mapping: dict, overrides: list[str] | None = None):
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file {path} does not exist")
-    return parse_config_text(p.read_text())
+    return parse_config_text(Path(path).read_text())
 
 
 def _thread_count(value: str) -> int:
@@ -231,19 +229,13 @@ def cmd_make_stimulus(args) -> int:
     return EXIT_OK
 
 
-def _grid_from_args(nx: int, ny: int, args) -> ManifoldGrid:
-    s_slices = None
-    if args.s_slice is not None:
-        s_slices = tuple(args.s_slice)
-    return ManifoldGrid(nx, ny, args.n_theta, args.n_v, args.v_m, s_slices=s_slices)
-
-
 def cmd_filter(args) -> int:
     data, header = vio.read_volume(args.stimulus)
     from .gabor import StimulusVolume
 
     stim = StimulusVolume(data.astype(np.float64))
-    grid = _grid_from_args(data.shape[0], data.shape[1], args)
+    grid = ManifoldGrid(data.shape[0], data.shape[1], args.n_theta, args.n_v, args.v_m,
+                        s_slices=args.s_slice)
     act = energy_filter(stim, grid, args.p)
     if args.mu is not None:
         act = threshold_activity(act, args.mu, args.beta)

@@ -42,7 +42,7 @@ from .kernels import (
     estimate_kernel,
     trajectory_lattice,
 )
-from .population import FacilitationConfig, activity_steady, facilitate, facilitation_difference
+from .population import activity_steady, facilitate, facilitation_difference
 from .stimuli import (
     CircleStimulusSpec,
     TrajectoryStimulusSpec,
@@ -257,7 +257,7 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
 
     pattern = facilitate(thresholded, kernel, n_threads)
-    steady = activity_steady(raw, pattern, FacilitationConfig(cfg.c_f, cfg.mu, cfg.beta))
+    steady = activity_steady(raw, pattern, cfg.c_f, cfg.mu, cfg.beta)
 
     axes4 = ("q1", "q2", "theta", "v")
     for name, act in (("F_T", thresholded), ("P", pattern), ("F0", steady)):
@@ -418,7 +418,6 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     vio.write_kernel(out / "kernels" / "gamma.knl", kernel, provenance=prov)
 
     grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
-    fac_cfg = FacilitationConfig(cfg.c_f, cfg.mu, cfg.beta)
     # the all-ones input lives only for this call (229 MB at paper scale)
     shape = (cfg.size, cfg.size, cfg.n_frames, cfg.n_theta, cfg.n_v)
     p_ones = facilitate(LiftedActivity(grid, np.ones(shape), "facilitation",
@@ -434,7 +433,7 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         total = c0 * p_ones
         total += pattern.values
         pattern = pattern.with_values(total, "facilitation")
-        return activity_steady(raw, pattern, fac_cfg)
+        return activity_steady(raw, pattern, cfg.c_f, cfg.mu, cfg.beta)
 
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))
     table = []
@@ -452,22 +451,17 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         table.append(row)
         vio.write_volume(out / "activity" / f"F_fac_{tag}.vol", f_fac.values,
                          f_fac.axes, kind="facilitation", provenance=prov)
-        # time-course isosurfaces: fiber-integrated interaction and the
-        # fiber-max steady response of the full stimulus
-        fib_int = f_fac.values.sum(axis=(0, 1))
-        ref = float(np.abs(fib_int).max()) or 1.0
-        for frac in (0.9, 0.5, 0.1):
-            vio.export_isosurface_points(
-                out / "exports" / f"Ffac_int_{tag}_iso{frac}.csv",
-                fib_int, ("s", "theta", "v"), frac * ref,
-            )
-        fib_max = f0_full.values.max(axis=(3, 4))
-        ref0 = float(fib_max.max()) or 1.0
-        for frac in (0.9, 0.5, 0.1):
-            vio.export_isosurface_points(
-                out / "exports" / f"F0_max_{tag}_iso{frac}.csv",
-                fib_max, ("q1", "q2", "s"), frac * ref0,
-            )
+        # time-course isosurfaces: fiber-integrated interaction and the fiber-max
+        # steady response of the full stimulus (in (0, 1): its max is its max modulus)
+        for name, field, axes in (
+            ("Ffac_int", f_fac.values.sum(axis=(0, 1)), ("s", "theta", "v")),
+            ("F0_max", f0_full.values.max(axis=(3, 4)), ("q1", "q2", "s")),
+        ):
+            ref = float(np.abs(field).max()) or 1.0
+            for frac in (0.9, 0.5, 0.1):
+                vio.export_isosurface_points(
+                    out / "exports" / f"{name}_{tag}_iso{frac}.csv", field, axes, frac * ref,
+                )
     lines = ["delta_t,delta_theta,window_lo,window_hi,energy,energy_positive,peak"]
     for row in table:
         lines.append(

@@ -198,8 +198,6 @@ class GaborBank:
     """
 
     def __init__(self, grid: ManifoldGrid, p_modulus: float):
-        if not p_modulus > 0:
-            raise ValueError("p_modulus must be positive")
         if p_modulus > math.pi:
             raise ValueError(f"|p| = {p_modulus} exceeds the Nyquist limit pi")
         self.grid = grid
@@ -291,18 +289,13 @@ def energy_filter(
     f_hi = min(n_t - 1, int(frames.max()) + rt)
     sub = stimulus.data[:, :, f_lo : f_hi + 1]
     out_frames = frames - f_lo
-    px, py, pt = fft_period(nx, rx), fft_period(ny, rx), fft_period(sub.shape[2], rt)
-    fpad = np.zeros((px, py, pt), dtype=np.complex128)
-    fpad[:nx, :ny, : sub.shape[2]] = sub
-    fhat = np.fft.fftn(fpad)
+    period = (fft_period(nx, rx), fft_period(ny, rx), fft_period(sub.shape[2], rt))
+    fhat = np.fft.fftn(sub, s=period, axes=(0, 1, 2))  # zero-padded to the period
     values = np.empty((nx, ny, frames.size, grid.n_theta, grid.n_v))
-    hpad = np.empty_like(fpad)
     for i in range(grid.n_theta):
         for j in range(grid.n_v):
             w = bank.filters[i, j]
-            hpad[:] = 0.0
-            hpad[: 2 * rx + 1, : 2 * rx + 1, : 2 * rt + 1] = w[::-1, ::-1, ::-1]
-            conv = np.fft.ifftn(fhat * np.fft.fftn(hpad))
+            conv = np.fft.ifftn(fhat * np.fft.fftn(w[::-1, ::-1, ::-1], s=period, axes=(0, 1, 2)))
             lin = conv[rx : rx + nx, rx : rx + ny, rt : rt + sub.shape[2]]
             values[:, :, :, i, j] = np.abs(lin[:, :, out_frames]) ** 2
     np.maximum(values, 0.0, out=values)  # |.|^2 is nonnegative up to roundoff

@@ -203,23 +203,13 @@ def export_isosurface_points(
     origin = list(origin) if origin is not None else [0.0] * values.ndim
     spacing = list(spacing) if spacing is not None else [1.0] * values.ndim
     above = values >= isovalue
-    interior = np.ones_like(above)
+    padded = np.pad(above, 1)  # the domain boundary counts as below
+    interior = above.copy()
     for axis in range(values.ndim):
-        lo = np.ones_like(above)
-        hi = np.ones_like(above)
-        sl_lo = [slice(None)] * values.ndim
-        sl_hi = [slice(None)] * values.ndim
-        sl_lo[axis] = slice(1, None)
-        sl_hi[axis] = slice(None, -1)
-        lo[tuple(sl_lo)] = above[tuple(sl_hi)]
-        hi[tuple(sl_hi)] = above[tuple(sl_lo)]
-        lo_edge = [slice(None)] * values.ndim
-        lo_edge[axis] = 0
-        hi_edge = [slice(None)] * values.ndim
-        hi_edge[axis] = values.shape[axis] - 1
-        lo[tuple(lo_edge)] = False
-        hi[tuple(hi_edge)] = False
-        interior &= lo & hi
+        for start in (0, 2):  # the face neighbour below, then above
+            neighbour = [slice(1, -1)] * values.ndim
+            neighbour[axis] = slice(start, start + values.shape[axis])
+            interior &= padded[tuple(neighbour)]
     shell = above & ~interior
     idx = np.argwhere(shell)
     # whole columns of Python floats: repr gives the shortest round-trip text

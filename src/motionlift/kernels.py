@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,16 +81,7 @@ class SdeSpec:
         return self.T / self.n_steps
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "dt": self.dt,
-            "T": self.T,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "calibration": self.calibration,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SdeSpec":
@@ -254,10 +245,10 @@ def _simulate_batch_histogram(
     nb: int,
     child_seed,
     snapshot_steps=None,
-    accumulate: bool = True,
     start_jitter=False,
 ):
-    """Run one batch of paths, depositing dt per step into the lattice.
+    """Run one batch of paths, depositing dt per step into the lattice, or,
+    given ``snapshot_steps``, only counting the states at those steps.
 
     Returns (flat histogram, list of per-snapshot flat count histograms).
     The per-path random stream order is (step, channel, path), fixed.  The
@@ -339,7 +330,7 @@ def _simulate_batch_histogram(
                 # snapshots live on the 4D (q1, q2, theta, v) sub-lattice
                 snap = np.bincount(flat[r], minlength=gsize).reshape(gshape)
                 snaps[k0 + r + 1] = snap[1:-1, 1:-1, :, 1:-1].ravel()
-        if not accumulate:
+        if snapshot_steps is not None:
             continue
         if has_ds:
             # ds bin j covers (j-1, j]; steps past the last bin hit a guard bin
@@ -379,8 +370,7 @@ def run_workers(n_workers: int, work) -> None:
 
 
 def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1,
-              snapshot_steps=None, accumulate: bool = True,
-              start_jitter=False):
+              snapshot_steps=None, start_jitter=False):
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     counts = _batch_counts(spec.n_paths)
@@ -388,29 +378,24 @@ def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1,
     n_workers = min(n_threads, len(counts))
     done = {}  # finished batches not merged yet
     hist = np.zeros(int(np.prod(lattice.shape)))
-    snap_acc = None
+    snap_acc = [0.0] * len(snapshot_steps or ())
     merged = 0
 
     def merge_ready():
         # merge in batch order: bit-identical regardless of worker count
-        nonlocal hist, merged, snap_acc
+        nonlocal hist, merged
         while merged in done:
             h, snaps = done.pop(merged)
             merged += 1
             hist += h
-            if snapshot_steps is not None:
-                if snap_acc is None:
-                    snap_acc = [s.astype(np.float64) for s in snaps]
-                else:
-                    for acc, s in zip(snap_acc, snaps):
-                        acc += s
+            for i, s in enumerate(snaps):
+                snap_acc[i] += s
 
     def work(w):
         # worker w runs batches w, w + n_workers, ...; only the caller merges
         for b in range(w, len(counts), n_workers):
             done[b] = _simulate_batch_histogram(
-                spec, lattice, counts[b], children[b], snapshot_steps, accumulate,
-                start_jitter,
+                spec, lattice, counts[b], children[b], snapshot_steps, start_jitter,
             )
             if w == 0:
                 merge_ready()
@@ -467,22 +452,19 @@ def estimate_slice_densities(
         raise ValueError("slice densities live on a 4D lattice")
     dt = spec.dt_exact
     centers = sorted({max(1, min(spec.n_steps, int(round(t / dt)))) for t in times})
-    if window > 0:
-        steps = sorted(
-            {
-                k
-                for c in centers
-                for k in range(max(1, c - window), min(spec.n_steps, c + window) + 1)
-            }
-        )
-    else:
-        steps = centers
+    steps = sorted(
+        {
+            k
+            for c in centers
+            for k in range(max(1, c - window), min(spec.n_steps, c + window) + 1)
+        }
+    )
     _, snaps = _estimate(spec, lattice4, n_threads, snapshot_steps=steps,
-                         accumulate=False, start_jitter=start_jitter)
+                         start_jitter=start_jitter)
     by_step = {k: s.reshape(lattice4.shape) for k, s in zip(steps, snaps)}
     out = []
     for c in centers:
-        ks = [k for k in steps if abs(k - c) <= window] if window > 0 else [c]
+        ks = [k for k in steps if abs(k - c) <= window]
         out.append(sum(by_step[k] for k in ks) / (len(ks) * spec.n_paths))
     return np.array(centers, dtype=float) * dt, np.stack(out)
 
@@ -659,7 +641,8 @@ def fp_reference(
     sweeps = ((0, u1, spacing[0]), (1, u2, spacing[1]))
 
     def take_snapshot(f):
-        coarse = f.reshape(
+        # a C-order copy, so the sum order is not the last sub-step's layout
+        coarse = np.ascontiguousarray(f).reshape(
             sh[0], rf[0], sh[1], rf[1], sh[2], rf[2], sh[3], rf[3]
         ).sum(axis=(1, 3, 5, 7))
         if spectral:
@@ -720,15 +703,11 @@ def kernel_lookup(kernel: KernelGrid, target) -> float | np.ndarray:
     lo = np.floor(idx_f).astype(np.int64)
     frac = idx_f - lo
     rank = len(lat.axes)
+    strides = np.cumprod((lat.shape[1:] + (1,))[::-1])[::-1]  # C order
     for corner in range(1 << rank):
         weight = np.ones(n)
         flat = np.zeros(n, dtype=np.int64)
         valid = np.ones(n, dtype=bool)
-        stride = 1
-        strides = np.empty(rank, dtype=np.int64)
-        for a in range(rank - 1, -1, -1):
-            strides[a] = stride
-            stride *= lat.shape[a]
         for a in range(rank):
             bit = (corner >> a) & 1
             ia = lo[:, a] + bit

@@ -37,7 +37,7 @@ runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,24 +49,9 @@ _CHUNK_BYTES = 4 << 20  # working set of one FFT batch or contraction chunk, spl
 _BLOCK_BYTES = 8 * _CHUNK_BYTES  # least budget of stencil spectra held at once
 
 
-@dataclass(frozen=True)
-class FacilitationConfig:
-    """Facilitation strength and sigmoid parameters for the activity model."""
-
-    c_f: float
-    mu: float
-    beta: float
-
-    def __post_init__(self):
-        if self.c_f < 0:
-            raise ValueError("the model is purely excitatory: c_f must be >= 0")
-
-
 def truncated_kernel_values(kernel: KernelGrid) -> np.ndarray:
     """Kernel values with entries below TRUNC_REL * max zeroed (sparsified)."""
     vals = kernel.values
-    if vals.size == 0:
-        return vals.copy()
     cut = TRUNC_REL * float(vals.max())
     return np.where(vals >= cut, vals, 0.0)
 
@@ -401,11 +386,7 @@ def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> Lifted
     """
     grid = activity.grid
     _check_compat(grid, kernel)
-    trunc = KernelGrid(
-        axes=kernel.axes, origin=kernel.origin, spacing=kernel.spacing,
-        values=truncated_kernel_values(kernel), spec=kernel.spec,
-        raw_weight=kernel.raw_weight,
-    )
+    trunc = replace(kernel, values=truncated_kernel_values(kernel))
     nx, ny, ns, nth, nv = activity.values.shape
     out = np.zeros_like(activity.values)
     # the relative element depends on (x - x', y - y') only: each difference
@@ -463,16 +444,18 @@ def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> Lifted
 
 
 def activity_steady(
-    raw: LiftedActivity, facil: LiftedActivity, cfg: FacilitationConfig
+    raw: LiftedActivity, facil: LiftedActivity, c_f: float, mu: float, beta: float
 ) -> LiftedActivity:
-    """First-order steady activity S(F + c_f P)."""
+    """First-order steady activity S(F + c_f P), S the sigmoid of gain mu and threshold beta."""
+    if c_f < 0:
+        raise ValueError("the model is purely excitatory: c_f must be >= 0")
     if raw.kind != "raw":
         raise ValueError("activity_steady expects the raw energy as first input")
     if facil.kind != "facilitation":
         raise ValueError("activity_steady expects a facilitation field as second input")
     if raw.values.shape != facil.values.shape:
         raise ValueError("raw and facilitation grids do not match")
-    vals = sigmoid(raw.values + cfg.c_f * facil.values, cfg.mu, cfg.beta)
+    vals = sigmoid(raw.values + c_f * facil.values, mu, beta)
     return raw.with_values(vals, "total")
 
 
@@ -485,5 +468,4 @@ def facilitation_difference(
             raise ValueError("facilitation_difference expects steady (total) activities")
     if not (full.values.shape == first.values.shape == second.values.shape):
         raise ValueError("activity grids do not match")
-    vals = full.values - first.values - second.values
-    return LiftedActivity(full.grid, vals, "facilitation", full.s_frames.copy())
+    return full.with_values(full.values - first.values - second.values, "facilitation")

@@ -1,6 +1,7 @@
 """End-to-end runs through the command-line entry point."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 import motionlift.kernels as kmod
 from motionlift import experiments
 from motionlift import io as vio
-from motionlift.cli import main
+from motionlift.cli import _eval_number, apply_config, main, parse_config_text
+from motionlift.experiments import Experiment2Config
 from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, trajectory_lattice
 from motionlift.population import facilitate
+from motionlift.stimuli import occluded_trajectory
 
 
 def _outputs(out: Path) -> dict:
@@ -119,6 +122,7 @@ def test_thread_count_below_one_is_a_usage_error(tmp_path, monkeypatch, command,
 
 EXIT_CASES = [
     ("unknown-key", 2, "unknown config key 'nosuchkey'"),
+    ("missing-config", 3, "nothing.cfg"),
     ("missing-kernel", 3, "kernel.knl"),
     ("not-a-container", 4, "not a volume container"),
     ("orientation-mismatch", 5, "kernel has 8 orientation bins, grid has 6"),
@@ -130,6 +134,9 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
     out = tmp_path / "out.vol"
     if case == "unknown-key":
         argv = ["experiment1", "--set", "nosuchkey=1", "--out", str(tmp_path / "run")]
+    elif case == "missing-config":
+        argv = ["experiment1", "--config", str(tmp_path / "nothing.cfg"),
+                "--out", str(tmp_path / "run")]
     else:
         activity = tmp_path / "activity.vol"
         vio.write_volume(activity, np.ones((7, 7, 6, 3)), ("q1", "q2", "theta", "v"),
@@ -225,3 +232,54 @@ def test_experiment2_flags_gaps_the_kernel_cannot_bridge(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("warning: ") == 1
     assert "dT=4 " in err and "bridged: false" in err
+
+
+def test_config_text_skips_comments_and_blank_lines_and_keeps_the_last_key():
+    text = "# a comment\n\nsize = 21  # trailing comment\n   \nseed=3\nsize = 25\n"
+    assert parse_config_text(text) == {"size": "25", "seed": "3"}
+
+
+@pytest.mark.parametrize("text, want", [
+    ("pi/6", math.pi / 6),
+    ("2pi/3", 2 * math.pi / 3),
+    ("2*pi/3", 2 * math.pi / 3),
+    ("-pi/2", -math.pi / 2),
+    ("- pi / 2", -math.pi / 2),
+    ("+pi", math.pi),
+    ("-3.5", -3.5),
+])
+def test_pi_expressions_equal_the_math_pi_arithmetic(text, want):
+    assert _eval_number(text) == want
+
+
+def test_set_overrides_the_config_file():
+    cfg = apply_config(Experiment2Config(), parse_config_text("size = 21\ntheta_init = pi/2\n"),
+                       ["size=25", "theta_init = -pi/2"])
+    assert cfg.size == 25 and cfg.theta_init == -math.pi / 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("size 21", "config line 2: expected 'key = value'"),
+    ("n_frames = 2.5", "config key 'n_frames': '2.5' is not an integer"),
+])
+def test_bad_config_lines_are_usage_errors(tmp_path, capsys, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed = 3\n{line}\n")
+    out = tmp_path / "run"
+    assert main(["experiment1", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_signed_pi_from_a_config_file_and_from_set(tmp_path):
+    # either way the heading -pi/2 renders the movie of theta_init = -math.pi / 2
+    config = tmp_path / "traj.cfg"
+    config.write_text("size = 21\nn_frames = 16\ntheta_init = -pi/2\n")
+    cfg = Experiment2Config(size=21, n_frames=16, theta_init=-math.pi / 2)
+    want = occluded_trajectory(cfg.stimulus_spec(*cfg.sweep[0]))[0].data.astype("<f4")
+    for tag, args in (("file", ["--config", str(config)]),
+                      ("set", ["--set", "size=21", "--set", "n_frames=16",
+                               "--set", "theta_init=-pi/2"])):
+        out = tmp_path / f"{tag}.vol"
+        assert main(["make-stimulus", "--kind", "trajectory", *args, "--out", str(out)]) == 0
+        assert np.array_equal(vio.read_volume(out)[0], want)

@@ -29,8 +29,10 @@ from motionlift.kernels import (
 
 
 def _per_step_batch_histogram(spec, lattice, nb, child_seed, snapshot_steps=None,
-                              accumulate=True, start_jitter=False):
-    """Reference batch: the plain loop, one numpy call per step and per deposit."""
+                              start_jitter=False):
+    """Reference batch: the plain loop, one numpy call per step and per deposit.
+
+    Passages are deposited only when no snapshots are taken."""
     rng = np.random.default_rng(child_seed)
     dt = spec.dt_exact
     sk = math.sqrt(2.0 * dt) * spec.kappa
@@ -84,7 +86,7 @@ def _per_step_batch_histogram(spec, lattice, nb, child_seed, snapshot_steps=None
             (i1 >= 0) & (i1 < sh[0]) & (i2 >= 0) & (i2 < sh[1])
             & (iv >= 0) & (iv < sh[ax_v])
         )
-        if accumulate:
+        if snapshot_steps is None:
             if has_ds:
                 i_s = int(math.ceil(t_now - 1e-9)) - 1  # ds bin k covers (k-1, k]
                 if 0 <= i_s < sh[2]:
@@ -320,7 +322,7 @@ class TestBatchLoopPinned:
         lat = contour_lattice(4, 8, 5, 1.0)
         steps = [3, 7, 24, 25, 26, 27, 51, 52]  # windows across block edges
         _, snaps = self.run_both(spec, lat, 999, snapshot_steps=steps,
-                                 accumulate=False, start_jitter="gauss")
+                                 start_jitter="gauss")
         assert all(s.sum() > 0 for s in snaps)
 
     @pytest.mark.parametrize("block", [1, 7, 25, 64])
@@ -329,7 +331,10 @@ class TestBatchLoopPinned:
         monkeypatch.setattr(kmod, "STEP_BLOCK", block)
         spec = SdeSpec("trajectory", 0.5, 0.3, 0.05, 2.0, 999, seed=7)
         assert block == 1 or spec.n_steps % block != 0
-        self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 999, snapshot_steps=[1, 2, 40])
+        lat = contour_lattice(4, 8, 5, 1.0)
+        hist, _ = self.run_both(spec, lat, 999)  # passages
+        _, snaps = self.run_both(spec, lat, 999, snapshot_steps=[1, 2, 40])
+        assert hist.sum() > 0 and all(s.sum() > 0 for s in snaps)
 
 
 class TestKernelLookup:
@@ -424,6 +429,24 @@ class TestFpReference:
                              transport="spectral", init="gauss")
         d = np.abs(up[-1] / up[-1].sum() - sp[-1] / sp[-1].sum()).sum()
         assert d < 0.12
+
+    @pytest.mark.parametrize("mode", kmod.MODES)
+    @pytest.mark.parametrize("transport", ["upwind", "spectral"])
+    def test_snapshots_do_not_depend_on_memory_layout(self, mode, transport, monkeypatch):
+        # every sub-step gives the same values in any memory layout, so the
+        # snapshots must not change when each sub-step returns a C-order copy
+        lat = contour_lattice(4, 8, 5, 1.0)
+
+        def run():
+            return fp_reference(mode, 0.4, 0.3, lat, 1.0, [0.5, 1.0],
+                                transport=transport, init="gauss")[1]
+
+        want = run()
+        for name in ("_advect_axis", "_diffuse_axis"):
+            step = getattr(kmod, name)
+            monkeypatch.setattr(kmod, name,
+                                lambda *a, step=step, **k: np.ascontiguousarray(step(*a, **k)))
+        assert np.array_equal(run(), want)
 
 
 class TestSliceDensities:

@@ -21,7 +21,6 @@ from motionlift.kernels import (
     trajectory_lattice,
 )
 from motionlift.population import (
-    FacilitationConfig,
     FacilitationPlan,
     activity_steady,
     facilitate,
@@ -433,8 +432,7 @@ class TestSteadyActivity:
                              np.array([0]))
         pattern = facilitate(raw.with_values(sigmoid(raw.values, 10, 0.5),
                                              "facilitation"), kernel)
-        cfg = FacilitationConfig(0.0, 10.0, 0.5)
-        steady = activity_steady(raw, pattern, cfg)
+        steady = activity_steady(raw, pattern, 0.0, 10.0, 0.5)
         assert np.allclose(steady.values, sigmoid(raw.values, 10.0, 0.5))
 
     def test_monotone_in_facilitation(self, small4):
@@ -444,15 +442,17 @@ class TestSteadyActivity:
                              np.array([0]))
         p1 = raw.with_values(rng.uniform(0, 0.5, raw.values.shape), "facilitation")
         p2 = p1.with_values(p1.values + 0.1, "facilitation")
-        cfg = FacilitationConfig(5.0, 10.0, 0.5)
-        s1 = activity_steady(raw, p1, cfg)
-        s2 = activity_steady(raw, p2, cfg)
+        s1 = activity_steady(raw, p1, 5.0, 10.0, 0.5)
+        s2 = activity_steady(raw, p2, 5.0, 10.0, 0.5)
         assert (s2.values >= s1.values).all()
         assert 0.0 < s1.values.min() and s1.values.max() < 1.0
 
-    def test_negative_strength_rejected(self):
-        with pytest.raises(ValueError):
-            FacilitationConfig(-1.0, 10.0, 0.5)
+    def test_negative_strength_rejected(self, small4):
+        grid, _ = small4
+        raw = LiftedActivity(grid, np.zeros((7, 7, 1, 6, 3)), "raw", np.array([0]))
+        pattern = raw.with_values(np.zeros_like(raw.values), "facilitation")
+        with pytest.raises(ValueError, match="c_f must be >= 0"):
+            activity_steady(raw, pattern, -1.0, 10.0, 0.5)
 
 
 class TestFacilitationDifference:
@@ -473,9 +473,8 @@ class TestFacilitationDifference:
         # at -S(0)
         grid, kernel = small4
         raw = LiftedActivity(grid, np.zeros((7, 7, 1, 6, 3)), "raw", np.array([0]))
-        cfg = FacilitationConfig(0.0, 10.0, 0.5)
         pattern = raw.with_values(np.zeros_like(raw.values), "facilitation")
-        f0 = activity_steady(raw, pattern, cfg)
+        f0 = activity_steady(raw, pattern, 0.0, 10.0, 0.5)
         diff = facilitation_difference(f0, f0, f0)
         assert np.allclose(diff.values, -sigmoid(0.0, 10.0, 0.5))
 
