@@ -81,8 +81,23 @@ def _coerce(value: str, target_type):
             raise ValueError(f"{value!r} is not an integer")
         return int(float(num))
     if target_type is tuple:
-        return tuple(json.loads(value))
+        return _sweep(json.loads(value))
     raise ValueError(f"unsupported config field type {target_type}")
+
+
+def _sweep(points) -> tuple:
+    """A sweep: a non-empty JSON list of [delta_t, delta_theta] number
+    pairs, where delta_t is a whole number of frames."""
+    def number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+    if not isinstance(points, list) or not points or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(number, p)) and float(p[0]).is_integer()
+        for p in points
+    ):
+        raise ValueError("expected a non-empty list of [delta_t, delta_theta] number pairs "
+                         f"with a whole delta_t, got {json.dumps(points)}")
+    return tuple((int(dt), float(dth)) for dt, dth in points)
 
 
 def _eval_number(value: str) -> float:
@@ -339,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v-m", dest="v_m", type=float, default=1.0)
     sp.add_argument("--n-theta", dest="n_theta", type=int, default=16)
     sp.add_argument("--n-v", dest="n_v", type=int, default=9)
-    sp.add_argument("--s-slice", dest="s_slice", type=int, nargs="*")
+    sp.add_argument("--s-slice", dest="s_slice", type=int, nargs="+")
     sp.add_argument("--mu", type=float, help="apply the sigmoid with this gain")
     sp.add_argument("--beta", type=float, default=0.5)
     sp.set_defaults(func=cmd_filter)

@@ -7,6 +7,11 @@ of the correlation is the lifted energy F.  Filters are made exactly
 zero-mean (no response to uniform luminance) and are normalized so a
 unit-contrast sinusoidal plane wave matching the filter's orientation,
 frequency and velocity yields energy 1.
+
+Each filter is a sum of three separable terms, each a product of one
+profile per axis (x1, x2, t), as in Adelson & Bergen's motion-energy
+filters.  The FFT lift builds every filter spectrum from per-axis 1D
+transforms and inverts the temporal axis only at the frames the grid keeps.
 """
 
 from __future__ import annotations
@@ -85,6 +90,8 @@ class ManifoldGrid:
             raise ValueError("v_m must be positive")
         if self.s_slices is not None:
             object.__setattr__(self, "s_slices", tuple(int(s) for s in self.s_slices))
+            if not self.s_slices:
+                raise ValueError("s_slices must name at least one frame (None keeps them all)")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -185,7 +192,7 @@ def threshold_activity(activity: LiftedActivity, mu: float, beta: float) -> Lift
 
 
 class GaborBank:
-    """Precomputed truncated, zero-mean, contrast-normalized filter arrays.
+    """Truncated, zero-mean, contrast-normalized filters in separable form.
 
     Support is truncated at 3 sigma per axis.  Each filter starts as the
     conjugate plane wave under the Gaussian envelope and is then
@@ -195,11 +202,27 @@ class GaborBank:
     phase; at these small supports the counter-phase leak of the plain
     zero-mean Gabor is several percent).  Finally each filter is scaled so
     a matched unit-contrast sinusoid yields energy 1.
+
+    The envelope and the drifting wave each factor into one profile per
+    axis (x1, x2, t), so with u = wave * env every filter is a sum of three
+    separable terms,
+
+        w = scale * conj(u) - scale * ca * env - scale * cb * u.
+
+    The bank keeps the factors: ``x1_factors[i, m]`` and ``x2_factors[i, m]``
+    are the spatial profiles of term m at orientation i, ``t_factors[j, m]``
+    its temporal profile at velocity j, and ``coefs[i, j, m]`` its
+    coefficient (scale, -scale * ca, -scale * cb).  The wave's spatial
+    profiles depend on theta only and its temporal profile on v only, and
+    every sum that fixes ca, cb and scale is a product of three per-axis
+    sums.  ``filters[i, j]`` is the dense (x1, x2, t) array the factors make.
     """
 
     def __init__(self, grid: ManifoldGrid, p_modulus: float):
-        if p_modulus > math.pi:
-            raise ValueError(f"|p| = {p_modulus} exceeds the Nyquist limit pi")
+        if p_modulus >= math.pi:
+            # at |p| = pi the wave of the theta = 0, v = 0 filter is real, so
+            # it equals its counter-phase wave and the filter vanishes
+            raise ValueError(f"|p| = {p_modulus} is not below the Nyquist limit pi")
         self.grid = grid
         self.p_modulus = float(p_modulus)
         self.sigma_x, self.sigma_t = scales_from_frequency(p_modulus, grid.v_m)
@@ -207,32 +230,38 @@ class GaborBank:
         self.rt = max(1, int(math.floor(3.0 * self.sigma_t)))
         ax = np.arange(-self.rx, self.rx + 1, dtype=float)
         at = np.arange(-self.rt, self.rt + 1, dtype=float)
-        X1, X2, T = np.meshgrid(ax, ax, at, indexing="ij")
-        envelope = np.exp(
-            -(X1 * X1 + X2 * X2) / self.sigma_x**2 - T * T / self.sigma_t**2
-        )
-        self.filters = np.empty(
-            (grid.n_theta, grid.n_v, ax.size, ax.size, at.size), dtype=np.complex128
-        )
-        a_sum = envelope.sum()
-        for i, theta in enumerate(self.grid.thetas):
-            p1 = p_modulus * math.cos(theta)
-            p2 = p_modulus * math.sin(theta)
-            for j, v in enumerate(self.grid.vs):
-                nu = p_modulus * v
-                wave = np.exp(1j * (p1 * X1 + p2 * X2 - nu * T))
-                base = np.conj(wave) * envelope
-                # coefficients (a, b) of env and wave*env that zero both the
-                # constant response and the counter-phase wave response
-                b_sum = (wave * envelope).sum()
-                e2_sum = (np.conj(wave) ** 2 * envelope).sum()
-                mat = np.array([[a_sum, b_sum], [np.conj(b_sum), a_sum]])
-                rhs = np.array([np.conj(b_sum), e2_sum])
-                ca, cb = np.linalg.solve(mat, rhs)
-                w = base - ca * envelope - cb * wave * envelope
-                matched = np.abs((w * wave).sum())
-                scale = 4.0 / matched  # unit-contrast sinusoid -> energy 1
-                self.filters[i, j] = w * scale
+        env_x = np.exp(-ax * ax / self.sigma_x**2)
+        env_t = np.exp(-at * at / self.sigma_t**2)
+        # the wave exp(i (p1 x1 + p2 x2 - nu t)), one factor per axis
+        w1 = np.exp(1j * (p_modulus * np.cos(grid.thetas))[:, None] * ax)
+        w2 = np.exp(1j * (p_modulus * np.sin(grid.thetas))[:, None] * ax)
+        wt = np.exp(-1j * (p_modulus * grid.vs)[:, None] * at)
+
+        def env_sum(k1, k2, kt):
+            """Sum of k1(x1) k2(x2) kt(t) env over the support, per (theta, v)."""
+            return ((k1 * env_x).sum(-1) * (k2 * env_x).sum(-1))[:, None] * (kt * env_t).sum(-1)
+
+        a_sum = env_x.sum() ** 2 * env_t.sum()
+        b_sum = env_sum(w1, w2, wt)
+        e2_sum = env_sum(np.conj(w1) ** 2, np.conj(w2) ** 2, np.conj(wt) ** 2)
+        # coefficients (a, b) of env and wave*env that zero both the
+        # constant response and the counter-phase wave response
+        mat = np.empty(b_sum.shape + (2, 2), dtype=np.complex128)
+        mat[..., 0, 0] = mat[..., 1, 1] = a_sum
+        mat[..., 0, 1] = b_sum
+        mat[..., 1, 0] = np.conj(b_sum)
+        rhs = np.stack([np.conj(b_sum), e2_sum], -1)[..., None]
+        ca, cb = np.moveaxis(np.linalg.solve(mat, rhs)[..., 0], -1, 0)
+        # the matched response is the sum of w * wave, and conj(wave) * wave = 1;
+        # scaled so a unit-contrast matched sinusoid yields energy 1
+        scale = 4.0 / np.abs(a_sum - ca * b_sum - cb * np.conj(e2_sum))
+        u1, u2, ut = w1 * env_x, w2 * env_x, wt * env_t
+        self.x1_factors = np.stack([np.conj(u1), np.broadcast_to(env_x, u1.shape), u1], 1)
+        self.x2_factors = np.stack([np.conj(u2), np.broadcast_to(env_x, u2.shape), u2], 1)
+        self.t_factors = np.stack([np.conj(ut), np.broadcast_to(env_t, ut.shape), ut], 1)
+        self.coefs = scale[..., None] * np.stack([np.ones_like(ca), -ca, -cb], -1)
+        self.filters = np.einsum("ijm,imx,imy,jmt->ijxyt", self.coefs, self.x1_factors,
+                                 self.x2_factors, self.t_factors)
 
 
 def fft_period(n: int, reach: int) -> int:
@@ -273,6 +302,16 @@ def energy_filter(
     3 sigma of an edge are attenuated; tests should avoid those bands.  The
     circular periods per axis are ``fft_period`` of the input length and the
     filter reach.
+
+    A filter's spectrum is a sum over its three separable terms of the
+    outer product of the 1D spectra of its flipped factors.  The temporal
+    factor depends on v only, so for each v and term the movie's spectrum
+    times the factor's spectrum is inverted over t once, and only at the
+    kept frames.  Each fiber then weights those three responses by its
+    coefficients and its (x1, x2) spectra, sums them, and inverts over
+    (x1, x2) at the kept frames alone.  The loop calls no BLAS routine: a
+    threaded BLAS call leaves its worker threads spinning for a while
+    after it returns, which took CPU from the facilitation that follows.
     """
     nx, ny, n_t = stimulus.dims
     if (grid.nx, grid.ny) != (nx, ny):
@@ -288,17 +327,26 @@ def energy_filter(
     f_lo = max(0, int(frames.min()) - rt)
     f_hi = min(n_t - 1, int(frames.max()) + rt)
     sub = stimulus.data[:, :, f_lo : f_hi + 1]
-    out_frames = frames - f_lo
-    period = (fft_period(nx, rx), fft_period(ny, rx), fft_period(sub.shape[2], rt))
-    fhat = np.fft.fftn(sub, s=period, axes=(0, 1, 2))  # zero-padded to the period
+    px, py, pt = fft_period(nx, rx), fft_period(ny, rx), fft_period(sub.shape[2], rt)
+    fhat = np.fft.fftn(sub, s=(px, py, pt), axes=(0, 1, 2)).reshape(px * py, pt)
+    # correlation is convolution with the flipped filter, and the flip of a
+    # separable term is the product of its flipped factors
+    x1_hat = np.fft.fft(bank.x1_factors[..., ::-1], n=px)
+    x2_hat = np.fft.fft(bank.x2_factors[..., ::-1], n=py)
+    t_hat = np.fft.fft(bank.t_factors[..., ::-1], n=pt)
+    kept = rt + frames - f_lo  # the kept frames sit rt samples into the result
     values = np.empty((nx, ny, frames.size, grid.n_theta, grid.n_v))
-    for i in range(grid.n_theta):
-        for j in range(grid.n_v):
-            w = bank.filters[i, j]
-            conv = np.fft.ifftn(fhat * np.fft.fftn(w[::-1, ::-1, ::-1], s=period, axes=(0, 1, 2)))
-            lin = conv[rx : rx + nx, rx : rx + ny, rt : rt + sub.shape[2]]
-            values[:, :, :, i, j] = np.abs(lin[:, :, out_frames]) ** 2
-    np.maximum(values, 0.0, out=values)  # |.|^2 is nonnegative up to roundoff
+    for j in range(grid.n_v):
+        # each term's temporal response at the kept frames, per (x1, x2) bin
+        resp = [np.fft.ifft(fhat * t_hat[j, m], axis=1)[:, kept] for m in range(3)]
+        for i in range(grid.n_theta):
+            space = bank.coefs[i, j, :, None, None] * x1_hat[i, :, :, None] * x2_hat[i, :, None, :]
+            space = space.reshape(3, px * py, 1)
+            spectrum = space[0] * resp[0]
+            spectrum += space[1] * resp[1]
+            spectrum += space[2] * resp[2]
+            lin = np.fft.ifft2(spectrum.reshape(px, py, frames.size), axes=(0, 1))
+            values[:, :, :, i, j] = np.abs(lin[rx : rx + nx, rx : rx + ny]) ** 2
     return LiftedActivity(grid, values, "raw", frames)
 
 

@@ -450,6 +450,8 @@ def estimate_slice_densities(
     """
     if len(lattice4.shape) != 4:
         raise ValueError("slice densities live on a 4D lattice")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     dt = spec.dt_exact
     centers = sorted({max(1, min(spec.n_steps, int(round(t / dt)))) for t in times})
     steps = sorted(

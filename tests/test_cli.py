@@ -120,12 +120,28 @@ def test_thread_count_below_one_is_a_usage_error(tmp_path, monkeypatch, command,
     assert not out.exists()
 
 
+def test_filter_s_slice_without_frames_is_a_usage_error(tmp_path):
+    stimulus = tmp_path / "stimulus.vol"
+    vio.write_volume(stimulus, np.zeros((8, 8, 4)), ("q1", "q2", "s"), kind="raw")
+    out = tmp_path / "lifted.vol"
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", "--stimulus", str(stimulus), "--out", str(out), "--s-slice"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 EXIT_CASES = [
     ("unknown-key", 2, "unknown config key 'nosuchkey'"),
     ("missing-config", 3, "nothing.cfg"),
     ("missing-kernel", 3, "kernel.knl"),
     ("not-a-container", 4, "not a volume container"),
     ("orientation-mismatch", 5, "kernel has 8 orientation bins, grid has 6"),
+    ("sweep=3", 2, "config key 'sweep': expected a non-empty list"),
+    ("sweep=[1, 2]", 2, "got [1, 2]"),
+    ("sweep=[[1]]", 2, "got [[1]]"),
+    ('sweep=[["a", 0.5]]', 2, 'got [["a", 0.5]]'),
+    ("sweep=[[2.5, 0]]", 2, "with a whole delta_t"),
+    ("sweep=[]", 2, "got []"),
 ]
 
 
@@ -134,6 +150,8 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
     out = tmp_path / "out.vol"
     if case == "unknown-key":
         argv = ["experiment1", "--set", "nosuchkey=1", "--out", str(tmp_path / "run")]
+    elif case.startswith("sweep="):
+        argv = ["experiment2", "--set", case, "--out", str(tmp_path / "run")]
     elif case == "missing-config":
         argv = ["experiment1", "--config", str(tmp_path / "nothing.cfg"),
                 "--out", str(tmp_path / "run")]

@@ -74,6 +74,45 @@ def bank(small_grid):
     return GaborBank(small_grid, P_HALF)
 
 
+def _meshgrid_filters(grid, p_modulus):
+    """The bank built as dense arrays, one filter at a time."""
+    bank = GaborBank(grid, p_modulus)
+    ax = np.arange(-bank.rx, bank.rx + 1, dtype=float)
+    at = np.arange(-bank.rt, bank.rt + 1, dtype=float)
+    X1, X2, T = np.meshgrid(ax, ax, at, indexing="ij")
+    envelope = np.exp(-(X1 * X1 + X2 * X2) / bank.sigma_x**2 - T * T / bank.sigma_t**2)
+    out = np.empty((grid.n_theta, grid.n_v, ax.size, ax.size, at.size), dtype=np.complex128)
+    a_sum = envelope.sum()
+    for i, theta in enumerate(grid.thetas):
+        p1 = p_modulus * math.cos(theta)
+        p2 = p_modulus * math.sin(theta)
+        for j, v in enumerate(grid.vs):
+            wave = np.exp(1j * (p1 * X1 + p2 * X2 - p_modulus * v * T))
+            b_sum = (wave * envelope).sum()
+            e2_sum = (np.conj(wave) ** 2 * envelope).sum()
+            mat = np.array([[a_sum, b_sum], [np.conj(b_sum), a_sum]])
+            ca, cb = np.linalg.solve(mat, np.array([np.conj(b_sum), e2_sum]))
+            w = np.conj(wave) * envelope - ca * envelope - cb * wave * envelope
+            out[i, j] = w * 4.0 / np.abs((w * wave).sum())
+    return out
+
+
+class TestGaborBank:
+    @pytest.mark.parametrize("n_theta, n_v, v_m, p", [
+        (8, 5, 1.0, P_HALF), (6, 3, 1.0, 1.0), (16, 9, 2.0, P_HALF), (4, 1, 1.0, 2.5),
+    ])
+    def test_factored_filters_match_dense_construction(self, n_theta, n_v, v_m, p):
+        grid = ManifoldGrid(8, 8, n_theta, n_v, v_m)
+        ref = _meshgrid_filters(grid, p)
+        filters = GaborBank(grid, p).filters
+        assert filters.shape == ref.shape
+        assert np.abs(filters - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_nyquist_frequency_rejected(self, small_grid):
+        with pytest.raises(ValueError, match="Nyquist"):
+            GaborBank(small_grid, math.pi)
+
+
 class TestEnergyFilter:
     def test_constant_stimulus_zero_interior(self, small_grid, bank):
         stim = StimulusVolume(np.full((24, 24, 16), 0.63))
@@ -132,6 +171,16 @@ class TestEnergyFilter:
         fast = energy_filter(edges, grid, P_HALF)
         slow = energy_filter_direct(edges, grid, P_HALF)
         assert np.abs(fast.values - slow.values).max() < 1e-10
+        # the temporal inverse is evaluated only at the kept frames: they may
+        # be non-adjacent, unsorted, repeated or an end frame, on a
+        # non-square grid
+        stim = StimulusVolume(rng.uniform(0, 1, (12, 9, 10)))
+        for frames in ((6, 1, 6), (9,), (0, 9), (3, 2)):
+            grid = ManifoldGrid(12, 9, 6, 3, 1.0, s_slices=frames)
+            fast = energy_filter(stim, grid, P_HALF)
+            slow = energy_filter_direct(stim, grid, P_HALF)
+            assert fast.s_frames.tolist() == list(frames)
+            assert np.abs(fast.values - slow.values).max() < 1e-10
 
     def test_rotation_covariance_exact_quarter_turn(self):
         # with four orientation bins one bin is a quarter turn, which acts
@@ -166,6 +215,10 @@ class TestEnergyFilter:
         m0 = a0.values[8:-8, 8:-8, 0].mean(axis=(0, 1))
         m1 = a1.values[8:-8, 8:-8, 0].mean(axis=(0, 1))
         assert np.abs(np.roll(m0, 1, axis=0) - m1).max() < 0.02
+
+    def test_empty_s_slices_rejected(self):
+        with pytest.raises(ValueError, match="s_slices"):
+            ManifoldGrid(8, 8, 4, 3, 1.0, s_slices=())
 
     def test_grid_mismatch_rejected(self, small_grid):
         stim = StimulusVolume(np.zeros((10, 10, 4)))

@@ -484,6 +484,16 @@ class TestSliceDensities:
         _, stack = estimate_slice_densities(spec, lat, [2.0], window=4)
         assert 0.9 < stack[0].sum() <= 1.0 + 1e-12
 
+    def test_negative_window_rejected_before_any_path_is_walked(self, monkeypatch):
+        def walk(*_a, **_k):
+            raise AssertionError("paths walked for a negative window")
+
+        monkeypatch.setattr(kmod, "_estimate", walk)
+        lat = contour_lattice(8, 8, 5, 1.0)
+        spec = SdeSpec("contour", 0.4, 0.2, 0.02, 2.0, 5000, seed=2)
+        with pytest.raises(ValueError, match="window"):
+            estimate_slice_densities(spec, lat, [2.0], window=-1)
+
 
 class TestLeftInvarianceSymmetry:
     def test_contour_kernel_from_shifted_start(self):
