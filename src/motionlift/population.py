@@ -17,8 +17,13 @@ kernel is a single temporal offset ds = 0 without shear, the 5D kernel has
 the offsets ds = 1..n_ds.  For each offset the stencils are sampled from
 the kernel by exactly the lookup's interpolation rule, transformed in
 batches, and mixed over the fibers by one batched matrix product per chunk
-of Fourier bins.  An offset's stencil spectra are built and mixed in blocks
-of consecutive input orientations, at least one and as many as fit in the
+of Fourier bins.  At even n_theta only the input orientations theta' < pi
+are sampled and transformed: turning a stencil by pi reflects it through
+the origin, so the spectrum at theta' + pi is a phase times the conjugate
+of one built at theta' (the half turn of Cohen & Welling's group acting on
+filters by index permutation), and the contraction applies it without
+building it.  An offset's stencil spectra are built and mixed in blocks
+of consecutive built orientations, at least one and as many as fit in the
 larger of ``_BLOCK_BYTES`` (32 MiB) and the output spectra the call holds
 anyway, and each block is freed before the next is built, so one block's
 spectra are held at a time.  Each FFT period only holds the output window
@@ -125,15 +130,31 @@ class FacilitationPlan:
     input fiber (theta', v') the relative spatial coordinate is
     R(-theta') (dq - (v' ds, 0)).  The shear v' ds splits into an integer
     pixel part, applied as an exact FFT phase, and a fractional class phi.
-    Stencil spectra are indexed by (theta' bin, phi class, dtheta, dv); a
-    precomputed row index maps each (input fiber, output fiber) pair to its
-    spectrum, or to a zero row when dv falls off the kernel.  Inside
-    ``apply`` the spectra are built offset by offset, and within an offset
-    for one block of consecutive input orientations theta' at a time: at
-    least one, and as many as fit in the larger of ``_BLOCK_BYTES`` and the
-    output spectra ``phat``.  A block is contracted and freed before the
-    next one is built, so the spectra held at once take no more than that
-    budget or one orientation's share, whichever is larger.
+    Stencil spectra are indexed by (built theta' bin, phi class, dtheta,
+    dv); a precomputed row index maps each (input fiber, output fiber) pair
+    to its spectrum, or to a zero row when dv falls off the kernel.
+
+    The built orientations are those below pi at even n_theta, and all of
+    them at odd n_theta.  Turning by pi maps the stencil sample at offset
+    (a, b) of (theta' + pi, phi) to the one at (s - a, -b) of
+    (theta', phi*), where phi* = (1 - phi) mod 1 is the class of -v (the
+    velocity bins are symmetric about 0) and s = 0 for phi = 0, else 1.
+    In the FFT period that reads
+    S_{theta'+pi, phi}(k) = exp(-2 pi i (k1 (2 ext + s) / pad1
+    + k2 2 ext / pad2)) conj(S_{theta', phi*}(k)), so an input fiber at
+    theta' >= pi has its row index at the source unit (theta' - pi, phi*)
+    with the same dtheta and dv, and its x shift grows by 2 ext + s; the
+    contraction adds the y shift and the conjugation.  It holds exactly
+    because the stencil window of ext cells either side holds every nonzero
+    lookup, both as built and as reflected.
+
+    Inside ``apply`` the spectra are built offset by offset, and within an
+    offset for one block of consecutive built orientations theta' at a
+    time: at least one, and as many as fit in the larger of
+    ``_BLOCK_BYTES`` and the output spectra ``phat``.  A block serves its
+    own input fibers and their half turns, and is contracted and freed
+    before the next one is built, so the spectra held at once take no more
+    than that budget or one orientation's share, whichever is larger.
 
     The circular FFT periods are ``gabor.fft_period`` of the kept output
     window, with ext the stencil reach and max_m the largest integer shear:
@@ -169,9 +190,11 @@ class FacilitationPlan:
         self.vals = vals  # (2h+1, 2h+1, n_offsets, n_theta, n_dv)
         self.ds = ds
         self.h = (vals.shape[0] - 1) // 2
-        # rotation moves the support out to h*sqrt(2); the fractional shear
-        # adds at most one cell
-        self.ext = int(math.ceil(self.h * math.sqrt(2.0))) + 1
+        # the bilinear lookup is nonzero only inside the rotated square
+        # |x|, |y| < h + 1, whose corners reach (h + 1) sqrt(2): a window of
+        # ext cells either side holds all of it for every fractional class,
+        # both as built and as mirrored
+        self.ext = int(math.ceil((self.h + 1) * math.sqrt(2.0)))
         shear = grid.vs[:, None] * np.array(ds, dtype=float)  # (n_v, n_offsets)
         m_shift = np.floor(shear).astype(np.int64)
         self.max_m = int(np.abs(m_shift).max())
@@ -179,24 +202,36 @@ class FacilitationPlan:
         self.pad2 = fft_period(grid.ny, self.ext)
 
         nth, nv, n_dv = grid.n_theta, grid.n_v, vals.shape[4]
+        # at even n_theta only theta' < pi is built, and theta' + pi is its
+        # half turn
+        self.n_built = nth // 2 if nth % 2 == 0 else nth
         i_p = np.arange(nth)[:, None, None, None]
         j_p = np.arange(nv)[None, :, None, None]
+        mirrored = i_p >= self.n_built
         dth = (np.arange(nth)[None, None, :, None] - i_p) % nth
         dv = np.arange(nv)[None, None, None, :] - j_p + n_dv // 2
-        self.mixing = []  # per offset: phi classes, spectrum row index, shift
+        self.mixing = []  # per offset: phi classes, spectrum row index, x shift
         for d in range(len(ds)):
             phis, cls = np.unique(np.round(shear[:, d] - m_shift[:, d], 12), return_inverse=True)
-            n_rows = nth * len(phis) * nth * n_dv
-            rows = ((i_p * len(phis) + cls[j_p]) * nth + dth) * n_dv + dv
+            # the partner of v's class phi is the class of -v, (1 - phi) mod 1,
+            # and phi + partner is the cell s the mirrored window moves by
+            partner = cls[::-1]
+            s = np.rint(phis[cls] + phis[partner]).astype(np.int64)
+            n_rows = self.n_built * len(phis) * nth * n_dv
+            unit = (i_p % self.n_built) * len(phis) + np.where(mirrored, partner[j_p], cls[j_p])
+            rows = (unit * nth + dth) * n_dv + dv
             rows = np.where((dv >= 0) & (dv < n_dv), rows, n_rows).reshape(nth * nv, -1)
-            # a circular shift by (max_m + m) aligns every shear to one output offset
-            delta = np.tile(self.max_m + m_shift[:, d], nth)
-            self.mixing.append((phis, rows, delta))
+            # a circular shift by (max_m + m) aligns every shear to one output
+            # offset; a mirrored stencil also starts 2 ext + s cells further in
+            turn = np.where(mirrored[:, :, 0, 0], 2 * self.ext + s, 0)
+            delta = self.max_m + m_shift[:, d] + turn
+            self.mixing.append((phis, rows, delta.ravel()))
 
     def _spectra(self, d: int, phis: np.ndarray, thetas: np.ndarray,
                  n_workers: int) -> np.ndarray:
         """k-major stencil spectra of offset d for the input orientations
-        ``thetas``, plus a trailing zero row.
+        ``thetas``, plus a trailing zero row.  ``_mix`` asks only for built
+        orientations, so at even n_theta never for theta' >= pi.
 
         The (theta', phi) units are dealt round-robin over the workers; unit
         u fills columns [u n_pl, (u + 1) n_pl), and each worker samples and
@@ -238,28 +273,46 @@ class FacilitationPlan:
 
     def _mix(self, d: int, fhat: np.ndarray, ins: np.ndarray, phat: np.ndarray,
              outs: np.ndarray, n_workers: int) -> None:
-        """phat[:, outs] += fhat[:, ins] mixed through offset d, block of input
-        orientations by block; within a block the k-chunks are dealt
-        round-robin over the workers, each owning disjoint rows of phat."""
+        """phat[:, outs] += fhat[:, ins] mixed through offset d, block of built
+        input orientations by block; within a block the k-chunks are dealt
+        round-robin over the workers, each owning disjoint rows of phat.
+
+        At even n_theta a block of built orientations T serves the input
+        fibers at T and, as their mirrored half, those at T + pi.  A mirrored
+        fiber's stencil spectrum is
+        exp(-2 pi i (k1 (2 ext + s) / pad1 + k2 2 ext / pad2)) times the
+        conjugate of its source unit's (see ``__init__``): the x shift is part
+        of its ``delta``, the y shift is added to its phase, and no mirrored
+        spectrum is built.  The conjugate is taken on the mirrored inputs and
+        products: the mirrored half enters phat as
+        conj(conj(phase f) @ spectra), one matmul after the direct one."""
         phis, rows, delta = self.mixing[d]
-        nth, nv = self.grid.n_theta, self.grid.n_v
+        nth, nv, nb = self.grid.n_theta, self.grid.n_v, self.n_built
+        halves = nth // nb  # 2 where theta' + pi is mirrored, else 1
         nk, nf = len(phat), rows.shape[1]
-        blk = len(phis) * nth * self.vals.shape[4]  # spectra per input orientation
+        blk = len(phis) * nth * self.vals.shape[4]  # spectra per built orientation
         # each block costs one read-modify-write pass over phat, so a block may
         # take as many bytes as phat: with 32 MiB blocks alone, a paper-scale
         # 5D call (102 frames, 12 one-orientation blocks per offset) ran 3.7x
         # slower on 2 cores
         per = max(1, max(_BLOCK_BYTES, phat.nbytes) // (16 * nk * blk))
-        kx = np.repeat(np.fft.fftfreq(self.pad1), self.pad2 // 2 + 1)[:, None]
-        kphase = -2j * np.pi * kx
+        nk2 = self.pad2 // 2 + 1
+        kphase = -2j * np.pi * np.repeat(np.fft.fftfreq(self.pad1), nk2)[:, None]
+        yphase = -4j * np.pi * self.ext * np.tile(np.arange(nk2) / self.pad2, self.pad1)[:, None]
+        # input fibers as (half turn, built orientation and velocity)
+        fib = fhat.reshape(nk, fhat.shape[1], halves, nb * nv)
+        rows = rows.reshape(halves, nb * nv, nf)
+        delta = delta.reshape(halves, nb * nv)
         runs = _runs(outs)
-        for t0 in range(0, nth, per):
-            t1 = min(t0 + per, nth)
-            f_in = slice(t0 * nv, t1 * nv)
-            n_in = (t1 - t0) * nv
+        for t0 in range(0, nb, per):
+            t1 = min(t0 + per, nb)
+            built = slice(t0 * nv, t1 * nv)
+            m0 = (t1 - t0) * nv  # the block's mirrored fibers follow its built ones
+            n_in = halves * m0
             spectra = self._spectra(d, phis, self.grid.thetas[t0:t1], n_workers)
             # rows of other blocks never occur here; the zero row moves to the block's end
-            block_rows = np.minimum(rows[f_in] - t0 * blk, (t1 - t0) * blk)
+            block_rows = np.minimum(rows[:, built] - t0 * blk, (t1 - t0) * blk).reshape(n_in, nf)
+            block_delta = delta[:, built].ravel()
             # one row of every buffer: phase, input, mixing block, product
             row = 16 * (n_in + len(ins) * n_in + n_in * nf + len(ins) * nf)
             chunk = max(1, _CHUNK_BYTES // n_workers // row)
@@ -276,14 +329,22 @@ class FacilitationPlan:
                 for k0 in range(w * chunk, nk, n * chunk):
                     k1 = min(k0 + chunk, nk)
                     kc = k1 - k0
-                    np.multiply(kphase[k0:k1], delta[f_in], out=phase[:kc])
-                    np.exp(phase[:kc], out=phase[:kc])  # (kc, f_in)
-                    np.take(fhat[k0:k1, :, f_in], ins, axis=1, out=f[:kc], mode="clip")
+                    np.multiply(kphase[k0:k1], block_delta, out=phase[:kc])
+                    phase[:kc, m0:] += yphase[k0:k1]
+                    np.exp(phase[:kc], out=phase[:kc])  # (kc, n_in)
+                    np.take(fib[k0:k1, :, :, built], ins, axis=1, mode="clip",
+                            out=f[:kc].reshape(kc, len(ins), halves, m0))
                     np.multiply(f[:kc], phase[:kc, None], out=f[:kc])
                     np.take(spectra[k0:k1], block_rows, axis=1, out=mix[:kc], mode="clip")
-                    np.matmul(f[:kc], mix[:kc], out=prod[:kc])
-                    for j0, j1, o0 in runs:
-                        phat[k0:k1, o0 : o0 + j1 - j0] += prod[:kc, j0:j1]
+                    for h in range(halves):
+                        cols = slice(h * m0, (h + 1) * m0)
+                        if h:
+                            np.conjugate(f[:kc, :, cols], out=f[:kc, :, cols])
+                        np.matmul(f[:kc, :, cols], mix[:kc, cols], out=prod[:kc])
+                        if h:
+                            np.conjugate(prod[:kc], out=prod[:kc])
+                        for j0, j1, o0 in runs:
+                            phat[k0:k1, o0 : o0 + j1 - j0] += prod[:kc, j0:j1]
 
             run_workers(n, contract)
             del spectra, bufs

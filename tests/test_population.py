@@ -46,22 +46,28 @@ def record_blocks(mp):
 
     def recorded(plan, d, phis, thetas, n_workers):
         out = spectra(plan, d, phis, thetas, n_workers)
-        blocks.append((len(thetas), out.nbytes))
+        blocks.append((np.array(thetas), out.nbytes))
         return out
 
     mp.setattr(FacilitationPlan, "_spectra", recorded)
     return blocks
 
 
-def fast_in_blocks(act, kernel):
-    """facilitate() at the default spectra budget, then at one so small that
-    every offset's spectra are built in several blocks of input orientations."""
-    fast = [facilitate(act, kernel)]
+def fast_in_blocks(act, kernel, several=True):
+    """facilitate() at the default spectra budget, then at a 1-byte one,
+    which builds every offset's spectra in several blocks of input
+    orientations when they outweigh the output spectra (``several``);
+    either way only the plan's built orientations are built."""
     with pytest.MonkeyPatch.context() as mp:
         blocks = record_blocks(mp)
+        fast = [facilitate(act, kernel)]
+        n_default = len(blocks)
         mp.setattr(population, "_BLOCK_BYTES", 1)
         fast.append(facilitate(act, kernel))
-    assert max(n for n, _ in blocks) < act.grid.n_theta
+    built = act.grid.thetas[: FacilitationPlan(kernel, act.grid).n_built]
+    assert {th for ths, _ in blocks for th in ths} == set(built)
+    if several:
+        assert max(len(ths) for ths, _ in blocks[n_default:]) < len(built)
     return fast
 
 
@@ -82,37 +88,86 @@ def small5():
 class TestGatherContract:
     def test_4d_fast_matches_reference(self, small4):
         _, kernel = small4
+        odd = synthetic_kernel(contour_lattice(3, 5, 3, 1.0))
         rng = np.random.default_rng(1)
         # the stencil is 13 cells wide: sides 3 and 5 put the FFT periods at
-        # their floor of one stencil side, 7 fills it exactly, 12 exceeds it
-        for side in (7, 3, 5, 12):
-            grid = ManifoldGrid(side, side, 6, 3, 1.0)
-            act = LiftedActivity(grid, rng.uniform(0, 1, (side, side, 2, 6, 3)),
+        # their floor of one stencil side, 7 fills it exactly, 12 exceeds it;
+        # at the odd n_theta = 5 no orientation is the half turn of another
+        for side, kern in ((7, kernel), (3, kernel), (5, kernel), (12, kernel), (7, odd)):
+            n_theta = kern.values.shape[2]
+            grid = ManifoldGrid(side, side, n_theta, 3, 1.0)
+            act = LiftedActivity(grid, rng.uniform(0, 1, (side, side, 2, n_theta, 3)),
                                  "facilitation", np.array([0, 1]))
-            ref = facilitate_reference(act, kernel)
-            for fast in fast_in_blocks(act, kernel):
-                assert np.abs(fast.values - ref.values).max() < 1e-10, side
+            ref = facilitate_reference(act, kern)
+            for fast in fast_in_blocks(act, kern):
+                assert np.abs(fast.values - ref.values).max() < 1e-10, (side, n_theta)
 
     def test_5d_fast_matches_reference(self, small5):
-        grid, kernel = small5
         rng = np.random.default_rng(2)
+        # with 5 frames of n_v = 3 the output spectra outweigh the built half
+        # of the spectra, so even a 1-byte budget keeps one block per offset.
         # n_v = 5 has half-cell shears, so two fractional classes phi share
-        # each input orientation's block of spectra
-        grid5 = ManifoldGrid(7, 7, 6, 5, 1.0)
-        kernel5 = synthetic_kernel(trajectory_lattice(3, 3, 6, 5, 1.0), mode="trajectory")
-        for grid, kernel in ((grid, kernel), (grid5, kernel5)):
-            act = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 5, 6, grid.n_v)),
-                                 "facilitation", np.arange(5))
+        # each input orientation's block of spectra; n_v = 9 has the classes
+        # 0, 1/4, 1/2 and 3/4, where the half turn of 1/4 is built from 3/4;
+        # at the odd n_theta = 5 no orientation is the half turn of another
+        cases = [(small5, 5, False)]
+        for side, n_theta, n_v, ns in ((7, 6, 5, 5), (6, 4, 9, 3), (7, 5, 3, 3)):
+            kernel = synthetic_kernel(trajectory_lattice(3, 3, n_theta, n_v, 1.0),
+                                      mode="trajectory")
+            cases.append(((ManifoldGrid(side, side, n_theta, n_v, 1.0), kernel), ns, True))
+        for (grid, kernel), ns, several in cases:
+            shape = (grid.nx, grid.ny, ns, grid.n_theta, grid.n_v)
+            act = LiftedActivity(grid, rng.uniform(0, 1, shape), "facilitation", np.arange(ns))
             ref = facilitate_reference(act, kernel)
-            for fast in fast_in_blocks(act, kernel):
-                assert np.abs(fast.values - ref.values).max() < 1e-10, grid.n_v
+            for fast in fast_in_blocks(act, kernel, several):
+                assert np.abs(fast.values - ref.values).max() < 1e-10, shape
+
+    @pytest.mark.parametrize("h", [3, 4, 6])
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_half_turn_spectra_match_built_ones(self, rank, h):
+        # _mix serves every input fiber at theta' >= pi from the spectra built
+        # at theta' - pi; what it contracts must be the spectrum _spectra
+        # builds at theta' itself.  Velocities 0.05 apart put the classes phi
+        # within 0.1 of 0 and 1, and n_theta = 8 turns by pi/4, where the
+        # lookups reach furthest into the corners of the stencil window
+        n_theta, n_v, v_m = 8, 3, 0.05
+        if rank == 4:
+            kernel = synthetic_kernel(contour_lattice(h, n_theta, n_v, v_m), seed=h)
+        else:
+            kernel = synthetic_kernel(trajectory_lattice(h, 2, n_theta, n_v, v_m), seed=h,
+                                      mode="trajectory")
+        grid = ManifoldGrid(5, 5, n_theta, n_v, v_m)
+        plan = FacilitationPlan(kernel, grid)
+        nf, n_dv = n_theta * n_v, plan.vals.shape[4]
+        nk = plan.pad1 * (plan.pad2 // 2 + 1)
+        k1 = np.repeat(np.fft.fftfreq(plan.pad1), plan.pad2 // 2 + 1)
+        # one input frame per fiber, each a unit impulse in that fiber alone,
+        # so output frame i holds fiber i's phase-shifted spectra
+        fhat = np.broadcast_to(np.eye(nf, dtype=complex), (nk, nf, nf)).copy()
+        for d, ds in enumerate(plan.ds):
+            phat = np.zeros((nk, nf, nf), complex)
+            plan._mix(d, fhat, np.arange(nf), phat, np.arange(nf), 1)
+            for i in range(n_theta // 2 * n_v, nf):
+                i_t, j_v = divmod(i, n_v)
+                shear = grid.vs[j_v] * ds
+                phi = np.round(shear - math.floor(shear), 12)
+                built = plan._spectra(d, np.array([phi]), grid.thetas[i_t : i_t + 1], 1)
+                want = np.zeros((nk, nf), complex)
+                for o in range(nf):
+                    dv = o % n_v - j_v + n_dv // 2
+                    if 0 <= dv < n_dv:
+                        want[:, o] = built[:, ((o // n_v - i_t) % n_theta) * n_dv + dv]
+                want *= np.exp(-2j * np.pi * k1 * (plan.max_m + math.floor(shear)))[:, None]
+                err = np.abs(phat[:, i] - want).max() / np.abs(want).max()
+                assert err < 1e-13, (ds, i_t, j_v, err)
 
     def test_spectra_are_held_one_block_at_a_time(self):
-        # the single offset's spectra take 80 MiB on this grid; built and
-        # freed in blocks of input orientations, no two blocks are held at once
-        grid = ManifoldGrid(40, 40, 16, 9, 1.0)
+        # the built half (theta' < pi) of the single offset's spectra takes
+        # 70 MiB on this grid; built and freed in blocks of input
+        # orientations, no two blocks are held at once
+        grid = ManifoldGrid(56, 56, 16, 9, 1.0)
         kernel = synthetic_kernel(contour_lattice(4, 16, 9, 1.0))
-        act = LiftedActivity(grid, np.random.default_rng(12).uniform(0, 1, (40, 40, 1, 16, 9)),
+        act = LiftedActivity(grid, np.random.default_rng(12).uniform(0, 1, (56, 56, 1, 16, 9)),
                              "facilitation", np.array([0]))
         with pytest.MonkeyPatch.context() as mp:
             blocks = record_blocks(mp)
@@ -129,15 +184,16 @@ class TestGatherContract:
 
     def test_blocks_are_no_smaller_than_the_output_spectra(self, small5):
         # each block costs one pass over the output spectra: with 40 frames
-        # they outweigh an offset's whole spectra, so each of the 3 offsets
-        # is built in one block even at a 1-byte budget
+        # they outweigh an offset's built half of the spectra, so each of the
+        # 3 offsets is built in one block of n_theta // 2 orientations even
+        # at a 1-byte budget
         grid, kernel = small5
         act = LiftedActivity(grid, np.ones((7, 7, 40, 6, 3)), "facilitation", np.arange(40))
         with pytest.MonkeyPatch.context() as mp:
             blocks = record_blocks(mp)
             mp.setattr(population, "_BLOCK_BYTES", 1)
             facilitate(act, kernel)
-        assert [n for n, _ in blocks] == [6, 6, 6]
+        assert [len(ths) for ths, _ in blocks] == [3, 3, 3]
 
     @pytest.mark.parametrize("axis", ["q1", "q2", "theta", "v"])
     def test_off_centre_kernel_axes_rejected(self, axis):
@@ -345,37 +401,48 @@ class TestThreadedGather:
     @pytest.mark.parametrize("budget", ["default", "one-byte-blocks", "one-row-chunks"])
     @pytest.mark.parametrize("rank", [4, 5])
     def test_identical_for_every_worker_count(self, small4, small5, rank, budget, frames):
-        grid, kernel = small4 if rank == 4 else small5
-        vals = np.random.default_rng(rank).uniform(0, 1, (7, 7, 5, 6, 3))
-        if frames == "zero-frame-between":
-            # live frames 0, 1, 3, 4: neither the input nor the output frames
-            # of an offset form one run
-            vals[:, :, 2] = 0.0
-        act = LiftedActivity(grid, vals, "facilitation", np.arange(5))
-        interval = sys.getswitchinterval()
-        # switch threads often, so that workers writing shared rows or
-        # columns would interleave
-        sys.setswitchinterval(1e-6)
-        with pytest.MonkeyPatch.context() as mp:
-            if budget == "one-byte-blocks":
-                blocks = record_blocks(mp)
-                mp.setattr(population, "_BLOCK_BYTES", 1)
-            elif budget == "one-row-chunks":
-                # one plane per FFT batch and one Fourier bin per k-chunk
-                mp.setattr(population, "_CHUNK_BYTES", 1)
-            try:
-                one, _ = gathered_with_workers(act, kernel, 1)
-                for n in (2, 3):
-                    out, most = gathered_with_workers(act, kernel, n)
-                    assert most == n
-                    assert np.array_equal(out, one), n
-            finally:
-                sys.setswitchinterval(interval)
-        if budget == "one-byte-blocks":
-            assert max(n for n, _ in blocks) < grid.n_theta
-        if budget == "default":
-            ref = facilitate_reference(act, kernel).values
-            assert np.abs(one - ref).max() < 1e-10
+        # with n_v = 5 the built half of the spectra outweighs the output
+        # spectra, so a 1-byte budget builds it in several blocks, and in 5D
+        # the mirrored fibers of the class phi = 1/2 are served from the
+        # built ones; the n_v = 3 inputs keep the reference check cheap
+        grid5 = ManifoldGrid(7, 7, 6, 5, 1.0)
+        if rank == 4:
+            cases = [small4, (grid5, synthetic_kernel(contour_lattice(3, 6, 5, 1.0)))]
+        else:
+            cases = [small5, (grid5, synthetic_kernel(trajectory_lattice(3, 3, 6, 5, 1.0),
+                                                      mode="trajectory"))]
+        for c, (grid, kernel) in enumerate(cases):
+            vals = np.random.default_rng(rank).uniform(0, 1, (7, 7, 5, 6, grid.n_v))
+            if frames == "zero-frame-between":
+                # live frames 0, 1, 3, 4: neither the input nor the output
+                # frames of an offset form one run
+                vals[:, :, 2] = 0.0
+            act = LiftedActivity(grid, vals, "facilitation", np.arange(5))
+            interval = sys.getswitchinterval()
+            # switch threads often, so that workers writing shared rows or
+            # columns would interleave
+            sys.setswitchinterval(1e-6)
+            with pytest.MonkeyPatch.context() as mp:
+                if budget == "one-byte-blocks":
+                    blocks = record_blocks(mp)
+                    mp.setattr(population, "_BLOCK_BYTES", 1)
+                elif budget == "one-row-chunks":
+                    # one plane per FFT batch and one Fourier bin per k-chunk
+                    mp.setattr(population, "_CHUNK_BYTES", 1)
+                try:
+                    one, _ = gathered_with_workers(act, kernel, 1)
+                    for n in (2, 3):
+                        out, most = gathered_with_workers(act, kernel, n)
+                        assert most == n
+                        assert np.array_equal(out, one), (grid.n_v, n)
+                finally:
+                    sys.setswitchinterval(interval)
+            if budget == "one-byte-blocks" and grid.n_v == 5:
+                n_built = FacilitationPlan(kernel, grid).n_built
+                assert max(len(ths) for ths, _ in blocks) < n_built
+            if budget == "default" and c == 0:
+                ref = facilitate_reference(act, kernel).values
+                assert np.abs(one - ref).max() < 1e-10
 
     @pytest.mark.parametrize("rank", [4, 5])
     def test_two_workers_hold_no_more_memory(self, rank):
