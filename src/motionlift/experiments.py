@@ -7,9 +7,12 @@ contour kernel and reports how strongly the steady activity fills the
 gaps between dashes relative to background.
 
 Experiment 2 sweeps occluded-trajectory stimuli over gap duration and
-turn angle, facilitates each full/first/second stimulus through the 5D
-trajectory kernel, and reports the nonlinear interaction energy (response
-to the whole minus the parts) inside the occlusion window.
+turn angle, and reports the nonlinear interaction energy (the steady
+response to the whole minus those to its two parts) inside the occlusion
+window.  The 5D trajectory kernel's facilitation is linear, so the whole is
+never gathered: its facilitation is the parts' plus that of a straddle band
+of a few frames around the gap.  Each gap duration's first part is gathered
+once, and the all-ones response comes from one frame (``run_experiment2``).
 
 Diffusion coefficients are configured in normalized-horizon units: the
 stored calibration kappa_n means the orientation variance accumulated over
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import io as vio
 from .gabor import (
+    GaborBank,
     LiftedActivity,
     ManifoldGrid,
     energy_filter,
@@ -375,6 +379,39 @@ def gap_window(t1: int, t2: int, margin: int, n_frames: int) -> tuple[int, int]:
     return max(0, t1 - margin), min(n_frames - 1, t2 + margin)
 
 
+def straddle_band(t1: int, t2: int, reach: int, n_frames: int) -> tuple[int, int]:
+    """Frames [lo, hi) whose lift sees both parts of an occluded trajectory.
+
+    A lift of temporal reach ``reach`` sees the first part (frames < t1) at
+    frame t when t < t1 + reach, and the second (frames >= t2) when
+    t >= t2 - reach.  Elsewhere the whole's thresholded lift, less its
+    floor c0, is the sum of the parts' to roundoff.  The band holds
+    max(0, 2 reach - (t2 - t1)) frames away from the movie's ends, and is
+    empty when lo >= hi.
+    """
+    return max(0, t2 - reach), min(n_frames, t1 + reach)
+
+
+def facilitate_ones(kernel: KernelGrid, grid: ManifoldGrid, n_frames: int,
+                    n_threads: int = 1) -> np.ndarray:
+    """P(1), the facilitation of an all-ones activity on n_frames frames,
+    from one gather of a single all-ones frame.
+
+    The trajectory kernel carries frame t to t + ds, ds = 1..n_ds, alike at
+    every t.  So with G_d the response at frame d to an all-ones frame 0,
+    P(1) at frame o is G_1 + ... + G_min(o, n_ds), a cumulative sum over
+    the offsets.
+    """
+    n_ds = kernel.values.shape[kernel.axes.index("s")]
+    ones = np.zeros((grid.nx, grid.ny, n_ds + 1, grid.n_theta, grid.n_v))
+    ones[:, :, 0] = 1.0
+    g = facilitate(LiftedActivity(grid, ones, "facilitation", np.arange(n_ds + 1)),
+                   kernel, n_threads).values
+    cum = np.zeros_like(g)  # cum[:, :, d] = G_1 + ... + G_d, and 0 at d = 0
+    np.cumsum(g[:, :, 1:], axis=2, out=cum[:, :, 1:])
+    return cum[:, :, np.minimum(np.arange(n_frames), n_ds)]
+
+
 def gap_energy(f_fac: LiftedActivity, t1: int, t2: int, margin: int,
                baseline: float) -> dict:
     """Interaction energy inside the occlusion window.
@@ -401,9 +438,17 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     ``Experiment2Config.bridges``); an unbridged row's interaction is zero
     by construction, not a measurement.
 
-    facilitate is linear, so P(F_T) = P(F_T - c0) + c0 P(ones): the all-ones
-    response depends only on kernel and grid and is computed once, before
-    the sweep.  Every stimulus part is lifted and facilitated afresh.
+    facilitate is linear, and the sweep gathers nothing twice.  With c0 =
+    S(0), the floor of every thresholded part, and T = thr - c0 per part,
+    P(thr) = c0 P(1) + P(T), and P(1) comes from one all-ones frame
+    (``facilitate_ones``).  The whole's T3 is T1 + T2 + D, where the
+    straddle band D = T3 - T1 - T2 is formed on the frames of
+    ``straddle_band`` only and is zero elsewhere, so P(T3) = P(T1) + P(T2)
+    + P(D) and the whole is never gathered.  The first part depends on the
+    gap duration alone: it is lifted and gathered once per distinct delta_t,
+    and held only while that delta_t's points run.  Each point then gathers
+    its band (when not empty) and its second part; the rows keep the
+    sweep's order.
     """
     resolved = asdict(cfg)
     resolved["sweep"] = [list(map(float, pair)) for pair in cfg.sweep]
@@ -418,37 +463,62 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     vio.write_kernel(out / "kernels" / "gamma.knl", kernel, provenance=prov)
 
     grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
-    # the all-ones input lives only for this call (229 MB at paper scale)
-    shape = (cfg.size, cfg.size, cfg.n_frames, cfg.n_theta, cfg.n_v)
-    p_ones = facilitate(LiftedActivity(grid, np.ones(shape), "facilitation",
-                                       np.arange(cfg.n_frames)), kernel, n_threads).values
+    bank = GaborBank(grid, cfg.p_modulus)
+    baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))  # c0
+    floor = baseline * facilitate_ones(kernel, grid, cfg.n_frames, n_threads)  # c0 P(1)
 
-    def steady(stim) -> LiftedActivity:
-        raw = energy_filter(stim, grid, cfg.p_modulus)
+    def lift(stim) -> tuple[LiftedActivity, LiftedActivity]:
+        """The raw energy of a part and its T = thr - c0."""
+        raw = energy_filter(stim, grid, cfg.p_modulus, bank=bank)
         thr = threshold_activity(raw, cfg.mu, cfg.beta)
-        c0 = float(thr.values.min())
-        pattern = facilitate(thr.with_values(thr.values - c0, "facilitation"),
-                             kernel, n_threads)
-        # add into one new array, and leave facilitate's output as it was
-        total = c0 * p_ones
-        total += pattern.values
-        pattern = pattern.with_values(total, "facilitation")
-        return activity_steady(raw, pattern, cfg.c_f, cfg.mu, cfg.beta)
+        return raw, thr.with_values(thr.values - baseline, "facilitation")
 
-    baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))
-    table = []
-    for delta_t, delta_theta in cfg.sweep:
-        sspec = cfg.stimulus_spec(int(delta_t), float(delta_theta))
-        s3, s1, s2, truth = occluded_trajectory(sspec)
-        tag = f"dt{int(delta_t)}_dth{delta_theta:.4f}"
-        f0_full = steady(s3)
-        f0_first = steady(s1)
-        f0_second = steady(s2)
+    def gather(act: LiftedActivity) -> np.ndarray:
+        return facilitate(act, kernel, n_threads).values
+
+    def steady(raw: LiftedActivity, total: np.ndarray) -> LiftedActivity:
+        return activity_steady(raw, raw.with_values(total, "facilitation"),
+                               cfg.c_f, cfg.mu, cfg.beta)
+
+    def first_part(s1, band):
+        """c0 P(1) + P(T1), F0 of the first part, and T1 on the band."""
+        raw1, t1 = lift(s1)
+        t1_band = t1.values[:, :, band[0] : band[1]].copy()
+        total1 = floor + gather(t1)
+        del t1
+        return total1, steady(raw1, total1), t1_band
+
+    def sweep_point(sspec, s3, s2, band, total1, f0_first, t1_band) -> dict:
+        # everything made here is freed on return, before the next point
+        lo, hi = band
+        raw3, t3 = lift(s3)
+        straddle = t3.values[:, :, lo:hi] - t1_band
+        del t3
+        raw2, t2 = lift(s2)
+        straddle -= t2.values[:, :, lo:hi]
+        if hi > lo:
+            # D, and the frames it reaches; gathered before the second part
+            stop = min(cfg.n_frames, hi + cfg.kernel_n_ds)
+            d = np.pad(straddle, ((0, 0), (0, 0), (0, stop - hi), (0, 0), (0, 0)))
+            p_band = gather(LiftedActivity(grid, d, "facilitation", np.arange(lo, stop)))
+            del d
+        p2 = gather(t2)
+        del t2
+        total3 = total1 + p2
+        if hi > lo:
+            total3[:, :, lo:stop] += p_band
+        total2 = floor + p2
+        del p2
+        f0_second = steady(raw2, total2)
+        del raw2, total2
+        f0_full = steady(raw3, total3)
+        del raw3, total3
         f_fac = facilitation_difference(f0_full, f0_first, f0_second)
-        row = {"delta_t": int(delta_t), "delta_theta": float(delta_theta),
-               "bridged": cfg.bridges(int(delta_t))}
+        del f0_second
+        row = {"delta_t": sspec.delta_t, "delta_theta": sspec.delta_theta,
+               "bridged": cfg.bridges(sspec.delta_t)}
         row.update(gap_energy(f_fac, sspec.t1, sspec.t2, cfg.gap_margin, baseline))
-        table.append(row)
+        tag = f"dt{sspec.delta_t}_dth{sspec.delta_theta:.4f}"
         vio.write_volume(out / "activity" / f"F_fac_{tag}.vol", f_fac.values,
                          f_fac.axes, kind="facilitation", provenance=prov)
         # time-course isosurfaces: fiber-integrated interaction and the fiber-max
@@ -462,6 +532,21 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
                 vio.export_isosurface_points(
                     out / "exports" / f"{name}_{tag}_iso{frac}.csv", field, axes, frac * ref,
                 )
+        return row
+
+    by_gap: dict[int, list] = {}  # sweep positions per delta_t, in first-seen order
+    for i, (delta_t, delta_theta) in enumerate(cfg.sweep):
+        by_gap.setdefault(int(delta_t), []).append((i, float(delta_theta)))
+    table = [None] * len(cfg.sweep)
+    for delta_t, points in by_gap.items():
+        first = None  # this delta_t's first part, dropped before the next delta_t's
+        for i, delta_theta in points:
+            sspec = cfg.stimulus_spec(delta_t, delta_theta)
+            s3, s1, s2, _ = occluded_trajectory(sspec)
+            band = straddle_band(sspec.t1, sspec.t2, bank.rt, cfg.n_frames)
+            if first is None:
+                first = first_part(s1, band)
+            table[i] = sweep_point(sspec, s3, s2, band, *first)
     lines = ["delta_t,delta_theta,window_lo,window_hi,energy,energy_positive,peak"]
     for row in table:
         lines.append(

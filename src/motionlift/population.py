@@ -151,7 +151,9 @@ class FacilitationPlan:
     Inside ``apply`` the spectra are built offset by offset, and within an
     offset for one block of consecutive built orientations theta' at a
     time: at least one, and as many as fit in the larger of
-    ``_BLOCK_BYTES`` and the output spectra ``phat``.  A block serves its
+    ``_BLOCK_BYTES`` and the output spectra ``phat``, which hold only the
+    output frames some offset reaches from a live input frame (a part of a
+    movie reaches only part of it).  A block serves its
     own input fibers and their half turns, and is contracted and freed
     before the next one is built, so the spectra held at once take no more
     than that budget or one orientation's share, whichever is larger.
@@ -394,14 +396,16 @@ class FacilitationPlan:
                            out=fhat[:, i].reshape(pad1, nk2, nth, nv))
 
         run_workers(n, forward)
-        phat = np.zeros((nk, ns, nf), dtype=np.complex128)
+        # output spectra only for the frames some route reaches, in frame order
+        frames = sorted({o for _, _, outs in routes for o in outs.tolist()})
+        slot = {o: j for j, o in enumerate(frames)}
+        phat = np.zeros((nk, len(frames), nf), dtype=np.complex128)
         for d, ins, outs in routes:
-            self._mix(d, fhat, ins, phat, outs, n_threads)
+            self._mix(d, fhat, ins, phat, np.array([slot[o] for o in outs.tolist()]), n_threads)
         # the output is only needed from here on, and the input spectra no more
         del fhat, halves
         out = np.zeros_like(values)
         off = self.ext + self.max_m  # common output offset along x after alignment
-        frames = np.unique(np.concatenate([outs for _, _, outs in routes]))
         m = min(n_threads, len(frames))
         # irfft2 as its two passes, the second only over the kept rows
         bufs = [(np.empty((pad1, nk2, nth, nv), np.complex128),
@@ -409,10 +413,10 @@ class FacilitationPlan:
 
         def inverse(w):
             spec, conv = bufs[w]
-            for so in frames[w::m]:
-                np.fft.ifft(phat[:, so].reshape(pad1, nk2, nth, nv), n=pad1, axis=0, out=spec)
+            for j in range(w, len(frames), m):
+                np.fft.ifft(phat[:, j].reshape(pad1, nk2, nth, nv), n=pad1, axis=0, out=spec)
                 np.fft.irfft(spec[off : off + nx], n=pad2, axis=1, out=conv)
-                out[:, :, so] = conv[:, self.ext : self.ext + ny]
+                out[:, :, frames[j]] = conv[:, self.ext : self.ext + ny]
 
         run_workers(m, inverse)
         return out

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +178,19 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
     assert not out.exists() and not (tmp_path / "run").exists()
 
 
+def test_python_dash_m_motionlift_returns_the_cli_exit_code(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text("nosuchkey = 1\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["experiment1", "--config", str(config), "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-m", "motionlift", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 2
+    assert "unknown config key 'nosuchkey'" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def _facilitate_inputs(tmp_path: Path) -> tuple[Path, Path]:
     """A 5-frame activity volume and a trajectory kernel that fits it."""
     activity = tmp_path / "activity.vol"
@@ -232,7 +248,7 @@ def test_experiment2_leaves_every_facilitate_output_as_returned(tmp_path, monkey
     monkeypatch.setattr(experiments, "facilitate", recording)
     out = tmp_path / "traj"
     assert main([*TINY_EXPERIMENT2, "--dt", "2", "--dtheta", "0.5", "--out", str(out)]) == 0
-    assert len(returned) == 4  # P(ones), then the full stimulus and its two parts
+    assert len(returned) == 4  # P(1) from one frame, the first part, the band, the second part
     assert all(np.array_equal(act.values, kept) for act, kept in returned)
 
 

@@ -1,0 +1,153 @@
+"""Experiment 2 by linearity: the straddle band, the all-ones response from
+one frame, one first part per gap duration, and the whole-stimulus
+reference the decomposed sweep must reproduce."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from motionlift import experiments
+from motionlift.experiments import (
+    Experiment2Config,
+    facilitate_ones,
+    gap_energy,
+    load_or_estimate_kernel,
+    run_experiment2,
+    straddle_band,
+)
+from motionlift.gabor import (
+    GaborBank,
+    LiftedActivity,
+    ManifoldGrid,
+    energy_filter,
+    sigmoid,
+    threshold_activity,
+)
+from motionlift.kernels import KernelGrid, SdeSpec, trajectory_lattice
+from motionlift.population import activity_steady, facilitate, facilitation_difference
+from motionlift.stimuli import occluded_trajectory
+
+# perfbench's seconds-long trajectory configuration: two sweep points, both
+# bridged by a 6-frame kernel
+TINY = Experiment2Config(size=21, n_frames=12, n_theta=4, n_v=3, kernel_halfwidth=4,
+                         kernel_n_ds=6, n_paths=8192,
+                         sweep=((2, math.pi / 6.0), (4, math.pi / 4.0)))
+
+
+def _grid(cfg):
+    return ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
+
+
+def _thresholded(cfg, delta_t, delta_theta):
+    """thr of the whole, the first part and the second part."""
+    grid = _grid(cfg)
+    s3, s1, s2, _ = occluded_trajectory(cfg.stimulus_spec(delta_t, delta_theta))
+    return [threshold_activity(energy_filter(s, grid, cfg.p_modulus), cfg.mu, cfg.beta)
+            for s in (s3, s1, s2)]
+
+
+@pytest.mark.parametrize("delta_t, delta_theta", TINY.sweep)
+def test_every_part_floors_at_the_sigmoid_of_zero(delta_t, delta_theta):
+    c0 = sigmoid(0.0, TINY.mu, TINY.beta)
+    parts = _thresholded(TINY, delta_t, delta_theta)
+    assert [float(thr.values.min()) for thr in parts] == [c0] * 3
+
+
+@pytest.mark.parametrize("delta_t", [0, 2, 4, 6])
+def test_the_whole_is_the_sum_of_its_parts_outside_the_straddle_band(delta_t):
+    c0 = sigmoid(0.0, TINY.mu, TINY.beta)
+    t3, t1, t2 = (thr.values - c0 for thr in _thresholded(TINY, delta_t, 0.5))
+    residual = np.abs(t3 - t1 - t2).max(axis=(0, 1, 3, 4))
+    rt = GaborBank(_grid(TINY), TINY.p_modulus).rt
+    sspec = TINY.stimulus_spec(delta_t, 0.5)
+    lo, hi = straddle_band(sspec.t1, sspec.t2, rt, TINY.n_frames)
+    band = np.arange(TINY.n_frames)[lo:hi]
+    assert len(band) == max(0, 2 * rt - delta_t)
+    assert np.all(np.delete(residual, band) <= 1e-13)
+    assert np.all(residual[band] > 1e-13)  # every band frame is needed
+
+
+@pytest.mark.parametrize("n_frames", [12, 7, 6, 4])
+def test_all_ones_response_from_one_frame_matches_the_full_gather(n_frames):
+    # the kernel reaches 6 frames, so 6 and 4 frames never see every offset
+    lat = trajectory_lattice(3, 6, 4, 3, 1.0)
+    vals = np.random.default_rng(3).uniform(0, 1, lat.shape)
+    kernel = KernelGrid(lat.axes, lat.origin, lat.spacing, vals / vals.sum(),
+                        SdeSpec("trajectory", 0.1, 0.1, 0.1, 1.0, 1, 0))
+    grid = ManifoldGrid(9, 9, 4, 3, 1.0)
+    ones = np.ones((9, 9, n_frames, 4, 3))
+    want = facilitate(LiftedActivity(grid, ones, "facilitation", np.arange(n_frames)),
+                      kernel).values
+    got = facilitate_ones(kernel, grid, n_frames)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_first_part_does_not_depend_on_the_turn():
+    s1s = [occluded_trajectory(TINY.stimulus_spec(4, dth))[1].data for dth in (0.0, 0.5, 2.0)]
+    assert all(np.array_equal(s1s[0], s1) for s1 in s1s[1:])
+
+
+def _reference_table(cfg, kernel):
+    """The gap table from the whole and both parts, each lifted and gathered
+    in full, with P(1) from a full-length all-ones movie."""
+    grid = _grid(cfg)
+    shape = (cfg.size, cfg.size, cfg.n_frames, cfg.n_theta, cfg.n_v)
+    p_ones = facilitate(LiftedActivity(grid, np.ones(shape), "facilitation",
+                                       np.arange(cfg.n_frames)), kernel).values
+    baseline = sigmoid(0.0, cfg.mu, cfg.beta)
+    table = []
+    for delta_t, delta_theta in cfg.sweep:
+        sspec = cfg.stimulus_spec(delta_t, delta_theta)
+        steady = []
+        for stim in occluded_trajectory(sspec)[:3]:
+            raw = energy_filter(stim, grid, cfg.p_modulus)
+            thr = threshold_activity(raw, cfg.mu, cfg.beta)
+            c0 = float(thr.values.min())
+            pattern = facilitate(thr.with_values(thr.values - c0, "facilitation"), kernel)
+            total = pattern.with_values(pattern.values + c0 * p_ones, "facilitation")
+            steady.append(activity_steady(raw, total, cfg.c_f, cfg.mu, cfg.beta))
+        f_fac = facilitation_difference(*steady)
+        table.append(gap_energy(f_fac, sspec.t1, sspec.t2, cfg.gap_margin, baseline))
+    return table
+
+
+def test_decomposed_gap_table_matches_the_whole_stimulus_reference(tmp_path):
+    # Delta t = 0 holds the widest straddle band, 6 frames
+    cfg = replace(TINY, sweep=(*TINY.sweep, (0, 0.3)))
+    cache = tmp_path / "kernels"
+    table = run_experiment2(cfg, tmp_path / "run", kernel_cache=cache)
+    kernel = load_or_estimate_kernel(cache, cfg.sde(), trajectory_lattice(
+        cfg.kernel_halfwidth, cfg.kernel_n_ds, cfg.n_theta, cfg.n_v, cfg.v_m))
+    want = _reference_table(cfg, kernel)
+    scale = max(abs(row["energy"]) for row in want)
+    for row, ref in zip(table, want):
+        assert row["window"] == ref["window"]
+        for key in ("energy", "energy_positive", "peak"):
+            assert abs(row[key] - ref[key]) <= 1e-12 * scale, key
+
+
+def test_a_repeated_gap_duration_gathers_its_first_part_once(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(activity, *args, **kwargs):
+        out = facilitate(activity, *args, **kwargs)
+        live = np.nonzero(np.abs(activity.values).sum(axis=(0, 1, 3, 4)))[0]
+        calls.append((activity.s_frames[live], out, out.values.copy()))
+        return out
+
+    monkeypatch.setattr(experiments, "facilitate", recording)
+    cfg = replace(TINY, sweep=((2, 0.5), (4, 0.5), (2, 1.0)))
+    table = run_experiment2(cfg, tmp_path / "run")
+    assert [(row["delta_t"], row["delta_theta"]) for row in table] == list(cfg.sweep)
+    # P(1) from one frame, one first part per delta_t, then band and second
+    # part per point
+    assert len(calls) == 1 + 2 + 2 * 3
+    # only a first part is live from the movie's first frame on, over a
+    # frame range that the all-ones frame (7 frames) does not have
+    firsts = [times for times, out, _ in calls
+              if times[0] == 0 and out.values.shape[2] == cfg.n_frames]
+    assert len(firsts) == 2
+    assert all(np.array_equal(out.values, kept) for _, out, kept in calls)
