@@ -12,7 +12,10 @@ response to the whole minus those to its two parts) inside the occlusion
 window.  The 5D trajectory kernel's facilitation is linear, so the whole is
 never gathered: its facilitation is the parts' plus that of a straddle band
 of a few frames around the gap.  Each gap duration's first part is gathered
-once, and the all-ones response comes from one frame (``run_experiment2``).
+once, and the all-ones response comes from one frame.  Activities laid more
+than the kernel's temporal reach apart never interact, so the band is
+gathered in the same call as the second part, and the all-ones frame in the
+same call as the first part (``run_experiment2``).
 
 Diffusion coefficients are configured in normalized-horizon units: the
 stored calibration kappa_n means the orientation variance accumulated over
@@ -392,24 +395,31 @@ def straddle_band(t1: int, t2: int, reach: int, n_frames: int) -> tuple[int, int
     return max(0, t2 - reach), min(n_frames, t1 + reach)
 
 
-def facilitate_ones(kernel: KernelGrid, grid: ManifoldGrid, n_frames: int,
-                    n_threads: int = 1) -> np.ndarray:
+def all_ones_response(g: np.ndarray, n_frames: int) -> np.ndarray:
     """P(1), the facilitation of an all-ones activity on n_frames frames,
-    from one gather of a single all-ones frame.
+    from g, the facilitation of n_ds + 1 frames of which only the first is
+    all ones.
 
     The trajectory kernel carries frame t to t + ds, ds = 1..n_ds, alike at
-    every t.  So with G_d the response at frame d to an all-ones frame 0,
-    P(1) at frame o is G_1 + ... + G_min(o, n_ds), a cumulative sum over
-    the offsets.
+    every t.  So with G_d = g at frame d, P(1) at frame o is
+    G_1 + ... + G_min(o, n_ds), a cumulative sum over the offsets.
     """
-    n_ds = kernel.values.shape[kernel.axes.index("s")]
-    ones = np.zeros((grid.nx, grid.ny, n_ds + 1, grid.n_theta, grid.n_v))
-    ones[:, :, 0] = 1.0
-    g = facilitate(LiftedActivity(grid, ones, "facilitation", np.arange(n_ds + 1)),
-                   kernel, n_threads).values
+    n_ds = g.shape[2] - 1
     cum = np.zeros_like(g)  # cum[:, :, d] = G_1 + ... + G_d, and 0 at d = 0
     np.cumsum(g[:, :, 1:], axis=2, out=cum[:, :, 1:])
     return cum[:, :, np.minimum(np.arange(n_frames), n_ds)]
+
+
+def stacked_times(n_frames: int, n_window: int, n_ds: int) -> np.ndarray:
+    """Frame times of a movie of n_frames frames followed, in one activity,
+    by a window of n_window frames that is gathered in the same call.
+
+    ``facilitate`` links input frame i to output frame o only when
+    s_frames[o] - s_frames[i] is one of the kernel's offsets 1..n_ds.  The
+    window's times start n_ds + 1 after the movie's last, so no offset
+    links the two, and each is gathered as if alone.
+    """
+    return np.concatenate([np.arange(n_frames), n_frames + n_ds + np.arange(n_window)])
 
 
 def gap_energy(f_fac: LiftedActivity, t1: int, t2: int, margin: int,
@@ -441,14 +451,22 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     facilitate is linear, and the sweep gathers nothing twice.  With c0 =
     S(0), the floor of every thresholded part, and T = thr - c0 per part,
     P(thr) = c0 P(1) + P(T), and P(1) comes from one all-ones frame
-    (``facilitate_ones``).  The whole's T3 is T1 + T2 + D, where the
+    (``all_ones_response``).  The whole's T3 is T1 + T2 + D, where the
     straddle band D = T3 - T1 - T2 is formed on the frames of
     ``straddle_band`` only and is zero elsewhere, so P(T3) = P(T1) + P(T2)
     + P(D) and the whole is never gathered.  The first part depends on the
     gap duration alone: it is lifted and gathered once per distinct delta_t,
-    and held only while that delta_t's points run.  Each point then gathers
-    its band (when not empty) and its second part; the rows keep the
+    and held only while that delta_t's points run.  The rows keep the
     sweep's order.
+
+    Each stencil-spectra build serves two activities at once.  A window of
+    frames laid n_ds + 1 frames past the movie's last frame
+    (``stacked_times``) is never linked to the movie, so one facilitate
+    call gathers both.  The first point gathers the all-ones frame, with
+    the n_ds frames it reaches, together with T1; every point gathers D,
+    with the n_ds frames it reaches, together with T2.  T is written
+    straight into the stacked buffer.  T1 is never stacked with D and T2:
+    that one call held about a quarter more memory than the sweep's peak.
     """
     resolved = asdict(cfg)
     resolved["sweep"] = [list(map(float, pair)) for pair in cfg.sweep]
@@ -465,50 +483,73 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
     bank = GaborBank(grid, cfg.p_modulus)
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))  # c0
-    floor = baseline * facilitate_ones(kernel, grid, cfg.n_frames, n_threads)  # c0 P(1)
+    n, n_ds = cfg.n_frames, cfg.kernel_n_ds
 
     def lift(stim) -> tuple[LiftedActivity, LiftedActivity]:
-        """The raw energy of a part and its T = thr - c0."""
+        """The raw energy of a part and its thresholded energy."""
         raw = energy_filter(stim, grid, cfg.p_modulus, bank=bank)
-        thr = threshold_activity(raw, cfg.mu, cfg.beta)
-        return raw, thr.with_values(thr.values - baseline, "facilitation")
+        return raw, threshold_activity(raw, cfg.mu, cfg.beta)
 
-    def gather(act: LiftedActivity) -> np.ndarray:
-        return facilitate(act, kernel, n_threads).values
+    def stack(thr: LiftedActivity, n_window: int) -> np.ndarray:
+        """T = thr - c0 on the movie's frames, then n_window zero frames for
+        a window that is gathered in the same call."""
+        nx, ny, _, nth, nv = thr.values.shape
+        buf = np.empty((nx, ny, n + n_window, nth, nv))
+        np.subtract(thr.values, baseline, out=buf[:, :, :n])
+        buf[:, :, n:] = 0.0
+        return buf
+
+    def gather(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P of the movie's frames of a stacked buffer, and P of its window,
+        from one facilitate call (``stacked_times``)."""
+        times = stacked_times(n, buf.shape[2] - n, n_ds)
+        p = facilitate(LiftedActivity(grid, buf, "facilitation", times), kernel, n_threads).values
+        return p[:, :, :n], p[:, :, n:]
 
     def steady(raw: LiftedActivity, total: np.ndarray) -> LiftedActivity:
         return activity_steady(raw, raw.with_values(total, "facilitation"),
                                cfg.c_f, cfg.mu, cfg.beta)
 
-    def first_part(s1, band):
-        """c0 P(1) + P(T1), F0 of the first part, and T1 on the band."""
-        raw1, t1 = lift(s1)
-        t1_band = t1.values[:, :, band[0] : band[1]].copy()
-        total1 = floor + gather(t1)
-        del t1
-        return total1, steady(raw1, total1), t1_band
+    def first_part(s1, band, floor):
+        """c0 P(1), and the first part's c0 P(1) + P(T1), F0 and T1 on the
+        band.  Without a floor yet, the all-ones frame is gathered with T1."""
+        raw1, thr1 = lift(s1)
+        buf = stack(thr1, 0 if floor is not None else n_ds + 1)
+        del thr1
+        if floor is None:
+            buf[:, :, n] = 1.0  # the all-ones frame, then the n_ds frames it reaches
+        t1_band = buf[:, :, band[0] : band[1]].copy()
+        p1, g = gather(buf)
+        del buf
+        if floor is None:
+            floor = all_ones_response(g, n)
+            floor *= baseline
+        total1 = floor + p1
+        del p1, g
+        return floor, (total1, steady(raw1, total1), t1_band)
 
-    def sweep_point(sspec, s3, s2, band, total1, f0_first, t1_band) -> dict:
+    def sweep_point(sspec, s3, s2, band, floor, total1, f0_first, t1_band) -> dict:
         # everything made here is freed on return, before the next point
         lo, hi = band
-        raw3, t3 = lift(s3)
-        straddle = t3.values[:, :, lo:hi] - t1_band
-        del t3
-        raw2, t2 = lift(s2)
-        straddle -= t2.values[:, :, lo:hi]
-        if hi > lo:
-            # D, and the frames it reaches; gathered before the second part
-            stop = min(cfg.n_frames, hi + cfg.kernel_n_ds)
-            d = np.pad(straddle, ((0, 0), (0, 0), (0, stop - hi), (0, 0), (0, 0)))
-            p_band = gather(LiftedActivity(grid, d, "facilitation", np.arange(lo, stop)))
-            del d
-        p2 = gather(t2)
-        del t2
+        raw3, thr3 = lift(s3)
+        straddle = thr3.values[:, :, lo:hi] - baseline
+        straddle -= t1_band
+        del thr3
+        raw2, thr2 = lift(s2)
+        # D's window holds the band and the frames it reaches; it is gathered
+        # with T2, which is written straight into the stacked buffer
+        stop = min(n, hi + n_ds) if hi > lo else lo
+        buf = stack(thr2, stop - lo)
+        del thr2
+        straddle -= buf[:, :, lo:hi]
+        buf[:, :, n : n + hi - lo] = straddle
+        del straddle
+        p2, p_band = gather(buf)
+        del buf
         total3 = total1 + p2
-        if hi > lo:
-            total3[:, :, lo:stop] += p_band
+        total3[:, :, lo:stop] += p_band
         total2 = floor + p2
-        del p2
+        del p2, p_band
         f0_second = steady(raw2, total2)
         del raw2, total2
         f0_full = steady(raw3, total3)
@@ -538,6 +579,7 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     for i, (delta_t, delta_theta) in enumerate(cfg.sweep):
         by_gap.setdefault(int(delta_t), []).append((i, float(delta_theta)))
     table = [None] * len(cfg.sweep)
+    floor = None  # c0 P(1), from the all-ones frame gathered at the first point
     for delta_t, points in by_gap.items():
         first = None  # this delta_t's first part, dropped before the next delta_t's
         for i, delta_theta in points:
@@ -545,8 +587,8 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
             s3, s1, s2, _ = occluded_trajectory(sspec)
             band = straddle_band(sspec.t1, sspec.t2, bank.rt, cfg.n_frames)
             if first is None:
-                first = first_part(s1, band)
-            table[i] = sweep_point(sspec, s3, s2, band, *first)
+                floor, first = first_part(s1, band, floor)
+            table[i] = sweep_point(sspec, s3, s2, band, floor, *first)
     lines = ["delta_t,delta_theta,window_lo,window_hi,energy,energy_positive,peak"]
     for row in table:
         lines.append(

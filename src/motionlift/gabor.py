@@ -171,17 +171,30 @@ def sigmoid(tau, mu: float, beta: float):
     Output is clamped to the open unit interval at float resolution, so
     saturated responses remain valid sigmoid outputs.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    out = np.empty_like(tau)
-    z = mu * (tau - beta)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    out = np.clip(out, _SIG_LO, _SIG_HI)
+    out = sigmoid_in_place(np.array(tau, dtype=np.float64), mu, beta)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def sigmoid_in_place(tau: np.ndarray, mu: float, beta: float) -> np.ndarray:
+    """``sigmoid`` written over ``tau`` (a float64 array), which it returns.
+
+    With z = mu (tau - beta) and e = exp(-|z|), the sigmoid is 1 / (1 + e)
+    where z >= 0 and e / (1 + e) elsewhere, so no exp overflows.  Besides
+    ``tau`` it holds one field, 1 + e, and the sign mask.
+    """
+    z = tau
+    np.subtract(z, beta, out=z)
+    np.multiply(z, mu, out=z)
+    pos = z >= 0
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    e = np.exp(z, out=z)
+    denom = e + 1.0
+    np.copyto(e, 1.0, where=pos)  # the numerator
+    np.divide(e, denom, out=e)
+    return np.clip(e, _SIG_LO, _SIG_HI, out=e)
 
 
 def threshold_activity(activity: LiftedActivity, mu: float, beta: float) -> LiftedActivity:
@@ -301,7 +314,8 @@ def energy_filter(
     overhanging the movie boundary see zero padding, so responses within
     3 sigma of an edge are attenuated; tests should avoid those bands.  The
     circular periods per axis are ``fft_period`` of the input length and the
-    filter reach.
+    filter reach.  A ``bank`` passed in must have been built for
+    ``p_modulus`` and for the grid's fibers (n_theta, n_v, v_m).
 
     A filter's spectrum is a sum over its three separable terms of the
     outer product of the 1D spectra of its flipped factors.  The temporal
@@ -319,8 +333,10 @@ def energy_filter(
             f"grid spatial dims {(grid.nx, grid.ny)} do not match stimulus {(nx, ny)}"
         )
     bank = bank or GaborBank(grid, p_modulus)
-    if bank.grid.n_theta != grid.n_theta or bank.grid.n_v != grid.n_v:
+    if (bank.grid.n_theta, bank.grid.n_v, bank.grid.v_m) != (grid.n_theta, grid.n_v, grid.v_m):
         raise ValueError("bank fiber discretization does not match the grid")
+    if bank.p_modulus != p_modulus:
+        raise ValueError(f"bank was built for |p| = {bank.p_modulus}, not {p_modulus}")
     frames = grid.frames_for(stimulus)
     rx, rt = bank.rx, bank.rt
     # restrict the input to frames that can influence the requested slices

@@ -46,7 +46,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gabor import LiftedActivity, ManifoldGrid, fft_period, sigmoid
+from .gabor import LiftedActivity, ManifoldGrid, fft_period, sigmoid_in_place
 from .kernels import KernelGrid, kernel_lookup, run_workers
 
 TRUNC_REL = 1e-6   # kernel entries below this fraction of max are dropped
@@ -356,6 +356,9 @@ class FacilitationPlan:
 
         Input frame i reaches output frame o through the offset
         ds = s_frames[o] - s_frames[i], so frame times must be distinct.
+        Frames whose times differ by more than the kernel's n_ds never
+        interact, so runs of frames laid more than n_ds apart are gathered
+        in one call as if each were alone, with one spectra build for all.
         Accumulation order is fixed (offsets, orientation blocks and k-chunks
         ascending), so the result is deterministic for fixed shapes.  The
         work is dealt over ``n_threads`` workers (the caller and
@@ -511,7 +514,10 @@ def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> Lifted
 def activity_steady(
     raw: LiftedActivity, facil: LiftedActivity, c_f: float, mu: float, beta: float
 ) -> LiftedActivity:
-    """First-order steady activity S(F + c_f P), S the sigmoid of gain mu and threshold beta."""
+    """First-order steady activity S(F + c_f P), S the sigmoid of gain mu and threshold beta.
+
+    The drive is formed in the output array and the sigmoid is taken in
+    place (``sigmoid_in_place``), so the call holds about two fields."""
     if c_f < 0:
         raise ValueError("the model is purely excitatory: c_f must be >= 0")
     if raw.kind != "raw":
@@ -520,8 +526,9 @@ def activity_steady(
         raise ValueError("activity_steady expects a facilitation field as second input")
     if raw.values.shape != facil.values.shape:
         raise ValueError("raw and facilitation grids do not match")
-    vals = sigmoid(raw.values + c_f * facil.values, mu, beta)
-    return raw.with_values(vals, "total")
+    drive = np.multiply(facil.values, c_f)
+    drive += raw.values
+    return raw.with_values(sigmoid_in_place(drive, mu, beta), "total")
 
 
 def facilitation_difference(

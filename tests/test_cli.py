@@ -248,7 +248,8 @@ def test_experiment2_leaves_every_facilitate_output_as_returned(tmp_path, monkey
     monkeypatch.setattr(experiments, "facilitate", recording)
     out = tmp_path / "traj"
     assert main([*TINY_EXPERIMENT2, "--dt", "2", "--dtheta", "0.5", "--out", str(out)]) == 0
-    assert len(returned) == 4  # P(1) from one frame, the first part, the band, the second part
+    # the first part with the all-ones frame, then the second part with the band
+    assert len(returned) == 2
     assert all(np.array_equal(act.values, kept) for act, kept in returned)
 
 

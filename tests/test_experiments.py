@@ -1,6 +1,7 @@
 """Experiment 2 by linearity: the straddle band, the all-ones response from
-one frame, one first part per gap duration, and the whole-stimulus
-reference the decomposed sweep must reproduce."""
+one frame, windows gathered in one call with a part, one first part per gap
+duration, and the whole-stimulus reference the decomposed sweep must
+reproduce."""
 
 import math
 from dataclasses import replace
@@ -11,10 +12,11 @@ import pytest
 from motionlift import experiments
 from motionlift.experiments import (
     Experiment2Config,
-    facilitate_ones,
+    all_ones_response,
     gap_energy,
     load_or_estimate_kernel,
     run_experiment2,
+    stacked_times,
     straddle_band,
 )
 from motionlift.gabor import (
@@ -69,20 +71,45 @@ def test_the_whole_is_the_sum_of_its_parts_outside_the_straddle_band(delta_t):
     assert np.all(residual[band] > 1e-13)  # every band frame is needed
 
 
+def _random_trajectory_kernel(n_ds):
+    lat = trajectory_lattice(3, n_ds, 4, 3, 1.0)
+    vals = np.random.default_rng(3).uniform(0, 1, lat.shape)
+    return KernelGrid(lat.axes, lat.origin, lat.spacing, vals / vals.sum(),
+                      SdeSpec("trajectory", 0.1, 0.1, 0.1, 1.0, 1, 0))
+
+
 @pytest.mark.parametrize("n_frames", [12, 7, 6, 4])
 def test_all_ones_response_from_one_frame_matches_the_full_gather(n_frames):
     # the kernel reaches 6 frames, so 6 and 4 frames never see every offset
-    lat = trajectory_lattice(3, 6, 4, 3, 1.0)
-    vals = np.random.default_rng(3).uniform(0, 1, lat.shape)
-    kernel = KernelGrid(lat.axes, lat.origin, lat.spacing, vals / vals.sum(),
-                        SdeSpec("trajectory", 0.1, 0.1, 0.1, 1.0, 1, 0))
+    kernel = _random_trajectory_kernel(6)
     grid = ManifoldGrid(9, 9, 4, 3, 1.0)
     ones = np.ones((9, 9, n_frames, 4, 3))
     want = facilitate(LiftedActivity(grid, ones, "facilitation", np.arange(n_frames)),
                       kernel).values
-    got = facilitate_ones(kernel, grid, n_frames)
+    one_frame = np.zeros((9, 9, 7, 4, 3))
+    one_frame[:, :, 0] = 1.0
+    g = facilitate(LiftedActivity(grid, one_frame, "facilitation", np.arange(7)), kernel).values
+    got = all_ones_response(g, n_frames)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_window", [1, 4])
+def test_a_window_stacked_past_the_movie_is_gathered_as_if_alone(n_window):
+    # every frame of both is live, the movie's last frame too
+    n_ds, n_frames = 3, 5
+    kernel = _random_trajectory_kernel(n_ds)
+    grid = ManifoldGrid(9, 9, 4, 3, 1.0)
+    rng = np.random.default_rng(n_window)
+    movie = rng.uniform(0, 1, (9, 9, n_frames, 4, 3))
+    window = rng.uniform(0, 1, (9, 9, n_window, 4, 3))
+    times = stacked_times(n_frames, n_window, n_ds)
+    both = facilitate(LiftedActivity(grid, np.concatenate([movie, window], axis=2),
+                                     "facilitation", times), kernel).values
+    for got, part in ((both[:, :, :n_frames], movie), (both[:, :, n_frames:], window)):
+        want = facilitate(LiftedActivity(grid, part, "facilitation",
+                                         np.arange(part.shape[2])), kernel).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_first_part_does_not_depend_on_the_turn():
@@ -142,12 +169,10 @@ def test_a_repeated_gap_duration_gathers_its_first_part_once(tmp_path, monkeypat
     cfg = replace(TINY, sweep=((2, 0.5), (4, 0.5), (2, 1.0)))
     table = run_experiment2(cfg, tmp_path / "run")
     assert [(row["delta_t"], row["delta_theta"]) for row in table] == list(cfg.sweep)
-    # P(1) from one frame, one first part per delta_t, then band and second
-    # part per point
-    assert len(calls) == 1 + 2 + 2 * 3
-    # only a first part is live from the movie's first frame on, over a
-    # frame range that the all-ones frame (7 frames) does not have
-    firsts = [times for times, out, _ in calls
-              if times[0] == 0 and out.values.shape[2] == cfg.n_frames]
-    assert len(firsts) == 2
+    # one first part per delta_t, the first with the all-ones frame, and one
+    # call per point for its second part with its band
+    assert len(calls) == 2 + 3
+    # only a first part is live from the movie's first frame on
+    firsts = [out.values.shape[2] for times, out, _ in calls if times[0] == 0]
+    assert firsts == [cfg.n_frames + cfg.kernel_n_ds + 1, cfg.n_frames]
     assert all(np.array_equal(out.values, kept) for _, out, kept in calls)

@@ -63,6 +63,27 @@ class TestSigmoid:
         assert 0.0 < sigmoid(1e3, 20.0, 0.7) < 1.0
         assert sigmoid(1e3, 20.0, 0.7) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mu, beta", [(10.0, 0.5), (20.0, 0.7), (40.0, 0.0)])
+    def test_same_bits_as_the_masked_formula(self, mu, beta):
+        def masked(tau):
+            # the formula with one exp per sign of z, each on its own entries
+            tau = np.asarray(tau, dtype=np.float64)
+            out = np.empty_like(tau)
+            z = mu * (tau - beta)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+        rng = np.random.default_rng(4)
+        edges = [beta, -0.0, 0.0, beta + 1e-17, 5e-324, 1e300, -1e300, np.inf, -np.inf]
+        taus = np.concatenate([rng.normal(beta, 3.0 / mu, 10_000),
+                               rng.uniform(-100.0, 100.0, 1000), edges])
+        assert np.array_equal(sigmoid(taus, mu, beta), masked(taus))
+        assert sigmoid(beta + 0.1, mu, beta) == float(masked(beta + 0.1))
+        assert isinstance(sigmoid(beta, mu, beta), float)
+
 
 @pytest.fixture(scope="module")
 def small_grid():
@@ -114,6 +135,18 @@ class TestGaborBank:
 
 
 class TestEnergyFilter:
+    def test_bank_must_match_frequency_and_fibers(self, small_grid, bank):
+        # a bank built for another |p| or another v_m lifts with its own
+        stim, _ = translating_bar((24, 24, 16), 0.0, 0.5, 2.0)
+        with pytest.raises(ValueError, match="built for"):
+            energy_filter(stim, small_grid, 1.0, bank=bank)
+        slow = ManifoldGrid(24, 24, 8, 5, 0.5, s_slices=(8,))
+        with pytest.raises(ValueError, match="fiber"):
+            energy_filter(stim, slow, P_HALF, bank=bank)
+        coarse = ManifoldGrid(24, 24, 4, 5, 1.0, s_slices=(8,))
+        with pytest.raises(ValueError, match="fiber"):
+            energy_filter(stim, coarse, P_HALF, bank=bank)
+
     def test_constant_stimulus_zero_interior(self, small_grid, bank):
         stim = StimulusVolume(np.full((24, 24, 16), 0.63))
         act = energy_filter(stim, small_grid, P_HALF, bank=bank)

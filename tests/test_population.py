@@ -237,6 +237,29 @@ class TestGatherContract:
         ref = facilitate_reference(act, kernel)
         assert np.abs(fast.values - ref.values).max() < 1e-10
 
+    def test_runs_more_than_n_ds_apart_are_gathered_as_if_alone(self, small5):
+        # two runs of frames whose times lie n_ds + 1 apart share one call
+        # (and one spectra build); each run's outputs are its own gather's.
+        # At n_ds apart the first run's last frame reaches the second's first
+        grid, kernel = small5
+        n_ds = kernel.values.shape[2]
+        rng = np.random.default_rng(9)
+        runs = [rng.uniform(0, 1, (7, 7, ns, 6, 3)) for ns in (3, 2)]
+        alone = [facilitate(LiftedActivity(grid, vals, "facilitation", np.arange(vals.shape[2])),
+                            kernel).values for vals in runs]
+        stacked = np.concatenate(runs, axis=2)
+        for gap, apart in ((n_ds + 1, True), (n_ds, False)):
+            times = np.array([0, 1, 2, 2 + gap, 3 + gap])
+            both = LiftedActivity(grid, stacked, "facilitation", times)
+            fast = facilitate(both, kernel).values
+            split = (fast[:, :, :3], fast[:, :, 3:])
+            same = [np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                    for got, want in zip(split, alone)]
+            assert same == [True, apart], gap
+            if apart:
+                ref = facilitate_reference(both, kernel).values
+                assert np.abs(fast - ref).max() <= 1e-10
+
     @pytest.mark.parametrize("kernel_ds", [2.0])
     def test_trajectory_kernel_needs_unit_frame_spacing(self, kernel_ds):
         # the plan's offsets are ds = 1..n_ds whole frames, so a kernel whose
@@ -513,6 +536,25 @@ class TestSteadyActivity:
         s2 = activity_steady(raw, p2, 5.0, 10.0, 0.5)
         assert (s2.values >= s1.values).all()
         assert 0.0 < s1.values.min() and s1.values.max() < 1.0
+
+    def test_peak_memory_is_about_two_fields(self):
+        # the drive is formed in the output array and the sigmoid taken in
+        # place; the masked sigmoid held about five fields at once
+        grid = ManifoldGrid(32, 32, 8, 5, 1.0)
+        rng = np.random.default_rng(8)
+        shape = (32, 32, 24, 8, 5)
+        raw = LiftedActivity(grid, rng.uniform(0, 1, shape), "raw", np.arange(24))
+        pattern = raw.with_values(rng.uniform(0, 0.1, shape), "facilitation")
+        field = raw.values.nbytes
+        tracemalloc.start()
+        try:
+            steady = activity_steady(raw, pattern, 5.0, 10.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * field, peak / field
+        want = sigmoid(raw.values + 5.0 * pattern.values, 10.0, 0.5)
+        assert np.array_equal(steady.values, want)
 
     def test_negative_strength_rejected(self, small4):
         grid, _ = small4
