@@ -161,9 +161,11 @@ def _add_threads_arg(sp):
     else:  # pragma: no cover - platforms without CPU affinity
         default = os.cpu_count() or 1
     sp.add_argument("--threads", type=_thread_count, default=default,
-                    help="worker threads of the Monte Carlo kernel estimate and of "
-                         "the FFT facilitation gather (default: every CPU this "
-                         "process may use); outputs are bit-identical for any count")
+                    help="workers of the Monte Carlo kernel estimate and of the "
+                         "FFT facilitation gather, started once per call; while more "
+                         "than one runs, numpy's OpenBLAS is held at one thread "
+                         "(default: every CPU this process may use); outputs are "
+                         "bit-identical for any count")
 
 
 def _out_path(out) -> Path:

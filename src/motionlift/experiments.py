@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -454,10 +454,13 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     (``all_ones_response``).  The whole's T3 is T1 + T2 + D, where the
     straddle band D = T3 - T1 - T2 is formed on the frames of
     ``straddle_band`` only and is zero elsewhere, so P(T3) = P(T1) + P(T2)
-    + P(D) and the whole is never gathered.  The first part depends on the
-    gap duration alone: it is lifted and gathered once per distinct delta_t,
-    and held only while that delta_t's points run.  The rows keep the
-    sweep's order.
+    + P(D) and the whole is never gathered.  Nor is the whole lifted off
+    the band: there its raw energy is the sum of its parts' to roundoff, so
+    only the band is lifted (through the grid's ``s_slices``).  The first
+    part depends on the gap duration alone: it is lifted and gathered once
+    per distinct delta_t, and its raw energy and c0 P(1) + P(T1) are held
+    only while that delta_t's points run; its steady response is formed
+    again at each point.  The rows keep the sweep's order.
 
     Each stencil-spectra build serves two activities at once.  A window of
     frames laid n_ds + 1 frames past the movie's last frame
@@ -485,9 +488,10 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))  # c0
     n, n_ds = cfg.n_frames, cfg.kernel_n_ds
 
-    def lift(stim) -> tuple[LiftedActivity, LiftedActivity]:
-        """The raw energy of a part and its thresholded energy."""
-        raw = energy_filter(stim, grid, cfg.p_modulus, bank=bank)
+    def lift(stim, on=grid) -> tuple[LiftedActivity, LiftedActivity]:
+        """The raw energy of a part and its thresholded energy, on the frames
+        of the grid ``on``."""
+        raw = energy_filter(stim, on, cfg.p_modulus, bank=bank)
         return raw, threshold_activity(raw, cfg.mu, cfg.beta)
 
     def stack(thr: LiftedActivity, n_window: int) -> np.ndarray:
@@ -511,8 +515,9 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
                                cfg.c_f, cfg.mu, cfg.beta)
 
     def first_part(s1, band, floor):
-        """c0 P(1), and the first part's c0 P(1) + P(T1), F0 and T1 on the
-        band.  Without a floor yet, the all-ones frame is gathered with T1."""
+        """c0 P(1), and the first part's c0 P(1) + P(T1), raw energy and T1
+        on the band.  Without a floor yet, the all-ones frame is gathered
+        with T1."""
         raw1, thr1 = lift(s1)
         buf = stack(thr1, 0 if floor is not None else n_ds + 1)
         del thr1
@@ -526,24 +531,24 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
             floor *= baseline
         total1 = floor + p1
         del p1, g
-        return floor, (total1, steady(raw1, total1), t1_band)
+        return floor, (total1, raw1, t1_band)
 
-    def sweep_point(sspec, s3, s2, band, floor, total1, f0_first, t1_band) -> dict:
+    def sweep_point(sspec, s3, s2, band, floor, total1, raw1, t1_band) -> dict:
         # everything made here is freed on return, before the next point
         lo, hi = band
-        raw3, thr3 = lift(s3)
-        straddle = thr3.values[:, :, lo:hi] - baseline
-        straddle -= t1_band
-        del thr3
         raw2, thr2 = lift(s2)
         # D's window holds the band and the frames it reaches; it is gathered
         # with T2, which is written straight into the stacked buffer
         stop = min(n, hi + n_ds) if hi > lo else lo
         buf = stack(thr2, stop - lo)
         del thr2
-        straddle -= buf[:, :, lo:hi]
-        buf[:, :, n : n + hi - lo] = straddle
-        del straddle
+        if hi > lo:
+            raw3_band, thr3_band = lift(s3, replace(grid, s_slices=range(lo, hi)))
+            straddle = buf[:, :, n : n + hi - lo]
+            np.subtract(thr3_band.values, baseline, out=straddle)
+            straddle -= t1_band
+            straddle -= buf[:, :, lo:hi]
+            del thr3_band, straddle
         p2, p_band = gather(buf)
         del buf
         total3 = total1 + p2
@@ -551,11 +556,19 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         total2 = floor + p2
         del p2, p_band
         f0_second = steady(raw2, total2)
-        del raw2, total2
+        del total2
+        # the whole's raw energy, written over the second part's: the sum of
+        # the parts' off the band, and its own lift on it
+        raw3 = raw2
+        raw3.values += raw1.values
+        if hi > lo:
+            raw3.values[:, :, lo:hi] = raw3_band.values
+            del raw3_band
         f0_full = steady(raw3, total3)
-        del raw3, total3
+        del raw2, raw3, total3
+        f0_first = steady(raw1, total1)
         f_fac = facilitation_difference(f0_full, f0_first, f0_second)
-        del f0_second
+        del f0_first, f0_second
         row = {"delta_t": sspec.delta_t, "delta_theta": sspec.delta_theta,
                "bridged": cfg.bridges(sspec.delta_t)}
         row.update(gap_energy(f_fac, sspec.t1, sspec.t2, cfg.gap_margin, baseline))

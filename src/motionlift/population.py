@@ -15,9 +15,12 @@ interpolated.
 One FFT engine, ``FacilitationPlan``, serves both kernel ranks: the 4D
 kernel is a single temporal offset ds = 0 without shear, the 5D kernel has
 the offsets ds = 1..n_ds.  For each offset the stencils are sampled from
-the kernel by exactly the lookup's interpolation rule, transformed in
-batches, and mixed over the fibers by one batched matrix product per chunk
-of Fourier bins.  At even n_theta only the input orientations theta' < pi
+the kernel by exactly the lookup's interpolation rule (through bilinear
+corner tables built once per plan), transformed in batches, and mixed over
+the fibers by one batched matrix product per chunk of Fourier bins.  Only
+the (dtheta, dv) planes of an offset that hold a nonzero value after
+truncation are sampled and transformed; the others map to a zero
+spectrum.  At even n_theta only the input orientations theta' < pi
 are sampled and transformed: turning a stencil by pi reflects it through
 the origin, so the spectrum at theta' + pi is a phase times the conjugate
 of one built at theta' (the half turn of Cohen & Welling's group acting on
@@ -30,11 +33,13 @@ spectra are held at a time.  Each FFT period only holds the output window
 that is kept, by the alias-free rule of ``gabor.fft_period``.  The result
 matches the explicit gather (``facilitate_reference``) to 1e-10 and
 is deterministic for fixed shapes.  The frame FFTs, the stencil spectra and
-the contraction are dealt round-robin over ``n_threads`` workers (by frame,
-by (theta', phi) unit and by chunk of Fourier bins), each worker within its
-share of the ``_CHUNK_BYTES`` working set, and the output is bit-identical
-for every worker count.  Each public entry point builds the plan it uses;
-nothing is cached between calls.  Kernels are sparsified by
+the contraction are dealt over ``n_threads`` workers (by frame, by
+(theta', phi) unit and by chunk of Fourier bins), each worker taking the
+next item no one has taken, within its share of the ``_CHUNK_BYTES``
+working set, and the output is bit-identical for every worker count.  One ``kernels.Workers`` context per call starts
+the n_threads - 1 threads once for all of these phases and holds numpy's
+OpenBLAS at one thread meanwhile.  Each public entry point builds the
+plan it uses; nothing is cached between calls.  Kernels are sparsified by
 zeroing entries below ``TRUNC_REL`` of the kernel max before either path
 runs.
 """
@@ -47,7 +52,7 @@ from dataclasses import replace
 import numpy as np
 
 from .gabor import LiftedActivity, ManifoldGrid, fft_period, sigmoid_in_place
-from .kernels import KernelGrid, kernel_lookup, run_workers
+from .kernels import KernelGrid, Workers, kernel_lookup
 
 TRUNC_REL = 1e-6   # kernel entries below this fraction of max are dropped
 _CHUNK_BYTES = 4 << 20  # working set of one FFT batch or contraction chunk, split over workers
@@ -94,31 +99,35 @@ def _check_compat(grid: ManifoldGrid, kernel: KernelGrid) -> None:
             raise ValueError("trajectory kernel ds axis must start at ds = 1")
 
 
-def _bilinear_gather(plane_stack: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Sample a stack of 2D planes bilinearly at common (px, py) points.
+def _corner_table(theta: float, phi: float, h: int, ext: int) -> list:
+    """The bilinear lookup of the stencil of one (theta', phi) unit, as
+    (flat index, weight) per corner that reaches the kernel's planes.
 
-    plane_stack has shape (m, n1, n2); px, py index its last two axes in
-    cell units.  Points outside the planes contribute zero.  Returns
-    (m, npts).
-    """
-    m, n1, n2 = plane_stack.shape
+    Stencil sample (a, b), |a|, |b| <= ext, looks up the kernel at
+    R(-theta') (a - phi, b) on its (2h + 1)^2 spatial grid.  The flat
+    (q1, q2) index of each corner is clipped onto the grid and its weight
+    is zero off it, so a unit's samples of a stack of planes are the sum of
+    the corners' takes times their weights."""
+    n_q = 2 * h + 1
+    offs = np.arange(-ext, ext + 1, dtype=float)
+    gx, gy = np.meshgrid(offs - phi, offs, indexing="ij")
+    c, s = math.cos(-theta), math.sin(-theta)
+    px = c * gx.ravel() - s * gy.ravel() + h
+    py = s * gx.ravel() + c * gy.ravel() + h
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx = px - x0
     fy = py - y0
-    out = np.zeros((m, px.size))
+    table = []
     for dx_c, wx in ((0, 1.0 - fx), (1, fx)):
         for dy_c, wy in ((0, 1.0 - fy), (1, fy)):
             xi = x0 + dx_c
             yi = y0 + dy_c
-            ok = (xi >= 0) & (xi < n1) & (yi >= 0) & (yi < n2)
-            w = wx * wy
-            if not ok.any():
-                continue
-            vals = plane_stack[:, np.clip(xi, 0, n1 - 1), np.clip(yi, 0, n2 - 1)]
-            vals *= np.where(ok, w, 0.0)
-            out += vals
-    return out
+            ok = (xi >= 0) & (xi < n_q) & (yi >= 0) & (yi < n_q)
+            if ok.any():
+                flat = np.clip(xi, 0, n_q - 1) * n_q + np.clip(yi, 0, n_q - 1)
+                table.append((flat, np.where(ok, wx * wy, 0.0)))
+    return table
 
 
 class FacilitationPlan:
@@ -130,9 +139,16 @@ class FacilitationPlan:
     input fiber (theta', v') the relative spatial coordinate is
     R(-theta') (dq - (v' ds, 0)).  The shear v' ds splits into an integer
     pixel part, applied as an exact FFT phase, and a fractional class phi.
-    Stencil spectra are indexed by (built theta' bin, phi class, dtheta,
-    dv); a precomputed row index maps each (input fiber, output fiber) pair
-    to its spectrum, or to a zero row when dv falls off the kernel.
+    Stencil spectra are indexed by (built theta' bin, phi class, plane),
+    where the planes of an offset are its (dtheta, dv) planes that hold a
+    nonzero value after ``TRUNC_REL`` (``planes``); a precomputed row index
+    maps each (input fiber, output fiber) pair to its spectrum, or to a
+    zero row when dv falls off the kernel or the plane is all zero.  An
+    offset with no such plane is skipped.  Stencils are sampled through
+    ``corners``, the four bilinear corner tables (clipped flat index and
+    weight, zero off the kernel) of every built (theta', phi) unit, which
+    the plan builds once in the calling thread and every offset shares, so
+    sampling a batch of planes is four take-multiply-adds.
 
     The built orientations are those below pi at even n_theta, and all of
     them at odd n_theta.  Turning by pi maps the stencil sample at offset
@@ -164,18 +180,23 @@ class FacilitationPlan:
     moves the kept window max_m cells further in, and fft_period(ny, ext)
     along y.
 
-    ``apply(activity, n_threads)`` deals its work over n_threads workers:
-    the calling thread is worker 0 and n_threads - 1 pool threads are the
-    others, which end with each phase.  Worker w takes items w, w + n, ...
-    of each phase in turn: the per-frame forward FFTs, then for every block
-    the (theta', phi) units of its stencil spectra (each unit fills its own
-    columns) and the k-chunks of the contraction (each owning disjoint rows
-    of ``phat``), then the per-frame inverse FFTs.  Each worker's FFT batch
-    and k-chunk take its 1/n share of ``_CHUNK_BYTES``, and the calling
-    thread allocates every worker's FFT and contraction buffers, so pool
-    threads allocate nothing large and n workers hold about as much as one.
-    Every spectrum column and every k row is computed by the same
-    operations in the same order whatever n is, so the output is
+    ``apply(activity, n_threads)`` deals its work over the n_threads
+    workers of one ``kernels.Workers`` context: the calling thread is
+    worker 0, and n_threads - 1 threads started once per call serve every
+    phase and end with the call.  While they run, numpy's OpenBLAS is held
+    at one thread, so that the contraction's matrix products do not start
+    BLAS threads that compete with the workers.  The phases run in turn:
+    the per-frame forward FFTs, then for every block the (theta', phi)
+    units of its stencil spectra (each unit fills its own columns) and the
+    k-chunks of the contraction (each owning disjoint rows of ``phat``),
+    then the per-frame inverse FFTs.  Within a phase each worker takes the
+    next item no one has taken, so a worker held up by the machine takes
+    fewer.  Each worker's FFT batch and k-chunk take its 1/n share of
+    ``_CHUNK_BYTES``, and the calling thread allocates every worker's
+    sampling, FFT and contraction buffers, so the other threads allocate
+    nothing large and n workers hold about as much as one.  Every spectrum
+    column and every k row is computed by the same operations in the same
+    order whichever worker takes it and whatever n is, so the output is
     bit-identical for every worker count.  The output array is allocated,
     and the input spectra freed, only once the contraction is done.
     """
@@ -189,21 +210,28 @@ class FacilitationPlan:
             vals = vals[:, :, None]
             ds = [0]
         self.grid = grid
-        self.vals = vals  # (2h+1, 2h+1, n_offsets, n_theta, n_dv)
         self.ds = ds
-        self.h = (vals.shape[0] - 1) // 2
+        h = (vals.shape[0] - 1) // 2
+        nth, nv, n_dv = grid.n_theta, grid.n_v, vals.shape[4]
+        # per offset, its (dtheta, dv) planes (plane p = dtheta n_dv + dv) that
+        # hold a nonzero value, as rows of flattened (q1, q2) values; the rows
+        # of the other planes point at the zero row
+        per_offset = vals.reshape((2 * h + 1) ** 2, len(ds), nth * n_dv)
+        self.planes = []
+        for d in range(len(ds)):
+            live = np.flatnonzero(per_offset[:, d].any(axis=0))
+            self.planes.append((live, np.ascontiguousarray(per_offset[:, d, live].T)))
         # the bilinear lookup is nonzero only inside the rotated square
         # |x|, |y| < h + 1, whose corners reach (h + 1) sqrt(2): a window of
         # ext cells either side holds all of it for every fractional class,
         # both as built and as mirrored
-        self.ext = int(math.ceil((self.h + 1) * math.sqrt(2.0)))
+        self.ext = int(math.ceil((h + 1) * math.sqrt(2.0)))
         shear = grid.vs[:, None] * np.array(ds, dtype=float)  # (n_v, n_offsets)
         m_shift = np.floor(shear).astype(np.int64)
         self.max_m = int(np.abs(m_shift).max())
         self.pad1 = fft_period(grid.nx + self.max_m, self.ext)
         self.pad2 = fft_period(grid.ny, self.ext)
 
-        nth, nv, n_dv = grid.n_theta, grid.n_v, vals.shape[4]
         # at even n_theta only theta' < pi is built, and theta' + pi is its
         # half turn
         self.n_built = nth // 2 if nth % 2 == 0 else nth
@@ -212,6 +240,8 @@ class FacilitationPlan:
         mirrored = i_p >= self.n_built
         dth = (np.arange(nth)[None, None, :, None] - i_p) % nth
         dv = np.arange(nv)[None, None, None, :] - j_p + n_dv // 2
+        on_kernel = (dv >= 0) & (dv < n_dv)
+        plane = dth * n_dv + np.clip(dv, 0, n_dv - 1)
         self.mixing = []  # per offset: phi classes, spectrum row index, x shift
         for d in range(len(ds)):
             phis, cls = np.unique(np.round(shear[:, d] - m_shift[:, d], 12), return_inverse=True)
@@ -219,65 +249,78 @@ class FacilitationPlan:
             # and phi + partner is the cell s the mirrored window moves by
             partner = cls[::-1]
             s = np.rint(phis[cls] + phis[partner]).astype(np.int64)
-            n_rows = self.n_built * len(phis) * nth * n_dv
+            live = self.planes[d][0]
+            column = np.full(nth * n_dv, -1)  # a plane's spectrum within its unit
+            column[live] = np.arange(len(live))
+            n_rows = self.n_built * len(phis) * len(live)
             unit = (i_p % self.n_built) * len(phis) + np.where(mirrored, partner[j_p], cls[j_p])
-            rows = (unit * nth + dth) * n_dv + dv
-            rows = np.where((dv >= 0) & (dv < n_dv), rows, n_rows).reshape(nth * nv, -1)
+            rows = unit * len(live) + column[plane]
+            rows = np.where(on_kernel & (column[plane] >= 0), rows, n_rows).reshape(nth * nv, -1)
             # a circular shift by (max_m + m) aligns every shear to one output
             # offset; a mirrored stencil also starts 2 ext + s cells further in
             turn = np.where(mirrored[:, :, 0, 0], 2 * self.ext + s, 0)
             delta = self.max_m + m_shift[:, d] + turn
             self.mixing.append((phis, rows, delta.ravel()))
 
-    def _spectra(self, d: int, phis: np.ndarray, thetas: np.ndarray,
-                 n_workers: int) -> np.ndarray:
-        """k-major stencil spectra of offset d for the input orientations
-        ``thetas``, plus a trailing zero row.  ``_mix`` asks only for built
-        orientations, so at even n_theta never for theta' >= pi.
+        # the bilinear corners of every built (theta', phi) unit, shared by
+        # the offsets
+        self.corners = {
+            (t, phi): _corner_table(grid.thetas[t], phi, h, self.ext)
+            for phi in np.unique(np.concatenate([phis for phis, _, _ in self.mixing]))
+            for t in range(self.n_built)
+        }
 
-        The (theta', phi) units are dealt round-robin over the workers; unit
-        u fills columns [u n_pl, (u + 1) n_pl), and each worker samples and
-        transforms its planes in batches of its share of ``_CHUNK_BYTES``."""
-        h, ext, pad1, pad2 = self.h, self.ext, self.pad1, self.pad2
+    def _spectra(self, d: int, t0: int, t1: int, workers: Workers) -> np.ndarray:
+        """k-major stencil spectra of offset d for the built input
+        orientations t0 <= t' < t1, plus a trailing zero row: one column per
+        (theta', phi) unit and nonzero plane of the offset.  ``_mix`` asks
+        only for built orientations, so at even n_theta never for
+        theta' >= pi.
+
+        The units are dealt over the workers; unit u fills columns
+        [u n_pl, (u + 1) n_pl), and its worker samples its planes through
+        the unit's corner tables and transforms them in batches of its share
+        of ``_CHUNK_BYTES``."""
+        ext, pad1, pad2 = self.ext, self.pad1, self.pad2
         nk = pad1 * (pad2 // 2 + 1)
         side = 2 * ext + 1
-        planes = np.moveaxis(self.vals[:, :, d].reshape(2 * h + 1, 2 * h + 1, -1), 2, 0)
-        planes = np.ascontiguousarray(planes)  # (plane, q1, q2)
+        planes = self.planes[d][1]
         n_pl = len(planes)
-        units = [(th, phi) for th in thetas for phi in phis]
+        phis = self.mixing[d][0]
+        units = [self.corners[t, phi] for t in range(t0, t1) for phi in phis]
         out = np.zeros((nk, len(units) * n_pl + 1), dtype=np.complex128)
-        offs = np.arange(-ext, ext + 1, dtype=float)
-        n = min(n_workers, len(units))
+        n = min(workers.n, len(units))
         batch = min(n_pl, max(1, _CHUNK_BYTES // n // (16 * nk)))
-        # rfft2 as its two passes, into every worker's buffers, which are
-        # allocated here in the calling thread
-        bufs = [(np.empty((batch, side, pad2 // 2 + 1), np.complex128),
+        # sampling and rfft2 as its two passes, into every worker's buffers,
+        # which are allocated here in the calling thread
+        bufs = [(np.empty((batch, side * side)), np.empty((batch, side * side)),
+                 np.empty((batch, side, pad2 // 2 + 1), np.complex128),
                  np.empty((batch, pad1, pad2 // 2 + 1), np.complex128)) for _ in range(n)]
 
-        def build(w):
-            half, spec = bufs[w]
-            for u in range(w, len(units), n):
-                th, phi = units[u]
-                c, s = math.cos(-th), math.sin(-th)
-                gx, gy = np.meshgrid(offs - phi, offs, indexing="ij")
-                px = c * gx.ravel() - s * gy.ravel() + h
-                py = s * gx.ravel() + c * gy.ravel() + h
-                for p0 in range(0, n_pl, batch):
-                    stencils = _bilinear_gather(planes[p0 : p0 + batch], px, py)
-                    b = len(stencils)
-                    np.fft.rfft(stencils.reshape(b, side, side), n=pad2, axis=2, out=half[:b])
-                    np.fft.fft(half[:b], n=pad1, axis=1, out=spec[:b])
-                    col = u * n_pl + p0
-                    out[:, col : col + b] = spec[:b].reshape(b, nk).T
+        def build(w, u):
+            stencils, term, half, spec = bufs[w]
+            (first, weight), *others = units[u]
+            for p0 in range(0, n_pl, batch):
+                b = min(batch, n_pl - p0)
+                np.take(planes[p0 : p0 + b], first, axis=1, out=stencils[:b])
+                stencils[:b] *= weight
+                for flat, weight_c in others:
+                    np.take(planes[p0 : p0 + b], flat, axis=1, out=term[:b])
+                    term[:b] *= weight_c
+                    stencils[:b] += term[:b]
+                np.fft.rfft(stencils[:b].reshape(b, side, side), n=pad2, axis=2, out=half[:b])
+                np.fft.fft(half[:b], n=pad1, axis=1, out=spec[:b])
+                col = u * n_pl + p0
+                out[:, col : col + b] = spec[:b].reshape(b, nk).T
 
-        run_workers(n, build)
+        workers.run(len(units), build)
         return out
 
     def _mix(self, d: int, fhat: np.ndarray, ins: np.ndarray, phat: np.ndarray,
-             outs: np.ndarray, n_workers: int) -> None:
+             outs: np.ndarray, workers: Workers) -> None:
         """phat[:, outs] += fhat[:, ins] mixed through offset d, block of built
         input orientations by block; within a block the k-chunks are dealt
-        round-robin over the workers, each owning disjoint rows of phat.
+        over the workers, each owning disjoint rows of phat.
 
         At even n_theta a block of built orientations T serves the input
         fibers at T and, as their mirrored half, those at T + pi.  A mirrored
@@ -292,7 +335,7 @@ class FacilitationPlan:
         nth, nv, nb = self.grid.n_theta, self.grid.n_v, self.n_built
         halves = nth // nb  # 2 where theta' + pi is mirrored, else 1
         nk, nf = len(phat), rows.shape[1]
-        blk = len(phis) * nth * self.vals.shape[4]  # spectra per built orientation
+        blk = len(phis) * len(self.planes[d][0])  # spectra per built orientation
         # each block costs one read-modify-write pass over phat, so a block may
         # take as many bytes as phat: with 32 MiB blocks alone, a paper-scale
         # 5D call (102 frames, 12 one-orientation blocks per offset) ran 3.7x
@@ -311,44 +354,45 @@ class FacilitationPlan:
             built = slice(t0 * nv, t1 * nv)
             m0 = (t1 - t0) * nv  # the block's mirrored fibers follow its built ones
             n_in = halves * m0
-            spectra = self._spectra(d, phis, self.grid.thetas[t0:t1], n_workers)
+            spectra = self._spectra(d, t0, t1, workers)
             # rows of other blocks never occur here; the zero row moves to the block's end
             block_rows = np.minimum(rows[:, built] - t0 * blk, (t1 - t0) * blk).reshape(n_in, nf)
             block_delta = delta[:, built].ravel()
             # one row of every buffer: phase, input, mixing block, product
             row = 16 * (n_in + len(ins) * n_in + n_in * nf + len(ins) * nf)
-            chunk = max(1, _CHUNK_BYTES // n_workers // row)
-            n = min(n_workers, -(-nk // chunk))
+            chunk = max(1, _CHUNK_BYTES // workers.n // row)
+            n_chunks = -(-nk // chunk)
+            n = min(workers.n, n_chunks)
             # every worker's buffers are allocated here, in the calling thread,
-            # so that pool threads allocate nothing large
+            # so that the other workers allocate nothing large
             bufs = [(np.empty((chunk, n_in), np.complex128),
                      np.empty((chunk, len(ins), n_in), np.complex128),
                      np.empty((chunk, n_in, nf), np.complex128),
                      np.empty((chunk, len(ins), nf), np.complex128)) for _ in range(n)]
 
-            def contract(w):
+            def contract(w, c):
                 phase, f, mix, prod = bufs[w]
-                for k0 in range(w * chunk, nk, n * chunk):
-                    k1 = min(k0 + chunk, nk)
-                    kc = k1 - k0
-                    np.multiply(kphase[k0:k1], block_delta, out=phase[:kc])
-                    phase[:kc, m0:] += yphase[k0:k1]
-                    np.exp(phase[:kc], out=phase[:kc])  # (kc, n_in)
-                    np.take(fib[k0:k1, :, :, built], ins, axis=1, mode="clip",
-                            out=f[:kc].reshape(kc, len(ins), halves, m0))
-                    np.multiply(f[:kc], phase[:kc, None], out=f[:kc])
-                    np.take(spectra[k0:k1], block_rows, axis=1, out=mix[:kc], mode="clip")
-                    for h in range(halves):
-                        cols = slice(h * m0, (h + 1) * m0)
-                        if h:
-                            np.conjugate(f[:kc, :, cols], out=f[:kc, :, cols])
-                        np.matmul(f[:kc, :, cols], mix[:kc, cols], out=prod[:kc])
-                        if h:
-                            np.conjugate(prod[:kc], out=prod[:kc])
-                        for j0, j1, o0 in runs:
-                            phat[k0:k1, o0 : o0 + j1 - j0] += prod[:kc, j0:j1]
+                k0 = c * chunk
+                k1 = min(k0 + chunk, nk)
+                kc = k1 - k0
+                np.multiply(kphase[k0:k1], block_delta, out=phase[:kc])
+                phase[:kc, m0:] += yphase[k0:k1]
+                np.exp(phase[:kc], out=phase[:kc])  # (kc, n_in)
+                np.take(fib[k0:k1, :, :, built], ins, axis=1, mode="clip",
+                        out=f[:kc].reshape(kc, len(ins), halves, m0))
+                np.multiply(f[:kc], phase[:kc, None], out=f[:kc])
+                np.take(spectra[k0:k1], block_rows, axis=1, out=mix[:kc], mode="clip")
+                for h in range(halves):
+                    cols = slice(h * m0, (h + 1) * m0)
+                    if h:
+                        np.conjugate(f[:kc, :, cols], out=f[:kc, :, cols])
+                    np.matmul(f[:kc, :, cols], mix[:kc, cols], out=prod[:kc])
+                    if h:
+                        np.conjugate(prod[:kc], out=prod[:kc])
+                    for j0, j1, o0 in runs:
+                        phat[k0:k1, o0 : o0 + j1 - j0] += prod[:kc, j0:j1]
 
-            run_workers(n, contract)
+            workers.run(n_chunks, contract)
             del spectra, bufs
 
     def apply(self, activity: LiftedActivity, n_threads: int = 1) -> np.ndarray:
@@ -359,11 +403,12 @@ class FacilitationPlan:
         Frames whose times differ by more than the kernel's n_ds never
         interact, so runs of frames laid more than n_ds apart are gathered
         in one call as if each were alone, with one spectra build for all.
-        Accumulation order is fixed (offsets, orientation blocks and k-chunks
-        ascending), so the result is deterministic for fixed shapes.  The
+        Accumulation order is fixed (offsets and orientation blocks
+        ascending, and each k-chunk owns its rows of the output spectra),
+        so the result is deterministic for fixed shapes.  The
         work is dealt over ``n_threads`` workers (the caller and
-        n_threads - 1 pool threads) and the result is bit-identical for
-        every count.
+        n_threads - 1 threads started once for the call) and the result is
+        bit-identical for every count.
         """
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -378,7 +423,7 @@ class FacilitationPlan:
         for d, ds in enumerate(self.ds):
             pairs = [(i, frame_at[times[si] + ds]) for i, si in enumerate(live)
                      if times[si] + ds in frame_at]
-            if pairs:
+            if pairs and len(self.planes[d][0]):  # an offset without planes adds nothing
                 routes.append((d, *np.array(pairs).T))
         if not routes:
             return np.zeros_like(values)
@@ -386,42 +431,40 @@ class FacilitationPlan:
         pad1, pad2 = self.pad1, self.pad2
         nk2 = pad2 // 2 + 1
         nk = pad1 * nk2
-        fhat = np.empty((nk, len(live), nf), dtype=np.complex128)
-        n = min(n_threads, len(live))
-        # rfft2 as its two passes: each worker's first pass goes to a buffer
-        # allocated here, the second straight into its frame's fhat columns
-        halves = [np.empty((nx, nk2, nth, nv), np.complex128) for _ in range(n)]
+        with Workers(n_threads) as workers:
+            fhat = np.empty((nk, len(live), nf), dtype=np.complex128)
+            n = min(n_threads, len(live))
+            # rfft2 as its two passes: each worker's first pass goes to a buffer
+            # allocated here, the second straight into its frame's fhat columns
+            halves = [np.empty((nx, nk2, nth, nv), np.complex128) for _ in range(n)]
 
-        def forward(w):
-            for i in range(w, len(live), n):
+            def forward(w, i):
                 np.fft.rfft(values[:, :, live[i]], n=pad2, axis=1, out=halves[w])
-                np.fft.fft(halves[w], n=pad1, axis=0,
-                           out=fhat[:, i].reshape(pad1, nk2, nth, nv))
+                np.fft.fft(halves[w], n=pad1, axis=0, out=fhat[:, i].reshape(pad1, nk2, nth, nv))
 
-        run_workers(n, forward)
-        # output spectra only for the frames some route reaches, in frame order
-        frames = sorted({o for _, _, outs in routes for o in outs.tolist()})
-        slot = {o: j for j, o in enumerate(frames)}
-        phat = np.zeros((nk, len(frames), nf), dtype=np.complex128)
-        for d, ins, outs in routes:
-            self._mix(d, fhat, ins, phat, np.array([slot[o] for o in outs.tolist()]), n_threads)
-        # the output is only needed from here on, and the input spectra no more
-        del fhat, halves
-        out = np.zeros_like(values)
-        off = self.ext + self.max_m  # common output offset along x after alignment
-        m = min(n_threads, len(frames))
-        # irfft2 as its two passes, the second only over the kept rows
-        bufs = [(np.empty((pad1, nk2, nth, nv), np.complex128),
-                 np.empty((nx, pad2, nth, nv))) for _ in range(m)]
+            workers.run(len(live), forward)
+            # output spectra only for the frames some route reaches, in frame order
+            frames = sorted({o for _, _, outs in routes for o in outs.tolist()})
+            slot = {o: j for j, o in enumerate(frames)}
+            phat = np.zeros((nk, len(frames), nf), dtype=np.complex128)
+            for d, ins, outs in routes:
+                self._mix(d, fhat, ins, phat, np.array([slot[o] for o in outs.tolist()]), workers)
+            # the output is only needed from here on, and the input spectra no more
+            del fhat, halves
+            out = np.zeros_like(values)
+            off = self.ext + self.max_m  # common output offset along x after alignment
+            m = min(n_threads, len(frames))
+            # irfft2 as its two passes, the second only over the kept rows
+            bufs = [(np.empty((pad1, nk2, nth, nv), np.complex128),
+                     np.empty((nx, pad2, nth, nv))) for _ in range(m)]
 
-        def inverse(w):
-            spec, conv = bufs[w]
-            for j in range(w, len(frames), m):
+            def inverse(w, j):
+                spec, conv = bufs[w]
                 np.fft.ifft(phat[:, j].reshape(pad1, nk2, nth, nv), n=pad1, axis=0, out=spec)
                 np.fft.irfft(spec[off : off + nx], n=pad2, axis=1, out=conv)
                 out[:, :, frames[j]] = conv[:, self.ext : self.ext + ny]
 
-        run_workers(m, inverse)
+            workers.run(len(frames), inverse)
         return out
 
 

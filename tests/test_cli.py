@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import motionlift.kernels as kmod
 from motionlift import experiments
 from motionlift import io as vio
 from motionlift.cli import _eval_number, apply_config, main, parse_config_text
@@ -110,12 +109,8 @@ def test_experiment1_outputs_do_not_depend_on_the_thread_count(tmp_path):
     ["kernel", "--mode", "contour", "--paths", "100", "--seed", "1"],
     ["facilitate", "--activity", "activity.vol", "--kernel", "kernel.knl"],
 ])
-def test_thread_count_below_one_is_a_usage_error(tmp_path, monkeypatch, command, value):
+def test_thread_count_below_one_is_a_usage_error(tmp_path, no_worker_pool, command, value):
     # small runs, so that a parser that let the value through fails fast
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(kmod, "ThreadPoolExecutor", no_pool)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*command, "--threads", value, "--out", str(out)])

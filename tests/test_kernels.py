@@ -1,6 +1,8 @@
 """Path simulation, kernel histograms, FP oracle, lookups."""
 
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from motionlift.kernels import (
     KernelGrid,
     KernelLattice,
     SdeSpec,
+    Workers,
     contour_lattice,
     estimate_kernel,
     estimate_slice_densities,
@@ -189,11 +192,7 @@ class TestEstimation:
             assert np.array_equal(dens, dens1)
 
     @pytest.mark.parametrize("n_threads", [0, -3])
-    def test_thread_count_below_one_rejected(self, n_threads, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(kmod, "ThreadPoolExecutor", no_pool)
+    def test_thread_count_below_one_rejected(self, n_threads, no_worker_pool):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
         with pytest.raises(ValueError, match="n_threads"):
             estimate_kernel(spec, contour_lattice(6, 8, 5, 1.0), n_threads)
@@ -286,6 +285,96 @@ class TestEstimation:
         spec = SdeSpec("contour", 0.1, 0.1, 0.1, 1.0, 10, seed=1)
         with pytest.raises(ValueError):
             estimate_kernel(spec, lat)
+
+
+def _blas_threads():
+    """numpy's OpenBLAS thread count; skips the test without that library."""
+    blas = kmod._openblas()
+    if blas is None:
+        pytest.skip("numpy carries no scipy-openblas library")
+    return blas[0]()
+
+
+class TestWorkers:
+    def test_every_phase_runs_on_the_same_threads(self):
+        seen = {}  # worker index: the threads it ran on
+        items = []
+        before = set(threading.enumerate())
+
+        def work(w, i):
+            seen.setdefault(w, set()).add(threading.get_ident())
+            done.append(i)
+            time.sleep(0.01)  # so that every worker takes items
+
+        with Workers(3) as workers:
+            for n_items in (12, 1, 30):
+                done = []
+                workers.run(n_items, work)
+                items.append(sorted(done))
+        assert items == [list(range(n)) for n in (12, 1, 30)]  # each item once
+        assert sorted(seen) == [0, 1, 2]
+        assert all(len(s) == 1 for s in seen.values())
+        assert len(set.union(*seen.values())) == 3
+        assert set(threading.enumerate()) == before
+
+    def test_a_held_up_worker_takes_fewer_items(self):
+        taken = {0: [], 1: []}
+
+        def work(w, i):
+            taken[w].append(i)
+            if w == 1:
+                time.sleep(0.2)
+
+        with Workers(2) as workers:
+            workers.run(20, work)
+        assert sorted(taken[0] + taken[1]) == list(range(20))
+        assert len(taken[1]) < len(taken[0])
+
+    def test_openblas_held_at_one_thread_and_restored(self):
+        count = _blas_threads()
+        inside = []
+        with Workers(2) as workers:
+            workers.run(2, lambda w, i: inside.append(kmod._openblas()[0]()))
+        assert inside == [1, 1]
+        assert _blas_threads() == count
+        with Workers(1) as workers:  # one worker leaves the library alone
+            workers.run(1, lambda w, i: inside.append(kmod._openblas()[0]()))
+        assert inside[-1] == count
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_worker_error_is_raised_and_every_thread_ends(self, failing):
+        count = _blas_threads()
+        before = set(threading.enumerate())
+        done = []
+
+        def work(w, i):
+            if w == failing:
+                raise RuntimeError(f"worker {w}")
+            time.sleep(0.01)  # so that every worker takes an item
+            done.append(i)
+
+        with pytest.raises(RuntimeError, match=f"worker {failing}"):
+            with Workers(3) as workers:
+                workers.run(30, work)
+        # the failing worker stopped at its first item, the others took the rest
+        assert len(done) == 29 and len(set(done)) == 29
+        assert _blas_threads() == count
+        assert set(threading.enumerate()) == before
+
+    def test_a_missing_library_is_a_no_op(self, monkeypatch):
+        count = _blas_threads()
+        get = kmod._openblas()[0]
+        monkeypatch.setattr(kmod, "_openblas", lambda: None)
+        inside = []
+        with Workers(2) as workers:
+            workers.run(2, lambda w, i: inside.append(get()))
+        assert inside == [count, count]
+        assert get() == count
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, n):
+        with pytest.raises(ValueError, match="n_threads"):
+            Workers(n)
 
 
 class TestBatchLoopPinned:

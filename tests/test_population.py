@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import motionlift.kernels as kmod
 from motionlift import population
 from motionlift.gabor import LiftedActivity, ManifoldGrid, sigmoid
 from motionlift.kernels import (
     KernelGrid,
     KernelLattice,
     SdeSpec,
+    Workers,
     contour_lattice,
     estimate_kernel,
     kernel_lookup,
@@ -44,9 +46,9 @@ def record_blocks(mp):
     blocks = []
     spectra = FacilitationPlan._spectra
 
-    def recorded(plan, d, phis, thetas, n_workers):
-        out = spectra(plan, d, phis, thetas, n_workers)
-        blocks.append((np.array(thetas), out.nbytes))
+    def recorded(plan, d, t0, t1, workers):
+        out = spectra(plan, d, t0, t1, workers)
+        blocks.append((plan.grid.thetas[t0:t1], out.nbytes))
         return out
 
     mp.setattr(FacilitationPlan, "_spectra", recorded)
@@ -138,25 +140,35 @@ class TestGatherContract:
                                       mode="trajectory")
         grid = ManifoldGrid(5, 5, n_theta, n_v, v_m)
         plan = FacilitationPlan(kernel, grid)
-        nf, n_dv = n_theta * n_v, plan.vals.shape[4]
+        nf, n_dv = n_theta * n_v, kernel.values.shape[-1]
         nk = plan.pad1 * (plan.pad2 // 2 + 1)
         k1 = np.repeat(np.fft.fftfreq(plan.pad1), plan.pad2 // 2 + 1)
         # one input frame per fiber, each a unit impulse in that fiber alone,
         # so output frame i holds fiber i's phase-shifted spectra
         fhat = np.broadcast_to(np.eye(nf, dtype=complex), (nk, nf, nf)).copy()
         for d, ds in enumerate(plan.ds):
+            phis = plan.mixing[d][0]
+            live = plan.planes[d][0]
             phat = np.zeros((nk, nf, nf), complex)
-            plan._mix(d, fhat, np.arange(nf), phat, np.arange(nf), 1)
+            with Workers(1) as workers:
+                plan._mix(d, fhat, np.arange(nf), phat, np.arange(nf), workers)
             for i in range(n_theta // 2 * n_v, nf):
                 i_t, j_v = divmod(i, n_v)
                 shear = grid.vs[j_v] * ds
                 phi = np.round(shear - math.floor(shear), 12)
-                built = plan._spectra(d, np.array([phi]), grid.thetas[i_t : i_t + 1], 1)
+                # the plan has corner tables for its built orientations only
+                for p in phis:
+                    plan.corners[i_t, p] = population._corner_table(
+                        grid.thetas[i_t], p, h, plan.ext)
+                with Workers(1) as workers:
+                    built = plan._spectra(d, i_t, i_t + 1, workers)
+                unit = int(np.flatnonzero(phis == phi)[0]) * len(live)
                 want = np.zeros((nk, nf), complex)
                 for o in range(nf):
                     dv = o % n_v - j_v + n_dv // 2
-                    if 0 <= dv < n_dv:
-                        want[:, o] = built[:, ((o // n_v - i_t) % n_theta) * n_dv + dv]
+                    plane = ((o // n_v - i_t) % n_theta) * n_dv + dv
+                    if 0 <= dv < n_dv and plane in live:
+                        want[:, o] = built[:, unit + int(np.searchsorted(live, plane))]
                 want *= np.exp(-2j * np.pi * k1 * (plan.max_m + math.floor(shear)))[:, None]
                 err = np.abs(phat[:, i] - want).max() / np.abs(want).max()
                 assert err < 1e-13, (ds, i_t, j_v, err)
@@ -407,14 +419,14 @@ class TestGatherContract:
 def gathered_with_workers(act, kernel, n_threads):
     """facilitate() at ``n_threads``, and the most workers any phase ran."""
     most = []
-    deal = population.run_workers
+    deal = Workers.run
 
-    def recorded(n_workers, work):
-        most.append(n_workers)
-        deal(n_workers, work)
+    def recorded(workers, n_items, work):
+        most.append(min(workers.n, n_items))
+        deal(workers, n_items, work)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(population, "run_workers", recorded)
+        mp.setattr(Workers, "run", recorded)
         out = facilitate(act, kernel, n_threads).values
     return out, max(most)
 
@@ -493,25 +505,97 @@ class TestThreadedGather:
         assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
 
     @pytest.mark.parametrize("n_threads", [0, -2])
-    def test_thread_count_below_one_rejected(self, small5, n_threads, monkeypatch):
-        import motionlift.kernels as kmod
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(kmod, "ThreadPoolExecutor", no_pool)
+    def test_thread_count_below_one_rejected(self, small5, n_threads, no_worker_pool):
         grid, kernel = small5
         act = LiftedActivity(grid, np.ones((7, 7, 5, 6, 3)), "facilitation", np.arange(5))
         with pytest.raises(ValueError, match="n_threads"):
             facilitate(act, kernel, n_threads)
 
-    def test_no_worker_outlives_the_call(self, small5):
+    def test_no_worker_outlives_the_call(self, small5, monkeypatch):
+        # each call starts its n - 1 threads once, and they serve every phase
         grid, kernel = small5
         act = LiftedActivity(grid, np.ones((7, 7, 5, 6, 3)), "facilitation", np.arange(5))
         before = set(threading.enumerate())
-        _, most = gathered_with_workers(act, kernel, 3)
-        assert most == 3
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        phases = []
+        deal = Workers.run
+
+        def recorded(workers, n_items, work):
+            phases.append(min(workers.n, n_items))
+            deal(workers, n_items, work)
+
+        monkeypatch.setattr(Workers, "run", recorded)
+        for n in (1, 3):
+            started.clear()
+            phases.clear()
+            facilitate(act, kernel, n)
+            assert len(started) == n - 1
+            assert len(phases) > 3 and max(phases) == n
+            assert not any(thread.is_alive() for thread in started)
         assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_identical_without_the_blas_cap(self, small4, small5, rank, monkeypatch):
+        grid, kernel = small4 if rank == 4 else small5
+        vals = np.random.default_rng(rank).uniform(0, 1, (7, 7, 5, 6, 3))
+        act = LiftedActivity(grid, vals, "facilitation", np.arange(5))
+        capped = facilitate(act, kernel, 2).values
+        monkeypatch.setattr(kmod, "_openblas", lambda: None)
+        assert np.array_equal(facilitate(act, kernel, 2).values, capped)
+        assert np.array_equal(facilitate(act, kernel, 1).values, capped)
+
+
+class TestZeroPlanes:
+    def test_only_nonzero_planes_are_built(self):
+        # a trajectory kernel whose ds = 1 keeps a few (dtheta, dv) planes,
+        # whose ds = 2 is below the truncation everywhere and whose ds = 3
+        # loses one orientation offset
+        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
+        kernel = synthetic_kernel(trajectory_lattice(3, 3, 6, 3, 1.0), mode="trajectory")
+        vals = kernel.values
+        top = vals.max()
+        keep = np.zeros((6, 5), bool)
+        keep[[0, 1, 5], 1:4] = True
+        vals[:, :, 0][..., ~keep] = 0.0
+        vals[:, :, 1] *= 1e-3 * population.TRUNC_REL
+        vals[:, :, 2, 3] = 0.0
+        vals[3, 3, 2, 0, 2] = top  # the max stays where it was
+        trunc = truncated_kernel_values(kernel)
+        want = [np.flatnonzero(trunc[:, :, d].reshape(49, -1).any(axis=0)) for d in range(3)]
+        assert [len(w) for w in want] == [9, 0, 25]
+        plan = FacilitationPlan(kernel, grid)
+        for (live, _), w in zip(plan.planes, want):
+            assert np.array_equal(live, w)
+        built = []
+        spectra = FacilitationPlan._spectra
+
+        def recorded(plan, d, t0, t1, workers):
+            out = spectra(plan, d, t0, t1, workers)
+            built.append((d, t1 - t0, out))
+            return out
+
+        act = LiftedActivity(grid, np.random.default_rng(9).uniform(0, 1, (7, 7, 5, 6, 3)),
+                             "facilitation", np.arange(5))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FacilitationPlan, "_spectra", recorded)
+            outs = [facilitate(act, kernel, n).values for n in (1, 2, 3)]
+        assert {d for d, _, _ in built} == {0, 2}
+        for d, n_thetas, out in built:
+            n_units = n_thetas * len(plan.mixing[d][0])
+            assert out.shape[1] == n_units * len(want[d]) + 1
+            # every column but the trailing zero row is a built plane's spectrum
+            assert np.all(np.abs(out[:, :-1]).max(axis=0) > 0)
+            assert not out[:, -1].any()
+        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+        ref = facilitate_reference(act, kernel).values
+        assert np.abs(outs[0] - ref).max() < 1e-10
 
 
 class TestSteadyActivity:
