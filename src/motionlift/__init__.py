@@ -18,11 +18,9 @@ from .geometry import (
     GalileiElement,
     ManifoldPoint,
     compose,
-    compose_contour,
     contour_curve,
     embed_galilei,
     galilei_compose,
-    inverse_contour,
     left_inverse,
     project_galilei,
     trajectory_curve,
@@ -36,7 +34,6 @@ from .kernels import (
     estimate_slice_densities,
     fp_reference,
     kernel_lookup,
-    simulate_path,
     trajectory_lattice,
 )
 from .population import (

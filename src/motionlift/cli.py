@@ -282,6 +282,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_facilitate(args) -> int:
     values, header = vio.read_volume(args.activity)
+    if not np.isfinite(values).all():
+        raise CliError(f"{args.activity}: the activity holds NaN or infinite values",
+                       EXIT_NUMERIC)
     kernel = vio.read_kernel(args.kernel)
     dims = values.shape
     if len(dims) == 4:  # single-slice field stored without its s axis
@@ -304,18 +307,29 @@ def cmd_facilitate(args) -> int:
     return EXIT_OK
 
 
+def _slice_bindings(items, axes, shape) -> dict:
+    """``--slice AXIS=INDEX`` items as {axis: index}, each index in range."""
+    bindings = {}
+    for item in items:
+        key, _, idx = item.partition("=")
+        if key not in axes:
+            raise CliError(f"--slice {item}: the volume has no axis {key!r} (axes: {axes})")
+        size = shape[axes.index(key)]
+        if not idx.strip().isdecimal() or int(idx) >= size:
+            raise CliError(f"--slice {item}: axis {key!r} takes an index 0..{size - 1}")
+        bindings[key] = int(idx)
+    return bindings
+
+
 def cmd_export(args) -> int:
     values, header = vio.read_volume(args.volume)
     axes = header["axes"]
+    bindings = _slice_bindings(args.slice or [], axes, values.shape)
     out = _out_path(args.out)
     if args.iso is not None:
         n = vio.export_isosurface_points(out, values, axes, args.iso)
         print(f"wrote {out} ({n} points)")
     else:
-        bindings = {}
-        for item in args.slice or []:
-            key, _, idx = item.partition("=")
-            bindings[key] = int(idx)
         vio.export_slice_csv(out, values, axes, bindings)
         print(f"wrote {out}")
     return EXIT_OK

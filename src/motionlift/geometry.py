@@ -4,9 +4,8 @@ The state space is the 5D manifold of points (q1, q2, s, theta, v): spatial
 position in pixels, time in frames, preferred orientation on the circle and
 apparent (normal) velocity in pixels per frame.  This module implements the
 smooth (but non-associative) composition law with its left inverse, the
-associative contour-space group law, the deterministic integral curves used
-as good-continuation generators, and the planar Galilei group that the
-manifold embeds into.
+deterministic integral curves used as good-continuation generators, and the
+planar Galilei group that the manifold embeds into.
 
 The curves follow the fields X1 = (-sin theta, cos theta, 0, 0, 0) along the
 contour, X5 = (v cos theta, v sin theta, 1, 0, 0) along the apparent motion,
@@ -104,14 +103,6 @@ class ContourPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.q1, self.q2, self.theta, self.v])
 
-    def distance(self, other: "ContourPoint") -> float:
-        return max(
-            abs(self.q1 - other.q1),
-            abs(self.q2 - other.q2),
-            angle_distance(self.theta, other.theta),
-            abs(self.v - other.v),
-        )
-
 
 MANIFOLD_ORIGIN = ManifoldPoint(0.0, 0.0, 0.0, 0.0, 0.0)
 CONTOUR_ORIGIN = ContourPoint(0.0, 0.0, 0.0, 0.0)
@@ -145,22 +136,6 @@ def left_inverse(eta: ManifoldPoint) -> ManifoldPoint:
     y = eta.q2
     rx, ry = _rot(-eta.theta, x, y)
     return ManifoldPoint(-rx, -ry, -eta.s, -eta.theta, -eta.v)
-
-
-def compose_contour(a: ContourPoint, b: ContourPoint) -> ContourPoint:
-    """Group law (R_{ta} q_b + q_a, ta + tb, v_a + v_b) on the time slice.
-
-    Unlike ``compose`` this is a genuine (associative) group law: the direct
-    product of the planar roto-translations with the additive reals.
-    """
-    rx, ry = _rot(a.theta, b.q1, b.q2)
-    return ContourPoint(rx + a.q1, ry + a.q2, b.theta + a.theta, b.v + a.v)
-
-
-def inverse_contour(a: ContourPoint) -> ContourPoint:
-    """Two-sided group inverse for ``compose_contour``."""
-    rx, ry = _rot(-a.theta, -a.q1, -a.q2)
-    return ContourPoint(rx, ry, -a.theta, -a.v)
 
 
 def contour_curve(xi0: ContourPoint, k: float, c: float, t: float) -> ContourPoint:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -24,19 +25,7 @@ CANONICAL_AXES = ("q1", "q2", "s", "theta", "v")
 
 
 class VolumeFormatError(Exception):
-    """Malformed container (bad magic or header)."""
-
-
-class VolumeVersionError(VolumeFormatError):
-    """Unsupported format version."""
-
-
-class VolumePayloadError(VolumeFormatError):
-    """Payload truncated or over-long relative to the header dims."""
-
-
-class VolumeDimensionError(VolumeFormatError):
-    """Header dims inconsistent with payload or with each other."""
+    """Malformed container: bad magic, header, version, dims or payload."""
 
 
 def config_hash(obj) -> str:
@@ -58,7 +47,7 @@ def write_volume(
     values = np.asarray(values)
     axes = list(axes)
     if values.ndim != len(axes):
-        raise VolumeDimensionError(
+        raise VolumeFormatError(
             f"{values.ndim}-d payload with {len(axes)} axis names"
         )
     for name in axes:
@@ -99,19 +88,25 @@ def read_volume(path) -> tuple[np.ndarray, dict]:
         header = json.loads(raw[start : start + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise VolumeFormatError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise VolumeFormatError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
-        raise VolumeVersionError(
+        raise VolumeFormatError(
             f"{path}: format version {header.get('format_version')!r}, "
             f"expected {FORMAT_VERSION}"
         )
     dims = header.get("dims")
     axes = header.get("axes")
     if not isinstance(dims, list) or not isinstance(axes, list) or len(dims) != len(axes):
-        raise VolumeDimensionError(f"{path}: dims/axes mismatch in header")
-    expected = int(np.prod(dims)) * 4 if dims else 4
+        raise VolumeFormatError(f"{path}: dims/axes mismatch in header")
+    if not all(name in CANONICAL_AXES for name in axes):
+        raise VolumeFormatError(f"{path}: axes {axes} are not all among {CANONICAL_AXES}")
+    if not all(type(n) is int and n >= 0 for n in dims):
+        raise VolumeFormatError(f"{path}: dims {dims} are not all whole numbers >= 0")
+    expected = math.prod(dims) * 4
     payload = raw[start + hlen :]
     if len(payload) != expected:
-        raise VolumePayloadError(
+        raise VolumeFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
@@ -153,15 +148,17 @@ def read_kernel(path):
     # restore unit mass in float64 so the kernel can be written out again
     values = values.astype(np.float64)
     values /= values.sum()
-    spec = SdeSpec.from_dict(header["sde"])
-    return KernelGrid(
-        axes=tuple(header["axes"]),
-        origin=tuple(header["origin"]),
-        spacing=tuple(header["spacing"]),
-        values=values,
-        spec=spec,
-        raw_weight=header["normalization"].get("raw_weight", 0.0),
-    )
+    try:
+        return KernelGrid(
+            axes=tuple(header["axes"]),
+            origin=tuple(header["origin"]),
+            spacing=tuple(header["spacing"]),
+            values=values,
+            spec=SdeSpec.from_dict(header["sde"]),
+            raw_weight=header["normalization"].get("raw_weight", 0.0),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise VolumeFormatError(f"{path}: malformed kernel header: {exc!r}") from exc
 
 
 def export_slice_csv(path, values: np.ndarray, axes, bindings: dict) -> None:

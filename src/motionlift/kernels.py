@@ -39,6 +39,7 @@ import numpy as np
 BATCH_SIZE = 8192  # fixed: part of the deterministic estimation contract
 STEP_BLOCK = 8  # steps walked per numpy call; any value gives the same bits
 FP_CFL = 0.4  # Courant number of the explicit steps of ``fp_reference``
+FP_MAX_STEPS = 500_000  # ``fp_reference`` refuses a solve that needs more steps
 MODES = ("contour", "trajectory")
 
 
@@ -193,49 +194,6 @@ class KernelGrid:
 
     def mass(self) -> float:
         return float(self.values.sum())
-
-
-def simulate_path(spec: SdeSpec, start=None) -> np.ndarray:
-    """Integrate a single path, returning every state including the start.
-
-    Contour mode states are (q1, q2, theta, v); trajectory mode states are
-    (q1, q2, s, theta, v).  Noise increments are N(0, dt) scaled by
-    sqrt(2) kappa and sqrt(2) alpha; the drift is evaluated at the current
-    state before the fiber noise is applied (Euler-Maruyama).  The noise
-    comes from a generator seeded with ``spec.seed``.
-    """
-    rng = np.random.default_rng(spec.seed)
-    dim = 4 if spec.mode == "contour" else 5
-    state = np.zeros(dim) if start is None else np.asarray(start, dtype=float).copy()
-    if state.shape != (dim,):
-        raise ValueError(f"start must have {dim} components for {spec.mode} mode")
-    dt = spec.dt_exact
-    sk = math.sqrt(2.0 * dt) * spec.kappa
-    sa = math.sqrt(2.0 * dt) * spec.alpha
-    out = np.empty((spec.n_steps + 1, dim))
-    out[0] = state
-    for k in range(spec.n_steps):
-        if spec.mode == "contour":
-            q1, q2, th, v = state
-            state = np.array([
-                q1 - math.sin(th) * dt,
-                q2 + math.cos(th) * dt,
-                th, v,
-            ])
-            state[2] += sk * rng.standard_normal()
-            state[3] += sa * rng.standard_normal()
-        else:
-            q1, q2, s, th, v = state
-            state = np.array([
-                q1 + v * math.cos(th) * dt,
-                q2 + v * math.sin(th) * dt,
-                s + dt,
-                th, v,
-            ])
-            state[3] += sk * rng.standard_normal()
-            state[4] += sa * rng.standard_normal()
-        out[k + 1] = state
-    return out
 
 
 def _batch_counts(n_paths: int) -> list[int]:
@@ -474,8 +432,6 @@ class Workers:
 
 def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1,
               snapshot_steps=None, start_jitter=False):
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     counts = _batch_counts(spec.n_paths)
     children = np.random.SeedSequence(spec.seed).spawn(len(counts))
     n_workers = min(n_threads, len(counts))
@@ -640,7 +596,6 @@ def fp_reference(
     horizon: float,
     snapshot_times,
     *,
-    max_steps: int = 500_000,
     refine: int = 3,
     transport: str = "upwind",
     init: str = "point",
@@ -708,9 +663,9 @@ def fp_reference(
     else:
         dt = FP_CFL / adv_rate if adv_rate > 0 else FP_CFL / diff_rate
     n_steps = int(math.ceil(horizon / dt))
-    if n_steps > max_steps:
+    if n_steps > FP_MAX_STEPS:
         raise ValueError(
-            f"CFL-limited step {dt:.3e} needs {n_steps} steps > {max_steps}"
+            f"CFL-limited step {dt:.3e} needs {n_steps} steps > {FP_MAX_STEPS}"
         )
     dt = horizon / n_steps
     # explicit diffusion substeps per global step, per fiber axis

@@ -403,22 +403,23 @@ class FacilitationPlan:
         Frames whose times differ by more than the kernel's n_ds never
         interact, so runs of frames laid more than n_ds apart are gathered
         in one call as if each were alone, with one spectra build for all.
-        Accumulation order is fixed (offsets and orientation blocks
-        ascending, and each k-chunk owns its rows of the output spectra),
-        so the result is deterministic for fixed shapes.  The
+        Only frames that hold nothing but zeros are skipped; a NaN makes its
+        frame live, so it reaches the output.  Accumulation order is fixed
+        (offsets and orientation blocks ascending, and each k-chunk owns its
+        rows of the output spectra), so the result is deterministic for
+        fixed shapes.  The
         work is dealt over ``n_threads`` workers (the caller and
         n_threads - 1 threads started once for the call) and the result is
         bit-identical for every count.
         """
-        if n_threads < 1:
-            raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+        workers = Workers(n_threads)  # rejects n_threads < 1, even with no route
         values = activity.values
         nx, ny, ns, nth, nv = values.shape
         times = activity.s_frames.tolist()
         frame_at = {t: o for o, t in enumerate(times)}
         if len(frame_at) != ns:
             raise ValueError("activity frame times (s_frames) must be distinct")
-        live = np.nonzero(np.abs(values).sum(axis=(0, 1, 3, 4)) > 0)[0].tolist()
+        live = np.nonzero(values.any(axis=(0, 1, 3, 4)))[0].tolist()
         routes = []  # (offset, positions in live, output frames)
         for d, ds in enumerate(self.ds):
             pairs = [(i, frame_at[times[si] + ds]) for i, si in enumerate(live)
@@ -431,7 +432,7 @@ class FacilitationPlan:
         pad1, pad2 = self.pad1, self.pad2
         nk2 = pad2 // 2 + 1
         nk = pad1 * nk2
-        with Workers(n_threads) as workers:
+        with workers:
             fhat = np.empty((nk, len(live), nf), dtype=np.complex128)
             n = min(n_threads, len(live))
             # rfft2 as its two passes: each worker's first pass goes to a buffer

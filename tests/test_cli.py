@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -140,7 +141,27 @@ EXIT_CASES = [
     ('sweep=[["a", 0.5]]', 2, 'got [["a", 0.5]]'),
     ("sweep=[[2.5, 0]]", 2, "with a whole delta_t"),
     ("sweep=[]", 2, "got []"),
+    ("--slice nosuch=1", 2, "the volume has no axis 'nosuch'"),
+    ("--slice s=99", 2, "axis 's' takes an index 0..3"),
+    ("--slice s", 2, "axis 's' takes an index 0..3"),
+    ("--slice s=-1", 2, "axis 's' takes an index 0..3"),
+    ("header=[]", 4, "header is not a JSON object"),
+    ("dims=[2.5, 2]", 4, "dims [2.5, 2] are not all whole numbers >= 0"),
+    ("dims=[-2, -2]", 4, "dims [-2, -2] are not all whole numbers >= 0"),
+    ('axes=["zz", 7, "s"]', 4, "axes ['zz', 7, 's'] are not all among"),
+    ("kernel-without-sde", 4, "malformed kernel header: KeyError('sde')"),
+    ("kernel-without-kappa", 4, "malformed kernel header: KeyError('kappa')"),
+    ("nan-activity", 5, "the activity holds NaN or infinite values"),
 ]
+
+
+def _edit_header(path: Path, edit) -> None:
+    """Rewrite a container's JSON header as ``edit(header)``, keeping its payload."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, len(vio.MAGIC))
+    start = len(vio.MAGIC) + 4
+    blob = json.dumps(edit(json.loads(raw[start:start + hlen]))).encode()
+    path.write_bytes(vio.MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + hlen:])
 
 
 @pytest.mark.parametrize("case, code, message", EXIT_CASES, ids=[c[0] for c in EXIT_CASES])
@@ -153,18 +174,42 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
     elif case == "missing-config":
         argv = ["experiment1", "--config", str(tmp_path / "nothing.cfg"),
                 "--out", str(tmp_path / "run")]
+    elif case.startswith(("--slice", "header=", "dims=", "axes=")):
+        volume = tmp_path / "volume.vol"
+        if case.startswith("dims="):
+            # a payload as long as the product of the bad dims
+            dims = json.loads(case.removeprefix("dims="))
+            vio.write_volume(volume, np.zeros((int(np.prod(dims)), 1)), ("q1", "q2"))
+            _edit_header(volume, lambda h: {**h, "dims": dims})
+        else:
+            vio.write_volume(volume, np.zeros((2, 3, 4)), ("q1", "q2", "s"))
+            if case == "header=[]":
+                _edit_header(volume, lambda h: [])
+            elif case.startswith("axes="):
+                axes = json.loads(case.removeprefix("axes="))
+                _edit_header(volume, lambda h: {**h, "axes": axes})
+        argv = ["export", "--volume", str(volume), "--out", str(out)]
+        if case.startswith("--slice"):
+            argv += case.split()
     else:
         activity = tmp_path / "activity.vol"
-        vio.write_volume(activity, np.ones((7, 7, 6, 3)), ("q1", "q2", "theta", "v"),
-                         kind="facilitation")
+        values = np.ones((7, 7, 6, 3))
+        if case == "nan-activity":
+            values[3, 3, 2, 1] = np.nan
+        vio.write_volume(activity, values, ("q1", "q2", "theta", "v"), kind="facilitation")
         kernel = tmp_path / "kernel.knl"
         if case == "not-a-container":
             kernel.write_bytes(b"not a kernel")
-        elif case == "orientation-mismatch":
-            lat = contour_lattice(3, 8, 3, 1.0)
+        elif case != "missing-kernel":
+            lat = contour_lattice(3, 8 if case == "orientation-mismatch" else 6, 3, 1.0)
             vals = np.full(lat.shape, 1.0 / np.prod(lat.shape))
             spec = SdeSpec("contour", 0.1, 0.1, 0.1, 1.0, 1, 0)
             vio.write_kernel(kernel, KernelGrid(lat.axes, lat.origin, lat.spacing, vals, spec))
+            if case == "kernel-without-sde":
+                _edit_header(kernel, lambda h: {k: x for k, x in h.items() if k != "sde"})
+            elif case == "kernel-without-kappa":
+                _edit_header(kernel, lambda h: {**h, "sde": {k: x for k, x in h["sde"].items()
+                                                             if k != "kappa"}})
         argv = ["facilitate", "--activity", str(activity), "--kernel", str(kernel),
                 "--out", str(out)]
     assert main(argv) == code

@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motionlift.geometry import (
-    CONTOUR_ORIGIN,
     GALILEI_IDENTITY,
     MANIFOLD_ORIGIN,
     ContourPoint,
     GalileiElement,
     ManifoldPoint,
     compose,
-    compose_contour,
     contour_curve,
     contour_rhs,
     embed_galilei,
     galilei_compose,
-    inverse_contour,
     left_inverse,
     project_galilei,
     rk4_curve,
@@ -32,7 +29,6 @@ angles = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
 velocities = st.floats(-3.0, 3.0)
 
 points = st.builds(ManifoldPoint, finite, finite, finite, angles, velocities)
-contour_points = st.builds(ContourPoint, finite, finite, angles, velocities)
 
 
 def random_point(rng) -> ManifoldPoint:
@@ -67,26 +63,6 @@ class TestComposition:
             a, b, c = (random_point(rng) for _ in range(3))
             gaps.append(compose(compose(a, b), c).distance(compose(a, compose(b, c))))
         assert max(gaps) > 1e-6
-
-    @given(contour_points, contour_points, contour_points)
-    @settings(max_examples=100, deadline=None)
-    def test_contour_group_is_associative(self, a, b, c):
-        lhs = compose_contour(compose_contour(a, b), c)
-        rhs = compose_contour(a, compose_contour(b, c))
-        assert lhs.distance(rhs) < 1e-12
-
-    @given(contour_points)
-    @settings(max_examples=100, deadline=None)
-    def test_contour_inverse_two_sided(self, xi):
-        inv = inverse_contour(xi)
-        assert compose_contour(inv, xi).distance(CONTOUR_ORIGIN) < 1e-12
-        assert compose_contour(xi, inv).distance(CONTOUR_ORIGIN) < 1e-12
-
-    def test_contour_inverse_example(self):
-        inv = inverse_contour(ContourPoint(1, 0, math.pi / 2, 2))
-        assert inv.q1 == pytest.approx(0.0, abs=1e-15)
-        assert inv.q2 == pytest.approx(1.0)
-        assert inv.v == -2.0
 
 
 class TestGalilei:

@@ -47,7 +47,7 @@ def test_version_mismatch_detected(tmp_path):
     header = raw[start:start + hlen].decode().replace(
         '"format_version":1', '"format_version":9')
     path.write_bytes(raw[:start] + header.encode() + raw[start + hlen:])
-    with pytest.raises(vio.VolumeVersionError):
+    with pytest.raises(vio.VolumeFormatError, match="format version 9, expected 1"):
         vio.read_volume(path)
 
 
@@ -56,7 +56,7 @@ def test_truncated_payload_detected(tmp_path):
     vio.write_volume(path, np.zeros((4, 4)), ("q1", "q2"))
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(vio.VolumePayloadError):
+    with pytest.raises(vio.VolumeFormatError, match="payload is 56 bytes, expected 64"):
         vio.read_volume(path)
 
 
@@ -68,7 +68,7 @@ def test_dimension_mismatch_detected(tmp_path):
     start = len(vio.MAGIC) + 4
     header = raw[start:start + hlen].decode().replace('"dims":[4,4]', '"dims":[4,5]')
     path.write_bytes(raw[:start] + header.encode() + raw[start + hlen:])
-    with pytest.raises(vio.VolumePayloadError):
+    with pytest.raises(vio.VolumeFormatError, match="payload is 64 bytes, expected 80"):
         vio.read_volume(path)
 
 

@@ -26,7 +26,6 @@ from motionlift.kernels import (
     estimate_slice_densities,
     fp_reference,
     kernel_lookup,
-    simulate_path,
     trajectory_lattice,
 )
 
@@ -127,27 +126,6 @@ class TestSpecValidation:
         assert SdeSpec.from_dict(spec.to_dict()) == spec
 
 
-class TestSimulatePath:
-    def test_zero_noise_contour_is_straight(self):
-        spec = SdeSpec("contour", 0.0, 0.0, 0.01, 2.0, 1, seed=1)
-        path = simulate_path(spec)
-        assert path[-1] == pytest.approx([0.0, 2.0, 0.0, 0.0], abs=1e-12)
-
-    def test_zero_noise_contour_matches_curve(self):
-        spec = SdeSpec("contour", 0.0, 0.0, 0.001, 2.5, 1, seed=1)
-        start = np.array([0.5, -0.2, 1.1, 0.3])
-        path = simulate_path(spec, start=start)
-        ref = contour_curve(ContourPoint(*start), 0.0, 0.0, 2.5)
-        assert path[-1] == pytest.approx(ref.as_array(), abs=1e-9)
-
-    def test_zero_noise_trajectory_matches_curve(self):
-        spec = SdeSpec("trajectory", 0.0, 0.0, 0.001, 2.0, 1, seed=1)
-        start = np.array([0.5, -0.2, 0.0, 0.3, 1.5])
-        path = simulate_path(spec, start=start)
-        ref = trajectory_curve(ManifoldPoint(*start), 0.0, 0.0, 2.0)
-        assert path[-1][:3] == pytest.approx([ref.q1, ref.q2, ref.s], abs=1e-9)
-
-
 class TestLattices:
     def test_contour_lattice_layout(self):
         lat = contour_lattice(10, 16, 9, 1.0)
@@ -238,33 +216,45 @@ class TestEstimation:
 
     def test_zero_noise_trajectory_walk_is_the_binned_curve(self):
         # with kappa = alpha = 0 each jittered path of the batch walker is the
-        # straight trajectory curve from its start; every step deposits dt at
-        # the nearest (q1, q2, theta, v) node and the ceiling ds bin, and
-        # points off the lattice deposit nothing
-        spec = SdeSpec("trajectory", 0.0, 0.0, 0.25, 6.0, 400, seed=2)
-        lat = trajectory_lattice(4, 5, 8, 5, 1.0)
-        child = np.random.SeedSequence(spec.seed).spawn(1)[0]
-        got, _ = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child,
-                                                start_jitter="gauss")
-        # the walker's first draw is the (q1, q2, theta, v) start jitter
-        jit = np.random.default_rng(child).standard_normal((4, spec.n_paths)) * 0.5
-        o, d = lat.origin, lat.spacing
-        dt = spec.dt_exact
-        counts = np.zeros(lat.shape, dtype=np.int64)
-        for q1, q2, th, v in (jit * np.array([d[0], d[1], d[3], d[4]])[:, None]).T:
-            start = ManifoldPoint(q1, q2, 0.0, th, v)
-            for step in range(1, spec.n_steps + 1):
-                p = trajectory_curve(start, 0.0, 0.0, step * dt)
-                i1, i2, i_v = (int(np.rint((x - o[a]) / d[a])) for a, x in
-                               ((0, p.q1), (1, p.q2), (4, p.v)))
-                i_s = math.ceil(step * dt - 1e-9) - 1
-                i_t = int(np.rint(p.theta / d[3])) % lat.shape[3]
-                idx = (i1, i2, i_s, i_t, i_v)
-                if all(0 <= i < n for i, n in zip(idx, lat.shape)):
-                    counts[idx] += 1
-        # the 5 ds bins take 20 of the 24 steps; most of those stay on the lattice
-        assert counts.sum() > 0.5 * spec.n_paths * 20
-        assert np.array_equal(got, counts.ravel() * dt)
+        # straight curve of its mode from its start, heading included; every
+        # step deposits dt at the nearest (q1, q2, theta, v) node (and, for a
+        # trajectory, the ceiling ds bin), and points off the lattice deposit
+        # nothing
+        for spec, lat in (
+            (SdeSpec("trajectory", 0.0, 0.0, 0.25, 6.0, 400, seed=2),
+             trajectory_lattice(4, 5, 8, 5, 1.0)),
+            (SdeSpec("contour", 0.0, 0.0, 0.25, 6.0, 400, seed=2),
+             contour_lattice(5, 8, 5, 1.0)),
+        ):
+            child = np.random.SeedSequence(spec.seed).spawn(1)[0]
+            got, _ = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child,
+                                                    start_jitter="gauss")
+            # the walker's first draw is the (q1, q2, theta, v) start jitter
+            jit = np.random.default_rng(child).standard_normal((4, spec.n_paths)) * 0.5
+            trajectory = spec.mode == "trajectory"
+            o, d = lat.origin, lat.spacing
+            ax_t, ax_v = (3, 4) if trajectory else (2, 3)
+            dt = spec.dt_exact
+            counts = np.zeros(lat.shape, dtype=np.int64)
+            for q1, q2, th, v in (jit * np.array([d[0], d[1], d[ax_t], d[ax_v]])[:, None]).T:
+                for step in range(1, spec.n_steps + 1):
+                    if trajectory:
+                        p = trajectory_curve(ManifoldPoint(q1, q2, 0.0, th, v), 0.0, 0.0,
+                                             step * dt)
+                        i_s = (math.ceil(step * dt - 1e-9) - 1,)
+                    else:
+                        p = contour_curve(ContourPoint(q1, q2, th, v), 0.0, 0.0, step * dt)
+                        i_s = ()
+                    i1, i2, i_v = (int(np.rint((x - o[a]) / d[a])) for a, x in
+                                   ((0, p.q1), (1, p.q2), (ax_v, p.v)))
+                    i_t = int(np.rint(p.theta / d[ax_t])) % lat.shape[ax_t]
+                    idx = (i1, i2, *i_s, i_t, i_v)
+                    if all(0 <= i < n for i, n in zip(idx, lat.shape)):
+                        counts[idx] += 1
+            # most paths keep at least 20 of their 24 steps on the lattice (a
+            # trajectory's 5 ds bins take 20)
+            assert counts.sum() > 0.5 * spec.n_paths * 20
+            assert np.array_equal(got, counts.ravel() * dt)
 
     def test_trajectory_mass_only_at_positive_ds(self):
         # structural: the ds axis starts at bin 1 and ceiling binning makes
@@ -504,10 +494,11 @@ class TestFpReference:
         for rho in stack:
             assert rho.sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_cfl_guard(self):
+    def test_cfl_guard(self, monkeypatch):
+        monkeypatch.setattr(kmod, "FP_MAX_STEPS", 10)
         lat = contour_lattice(5, 8, 5, 1.0)
-        with pytest.raises(ValueError):
-            fp_reference("contour", 5.0, 5.0, lat, 50.0, [50.0], max_steps=10)
+        with pytest.raises(ValueError, match="steps > 10"):
+            fp_reference("contour", 5.0, 5.0, lat, 50.0, [50.0])
 
     def test_spectral_matches_upwind_on_smooth_field(self):
         # both transports solve the same generator; on a smoothed source

@@ -272,6 +272,16 @@ class TestGatherContract:
                 ref = facilitate_reference(both, kernel).values
                 assert np.abs(fast - ref).max() <= 1e-10
 
+    def test_a_frame_holding_a_nan_is_live(self, small5):
+        # a NaN is not zero: the frames its frame reaches are NaN, not the
+        # all-zero output of a dead frame
+        grid, kernel = small5
+        vals = np.zeros((7, 7, 3, 6, 3))
+        vals[3, 3, 0, 2, 1] = np.nan
+        out = facilitate(LiftedActivity(grid, vals, "facilitation", np.arange(3)), kernel).values
+        assert np.isnan(out[:, :, 1:]).all()
+        assert not out[:, :, 0].any()
+
     @pytest.mark.parametrize("kernel_ds", [2.0])
     def test_trajectory_kernel_needs_unit_frame_spacing(self, kernel_ds):
         # the plan's offsets are ds = 1..n_ds whole frames, so a kernel whose
@@ -507,9 +517,10 @@ class TestThreadedGather:
     @pytest.mark.parametrize("n_threads", [0, -2])
     def test_thread_count_below_one_rejected(self, small5, n_threads, no_worker_pool):
         grid, kernel = small5
-        act = LiftedActivity(grid, np.ones((7, 7, 5, 6, 3)), "facilitation", np.arange(5))
-        with pytest.raises(ValueError, match="n_threads"):
-            facilitate(act, kernel, n_threads)
+        for values in (np.ones((7, 7, 5, 6, 3)), np.zeros((7, 7, 5, 6, 3))):  # zeros: no route
+            act = LiftedActivity(grid, values, "facilitation", np.arange(5))
+            with pytest.raises(ValueError, match="n_threads"):
+                facilitate(act, kernel, n_threads)
 
     def test_no_worker_outlives_the_call(self, small5, monkeypatch):
         # each call starts its n - 1 threads once, and they serve every phase
