@@ -31,7 +31,6 @@ from .kernels import (
     SdeSpec,
     contour_lattice,
     estimate_kernel,
-    estimate_slice_densities,
     fp_reference,
     kernel_lookup,
     trajectory_lattice,

@@ -286,13 +286,13 @@ def cmd_facilitate(args) -> int:
         raise CliError(f"{args.activity}: the activity holds NaN or infinite values",
                        EXIT_NUMERIC)
     kernel = vio.read_kernel(args.kernel)
-    dims = values.shape
-    if len(dims) == 4:  # single-slice field stored without its s axis
+    axes = tuple(header["axes"])
+    if axes == ("q1", "q2", "theta", "v"):  # single-slice field stored without its s axis
         values = values[:, :, None]
-        dims = values.shape
-    if len(dims) != 5:
-        raise CliError(f"activity volume must be 4-d or 5-d, got {len(dims)}-d",
-                       EXIT_FORMAT)
+    elif axes != ("q1", "q2", "s", "theta", "v"):
+        raise CliError(f"{args.activity}: activity axes {list(axes)} are neither "
+                       "(q1, q2, theta, v) nor (q1, q2, s, theta, v)", EXIT_NUMERIC)
+    dims = values.shape
     n_theta, n_v = dims[3], dims[4]
     lat = kernel.lattice
     v_m = lat.spacing[lat.axes.index("v")] * (n_v - 1) / 2.0

@@ -17,7 +17,7 @@ transforms and inverts the temporal axis only at the frames the grid keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +134,8 @@ class LiftedActivity:
 
     grid: ManifoldGrid
     values: np.ndarray
-    kind: str = "raw"
-    s_frames: np.ndarray = field(default_factory=lambda: np.arange(0))
+    kind: str
+    s_frames: np.ndarray
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:

@@ -157,7 +157,7 @@ def read_kernel(path):
             spec=SdeSpec.from_dict(header["sde"]),
             raw_weight=header["normalization"].get("raw_weight", 0.0),
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise VolumeFormatError(f"{path}: malformed kernel header: {exc!r}") from exc
 
 

@@ -10,11 +10,13 @@ operators whose time-integrated fundamental solutions the histograms
 estimate.
 
 Estimation is deterministic: paths are organized in fixed-size batches,
-each batch draws from its own generator spawned from the seed, and batch
-histograms are merged in batch order, so results are bit-identical for a
-given spec regardless of the number of worker threads.  The batches are
-dealt over the workers of a ``Workers`` context, the calling thread and
-n - 1 threads, each taking the next batch no one has taken.
+each batch draws from its own generator spawned from the seed, and the walker
+returns integer passage counts, which are summed exactly, so results are
+bit-identical for a given spec regardless of the number of worker threads or
+of the order in which the batches finish.  The batches are dealt over the
+workers of a ``Workers`` context, the calling thread and n - 1 threads, each
+taking the next batch no one has taken and adding its counts into its own
+total.
 
 Each batch walks its steps in blocks of ``STEP_BLOCK``: one noise draw per
 block into a reused buffer (the random stream is the same as one draw for
@@ -206,17 +208,15 @@ def _simulate_batch_histogram(
     lattice: KernelLattice,
     nb: int,
     child_seed,
-    snapshot_steps=None,
     start_jitter=False,
-):
-    """Run one batch of paths, depositing dt per step into the lattice, or,
-    given ``snapshot_steps``, only counting the states at those steps.
+) -> np.ndarray:
+    """Run one batch of paths and count each step's passage through the lattice.
 
-    Returns (flat histogram, list of per-snapshot flat count histograms).
-    The per-path random stream order is (step, channel, path), fixed.  The
-    drift follows the spec's mode; whether deposits use a ds axis follows
-    the lattice rank, so trajectory-mode paths can also be binned on the 4D
-    per-parameter lattice for oracle comparisons.
+    Returns the flat int64 passage counts.  The per-path random stream order
+    is (step, channel, path), fixed.  The drift follows the spec's mode;
+    whether deposits use a ds axis follows the lattice rank, so
+    trajectory-mode paths can also be binned on the 4D per-parameter lattice
+    for oracle comparisons.
 
     Steps are walked in blocks of ``STEP_BLOCK``.  Row 0 of each walk holds
     the state before the block and row r + 1 the state after its step r;
@@ -253,8 +253,6 @@ def _simulate_batch_histogram(
     gsize = int(np.prod(gshape))
     n_s = sh[2] + 2 if has_ds else 1
     counts = np.zeros(n_s * gsize, dtype=np.int64)
-    wanted = set() if snapshot_steps is None else set(snapshot_steps)
-    snaps = {}
     for k0 in range(0, spec.n_steps, block):
         m = min(block, spec.n_steps - k0)
         z = noise[:m]
@@ -287,13 +285,6 @@ def _simulate_batch_histogram(
         for w in (q1, q2, th, v):
             w[0] = w[m]
         flat = ((i1 * gshape[1] + i2) * n_th + it) * gshape[3] + iv
-        for r in range(m):
-            if k0 + r + 1 in wanted:
-                # snapshots live on the 4D (q1, q2, theta, v) sub-lattice
-                snap = np.bincount(flat[r], minlength=gsize).reshape(gshape)
-                snaps[k0 + r + 1] = snap[1:-1, 1:-1, :, 1:-1].ravel()
-        if snapshot_steps is not None:
-            continue
         if has_ds:
             # ds bin j covers (j-1, j]; steps past the last bin hit a guard bin
             i_s = [math.ceil((k0 + r + 1) * dt - 1e-9) - 1 for r in range(m)]
@@ -302,8 +293,7 @@ def _simulate_batch_histogram(
     counts = counts.reshape(n_s, *gshape)[:, 1:-1, 1:-1, :, 1:-1]
     if has_ds:
         counts = np.moveaxis(counts[1:-1], 0, 2)  # to (q1, q2, s, theta, v)
-    snap_hists = [] if snapshot_steps is None else [snaps[k] for k in snapshot_steps]
-    return counts.ravel() * dt, snap_hists
+    return counts.ravel()
 
 
 def _guarded_bin(x: np.ndarray, origin: float, spacing: float, n: int) -> np.ndarray:
@@ -430,37 +420,21 @@ class Workers:
                 raise exc
 
 
-def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1,
-              snapshot_steps=None, start_jitter=False):
+def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -> np.ndarray:
+    """The passage counts of every batch, summed: each worker adds the batches
+    it takes into its own int64 total, and the totals are added at the end.
+    Integer sums do not depend on their order, so neither does the result."""
     counts = _batch_counts(spec.n_paths)
     children = np.random.SeedSequence(spec.seed).spawn(len(counts))
     n_workers = min(n_threads, len(counts))
-    done = {}  # finished batches not merged yet
-    hist = np.zeros(int(np.prod(lattice.shape)))
-    snap_acc = [0.0] * len(snapshot_steps or ())
-    merged = 0
-
-    def merge_ready():
-        # merge in batch order: bit-identical regardless of worker count
-        nonlocal hist, merged
-        while merged in done:
-            h, snaps = done.pop(merged)
-            merged += 1
-            hist += h
-            for i, s in enumerate(snaps):
-                snap_acc[i] += s
 
     def work(w, b):
-        done[b] = _simulate_batch_histogram(
-            spec, lattice, counts[b], children[b], snapshot_steps, start_jitter,
-        )
-        if w == 0:  # only the caller merges
-            merge_ready()
+        totals[w] += _simulate_batch_histogram(spec, lattice, counts[b], children[b])
 
     with Workers(n_workers) as workers:
+        totals = np.zeros((n_workers, int(np.prod(lattice.shape))), dtype=np.int64)
         workers.run(len(counts), work)
-    merge_ready()
-    return hist, snap_acc
+    return totals.sum(axis=0)
 
 
 def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -> KernelGrid:
@@ -469,15 +443,16 @@ def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -
     Every step of every path deposits weight dt at its nearest cell
     (ceiling binning on the ds axis in trajectory mode); passages outside
     the lattice deposit nothing, and paths are never killed so they may
-    re-enter.  Deterministic for a given spec including across thread counts;
-    ``n_threads`` must be at least 1.
+    re-enter.  The passages are counted in integers and summed exactly, so
+    the kernel is the same to the bit for every thread count; ``n_threads``
+    must be at least 1.
     """
     want = 5 if spec.mode == "trajectory" else 4
     if len(lattice.shape) != want:
         raise ValueError(
             f"{spec.mode} mode needs a {want}-d lattice, got {len(lattice.shape)}-d"
         )
-    hist, _ = _estimate(spec, lattice, n_threads)
+    hist = _estimate(spec, lattice, n_threads) * spec.dt_exact
     total = hist.sum()
     if total <= 0:
         raise ValueError("no path passage landed on the lattice; nothing to normalize")
@@ -490,43 +465,6 @@ def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -
         spec=spec,
         raw_weight=float(total),
     )
-
-
-def estimate_slice_densities(
-    spec: SdeSpec, lattice4: KernelLattice, times, n_threads: int = 1,
-    window: int = 0, start_jitter=False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-parameter MC densities at the requested times.
-
-    States are binned on the 4D (q1, q2, theta, v) lattice with weight
-    1/n_paths; mass falling off the lattice is simply absent.  With
-    ``window`` > 0 each returned density is the average over the
-    2*window+1 integrator steps centered on the slice (a short-window
-    estimate that multiplies the effective sample count; compare against
-    an identically averaged reference).  Returns (actual_times, stack)
-    with snapshot times rounded to whole integrator steps.
-    """
-    if len(lattice4.shape) != 4:
-        raise ValueError("slice densities live on a 4D lattice")
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    dt = spec.dt_exact
-    centers = sorted({max(1, min(spec.n_steps, int(round(t / dt)))) for t in times})
-    steps = sorted(
-        {
-            k
-            for c in centers
-            for k in range(max(1, c - window), min(spec.n_steps, c + window) + 1)
-        }
-    )
-    _, snaps = _estimate(spec, lattice4, n_threads, snapshot_steps=steps,
-                         start_jitter=start_jitter)
-    by_step = {k: s.reshape(lattice4.shape) for k, s in zip(steps, snaps)}
-    out = []
-    for c in centers:
-        ks = [k for k in steps if abs(k - c) <= window]
-        out.append(sum(by_step[k] for k in ks) / (len(ks) * spec.n_paths))
-    return np.array(centers, dtype=float) * dt, np.stack(out)
 
 
 def _van_leer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

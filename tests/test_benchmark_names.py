@@ -1,24 +1,32 @@
 """The package names that the benchmark harness reaches.
 
-``perfbench/child.py`` patches and calls package functions by name.  This
-test reads that file without running it and checks that each such name
-still exists and is callable, so that deleting one cannot break the
-benchmark unseen.
+``perfbench/child.py`` patches and calls package functions by name.  These
+tests read that file without running it and check that each such name
+still exists and is callable, and that each call it makes still fits the
+signature, so that deleting or renaming one cannot break the benchmark
+unseen.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
-def test_every_package_name_the_benchmark_reaches_is_callable():
+def _child_tree_and_modules():
+    """The parsed harness and its package modules by the names it binds."""
     tree = ast.parse(CHILD.read_text())
     modules = {alias.asname or alias.name: importlib.import_module(f"motionlift.{alias.name}")
                for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "motionlift"
                for alias in node.names}
+    return tree, modules
+
+
+def test_every_package_name_the_benchmark_reaches_is_callable():
+    tree, modules = _child_tree_and_modules()
     names = set()
     for node in ast.walk(tree):
         # ``module.attr`` anywhere, and the (module, "attr", ...) entries of
@@ -38,3 +46,23 @@ def test_every_package_name_the_benchmark_reaches_is_callable():
     broken = [f"{module}.{attr}" for module, attr in sorted(names)
               if not callable(getattr(modules[module], attr, None))]
     assert not broken
+
+
+def test_every_package_call_of_the_benchmark_fits_the_signature():
+    # ``module.attr(...)`` calls: the positional count and the keyword names
+    # must bind to the signature as it is now
+    tree, modules = _child_tree_and_modules()
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id in modules]
+    assert {"KernelGrid", "facilitate", "kernel_lookup"} <= {c.func.attr for c in calls}
+    unfit = []
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        target = getattr(modules[call.func.value.id], call.func.attr)
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            unfit.append(f"line {call.lineno}: {call.func.value.id}.{call.func.attr}: {exc}")
+    assert not unfit

@@ -151,6 +151,9 @@ EXIT_CASES = [
     ('axes=["zz", 7, "s"]', 4, "axes ['zz', 7, 's'] are not all among"),
     ("kernel-without-sde", 4, "malformed kernel header: KeyError('sde')"),
     ("kernel-without-kappa", 4, "malformed kernel header: KeyError('kappa')"),
+    ("kernel-kappa=-1", 4,
+     "malformed kernel header: ValueError('kappa and alpha must be nonnegative')"),
+    ("activity-axes", 5, "activity axes ['q1', 'q2', 's', 'theta'] are neither"),
     ("nan-activity", 5, "the activity holds NaN or infinite values"),
 ]
 
@@ -196,7 +199,10 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
         values = np.ones((7, 7, 6, 3))
         if case == "nan-activity":
             values[3, 3, 2, 1] = np.nan
-        vio.write_volume(activity, values, ("q1", "q2", "theta", "v"), kind="facilitation")
+        axes = ("q1", "q2", "theta", "v")
+        if case == "activity-axes":  # four frames of one velocity, not an activity
+            axes = ("q1", "q2", "s", "theta")
+        vio.write_volume(activity, values, axes, kind="facilitation")
         kernel = tmp_path / "kernel.knl"
         if case == "not-a-container":
             kernel.write_bytes(b"not a kernel")
@@ -210,6 +216,8 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
             elif case == "kernel-without-kappa":
                 _edit_header(kernel, lambda h: {**h, "sde": {k: x for k, x in h["sde"].items()
                                                              if k != "kappa"}})
+            elif case == "kernel-kappa=-1":
+                _edit_header(kernel, lambda h: {**h, "sde": {**h["sde"], "kappa": -1}})
         argv = ["facilitate", "--activity", str(activity), "--kernel", str(kernel),
                 "--out", str(out)]
     assert main(argv) == code

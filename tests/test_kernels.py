@@ -23,18 +23,14 @@ from motionlift.kernels import (
     Workers,
     contour_lattice,
     estimate_kernel,
-    estimate_slice_densities,
     fp_reference,
     kernel_lookup,
     trajectory_lattice,
 )
 
 
-def _per_step_batch_histogram(spec, lattice, nb, child_seed, snapshot_steps=None,
-                              start_jitter=False):
-    """Reference batch: the plain loop, one numpy call per step and per deposit.
-
-    Passages are deposited only when no snapshots are taken."""
+def _per_step_batch_histogram(spec, lattice, nb, child_seed, start_jitter=False):
+    """Reference batch: the plain loop, one numpy call per step and per deposit."""
     rng = np.random.default_rng(child_seed)
     dt = spec.dt_exact
     sk = math.sqrt(2.0 * dt) * spec.kappa
@@ -55,8 +51,7 @@ def _per_step_batch_histogram(spec, lattice, nb, child_seed, snapshot_steps=None
         th = np.zeros(nb)
         v = np.zeros(nb)
     ncells = int(np.prod(lattice.shape))
-    hist = np.zeros(ncells)
-    snaps = {} if snapshot_steps is None else {k: None for k in snapshot_steps}
+    hist = np.zeros(ncells, dtype=np.int64)
     sh = lattice.shape
     if has_ds:
         ax_t, ax_v = 3, 4
@@ -88,27 +83,15 @@ def _per_step_batch_histogram(spec, lattice, nb, child_seed, snapshot_steps=None
             (i1 >= 0) & (i1 < sh[0]) & (i2 >= 0) & (i2 < sh[1])
             & (iv >= 0) & (iv < sh[ax_v])
         )
-        if snapshot_steps is None:
-            if has_ds:
-                i_s = int(math.ceil(t_now - 1e-9)) - 1  # ds bin k covers (k-1, k]
-                if 0 <= i_s < sh[2]:
-                    flat = (((i1 * sh[1] + i2) * sh[2] + i_s) * n_th + it) * sh[ax_v] + iv
-                    hist += np.bincount(flat[ok], minlength=ncells)
-            else:
-                flat = ((i1 * sh[1] + i2) * n_th + it) * sh[ax_v] + iv
+        if has_ds:
+            i_s = int(math.ceil(t_now - 1e-9)) - 1  # ds bin k covers (k-1, k]
+            if 0 <= i_s < sh[2]:
+                flat = (((i1 * sh[1] + i2) * sh[2] + i_s) * n_th + it) * sh[ax_v] + iv
                 hist += np.bincount(flat[ok], minlength=ncells)
-        if snapshot_steps is not None and (k + 1) in snaps:
-            snaps[k + 1] = (i1, i2, it, iv, ok.copy())
-    snap_hists = []
-    if snapshot_steps is not None:
-        # snapshot histograms live on the 4D (q1, q2, theta, v) sub-lattice
-        sub_shape = (sh[0], sh[1], n_th, sh[ax_v])
-        nsub = int(np.prod(sub_shape))
-        for k in snapshot_steps:
-            i1, i2, it, iv, ok = snaps[k]
-            flat = ((i1 * sh[1] + i2) * n_th + it) * sub_shape[3] + iv
-            snap_hists.append(np.bincount(flat[ok], minlength=nsub))
-    return hist * dt, snap_hists
+        else:
+            flat = ((i1 * sh[1] + i2) * n_th + it) * sh[ax_v] + iv
+            hist += np.bincount(flat[ok], minlength=ncells)
+    return hist
 
 
 class TestSpecValidation:
@@ -161,13 +144,6 @@ class TestEstimation:
         t1 = estimate_kernel(traj, lat5)
         for n in (2, 4):
             assert np.array_equal(t1.values, estimate_kernel(traj, lat5, n_threads=n).values)
-        times1, dens1 = estimate_slice_densities(spec, lat, [0.5, 2.0], window=2,
-                                                 start_jitter="gauss")
-        for n in (2, 4):
-            times, dens = estimate_slice_densities(spec, lat, [0.5, 2.0], n_threads=n,
-                                                   window=2, start_jitter="gauss")
-            assert np.array_equal(times, times1)
-            assert np.array_equal(dens, dens1)
 
     @pytest.mark.parametrize("n_threads", [0, -3])
     def test_thread_count_below_one_rejected(self, n_threads, no_worker_pool):
@@ -217,9 +193,9 @@ class TestEstimation:
     def test_zero_noise_trajectory_walk_is_the_binned_curve(self):
         # with kappa = alpha = 0 each jittered path of the batch walker is the
         # straight curve of its mode from its start, heading included; every
-        # step deposits dt at the nearest (q1, q2, theta, v) node (and, for a
-        # trajectory, the ceiling ds bin), and points off the lattice deposit
-        # nothing
+        # step counts one passage at the nearest (q1, q2, theta, v) node (and,
+        # for a trajectory, the ceiling ds bin), and points off the lattice
+        # count nothing
         for spec, lat in (
             (SdeSpec("trajectory", 0.0, 0.0, 0.25, 6.0, 400, seed=2),
              trajectory_lattice(4, 5, 8, 5, 1.0)),
@@ -227,8 +203,8 @@ class TestEstimation:
              contour_lattice(5, 8, 5, 1.0)),
         ):
             child = np.random.SeedSequence(spec.seed).spawn(1)[0]
-            got, _ = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child,
-                                                    start_jitter="gauss")
+            got = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child,
+                                                 start_jitter="gauss")
             # the walker's first draw is the (q1, q2, theta, v) start jitter
             jit = np.random.default_rng(child).standard_normal((4, spec.n_paths)) * 0.5
             trajectory = spec.mode == "trajectory"
@@ -254,7 +230,37 @@ class TestEstimation:
             # most paths keep at least 20 of their 24 steps on the lattice (a
             # trajectory's 5 ds bins take 20)
             assert counts.sum() > 0.5 * spec.n_paths * 20
-            assert np.array_equal(got, counts.ravel() * dt)
+            assert got.dtype == np.int64 and np.array_equal(got, counts.ravel())
+
+    def test_fiber_law(self):
+        # theta and v after k steps are Gaussian with variances 2 kappa^2 k dt
+        # and 2 alpha^2 k dt, and the kernel weighs the steps k = 1..N alike.
+        # Binned to the nearest node, the theta marginal's E[cos] gains the
+        # factor sin(d/2) / (d/2) of a d-wide cell, and the v variance
+        # Sheppard's correction dv^2 / 12.  Paths stay within T = 4 pixels of
+        # the origin, so no mass leaves the lattice.
+        spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
+        lat = contour_lattice(6, 16, 9, 2.0)
+        k = estimate_kernel(spec, lat)
+        t = spec.dt_exact * np.arange(1, spec.n_steps + 1)
+        d_th, d_v = lat.spacing[2], lat.spacing[3]
+        p_th = k.values.sum(axis=(0, 1, 3))
+        p_v = k.values.sum(axis=(0, 1, 2))
+        cos_mean = (p_th * np.cos(lat.coords(2))).sum()
+        want = np.exp(-spec.kappa**2 * t).mean() * math.sin(d_th / 2) / (d_th / 2)
+        assert cos_mean == pytest.approx(want, rel=0.05)
+        v = lat.coords(3)
+        v_var = (p_v * v**2).sum() - (p_v * v).sum() ** 2
+        assert v_var == pytest.approx((2 * spec.alpha**2 * t).mean() + d_v**2 / 12, rel=0.05)
+
+    def test_raw_weight_is_the_weight_landed_on_the_lattice(self):
+        # every passage on the lattice weighs dt, of n_paths * T in all
+        spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
+        attempted = spec.n_paths * spec.T
+        wide = estimate_kernel(spec, contour_lattice(6, 16, 9, 2.0))
+        assert wide.raw_weight / attempted == pytest.approx(1.0, abs=1e-12)
+        narrow = estimate_kernel(spec, contour_lattice(2, 16, 9, 2.0))
+        assert 0.5 < narrow.raw_weight / attempted < 0.95
 
     def test_trajectory_mass_only_at_positive_ds(self):
         # structural: the ds axis starts at bin 1 and ceiling binning makes
@@ -374,35 +380,24 @@ class TestBatchLoopPinned:
         child = np.random.SeedSequence(spec.seed).spawn(1)[0]
         want = _per_step_batch_histogram(spec, lattice, nb, child, **kwargs)
         got = kmod._simulate_batch_histogram(spec, lattice, nb, child, **kwargs)
-        assert np.array_equal(got[0], want[0])
-        assert len(got[1]) == len(want[1])
-        for g, w in zip(got[1], want[1]):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         return want
 
     def test_contour(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 1001, seed=3)
-        hist, _ = self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 1001)
+        hist = self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 1001)
         assert hist.sum() > 0
 
     def test_trajectory_steps_past_the_last_ds_bin(self):
         # 150 steps reach ds = 6, the lattice stops at ds = 3
         spec = SdeSpec("trajectory", 0.5, 0.3, 0.04, 6.0, 777, seed=4)
         lat = trajectory_lattice(4, 3, 8, 5, 1.0)
-        hist, _ = self.run_both(spec, lat, 777)
-        assert 0 < hist.sum() <= 777 * 3.0 + 1e-9  # nothing deposited past ds = 3
+        hist = self.run_both(spec, lat, 777)
+        assert 0 < hist.sum() <= 777 * 75  # nothing counted past ds = 3, step 75
 
     def test_gaussian_start_jitter(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.05, 1.3, 513, seed=5)
         self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 513, start_jitter="gauss")
-
-    def test_windowed_snapshots(self):
-        spec = SdeSpec("contour", 0.5, 0.3, 0.02, 1.04, 999, seed=6)
-        lat = contour_lattice(4, 8, 5, 1.0)
-        steps = [3, 7, 24, 25, 26, 27, 51, 52]  # windows across block edges
-        _, snaps = self.run_both(spec, lat, 999, snapshot_steps=steps,
-                                 start_jitter="gauss")
-        assert all(s.sum() > 0 for s in snaps)
 
     @pytest.mark.parametrize("block", [1, 7, 25, 64])
     def test_step_count_not_a_multiple_of_the_block(self, block, monkeypatch):
@@ -411,9 +406,7 @@ class TestBatchLoopPinned:
         spec = SdeSpec("trajectory", 0.5, 0.3, 0.05, 2.0, 999, seed=7)
         assert block == 1 or spec.n_steps % block != 0
         lat = contour_lattice(4, 8, 5, 1.0)
-        hist, _ = self.run_both(spec, lat, 999)  # passages
-        _, snaps = self.run_both(spec, lat, 999, snapshot_steps=[1, 2, 40])
-        assert hist.sum() > 0 and all(s.sum() > 0 for s in snaps)
+        assert self.run_both(spec, lat, 999).sum() > 0
 
 
 class TestKernelLookup:
@@ -527,52 +520,6 @@ class TestFpReference:
             monkeypatch.setattr(kmod, name,
                                 lambda *a, step=step, **k: np.ascontiguousarray(step(*a, **k)))
         assert np.array_equal(run(), want)
-
-
-class TestSliceDensities:
-    def test_fiber_variance_law(self):
-        # theta_T and v_T are Gaussian with variances 2 kappa^2 T and
-        # 2 alpha^2 T.  Binned to the nearest node, the theta marginal's
-        # E[cos] gains the factor sin(d/2) / (d/2) of a d-wide cell, and the
-        # v variance Sheppard's correction dv^2 / 12.  Paths stay within
-        # T = 4 pixels of the origin, so no mass leaves the lattice.
-        spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
-        lat = contour_lattice(6, 16, 9, 2.0)
-        times, stack = estimate_slice_densities(spec, lat, [spec.T])
-        assert times[0] == pytest.approx(spec.T)
-        assert stack[0].sum() == pytest.approx(1.0)
-        d_th, d_v = lat.spacing[2], lat.spacing[3]
-        p_th = stack[0].sum(axis=(0, 1, 3))
-        p_v = stack[0].sum(axis=(0, 1, 2))
-        cos_mean = (p_th * np.cos(lat.coords(2))).sum()
-        want = math.exp(-spec.kappa**2 * spec.T) * math.sin(d_th / 2) / (d_th / 2)
-        assert cos_mean == pytest.approx(want, rel=0.05)
-        v = lat.coords(3)
-        v_var = (p_v * v**2).sum() - (p_v * v).sum() ** 2
-        assert v_var == pytest.approx(2 * spec.alpha**2 * spec.T + d_v**2 / 12, rel=0.05)
-
-    def test_masses_bounded_by_one(self):
-        lat = contour_lattice(8, 8, 5, 1.0)
-        spec = SdeSpec("contour", 0.4, 0.2, 0.02, 2.0, 5000, seed=2)
-        times, stack = estimate_slice_densities(spec, lat, [1.0, 2.0])
-        assert stack.shape[0] == 2
-        assert 0.9 < stack[0].sum() <= 1.0 + 1e-12
-
-    def test_window_averaging_mass(self):
-        lat = contour_lattice(8, 8, 5, 1.0)
-        spec = SdeSpec("contour", 0.4, 0.2, 0.02, 2.0, 5000, seed=2)
-        _, stack = estimate_slice_densities(spec, lat, [2.0], window=4)
-        assert 0.9 < stack[0].sum() <= 1.0 + 1e-12
-
-    def test_negative_window_rejected_before_any_path_is_walked(self, monkeypatch):
-        def walk(*_a, **_k):
-            raise AssertionError("paths walked for a negative window")
-
-        monkeypatch.setattr(kmod, "_estimate", walk)
-        lat = contour_lattice(8, 8, 5, 1.0)
-        spec = SdeSpec("contour", 0.4, 0.2, 0.02, 2.0, 5000, seed=2)
-        with pytest.raises(ValueError, match="window"):
-            estimate_slice_densities(spec, lat, [2.0], window=-1)
 
 
 class TestLeftInvarianceSymmetry:
