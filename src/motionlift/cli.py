@@ -327,7 +327,8 @@ def cmd_export(args) -> int:
     bindings = _slice_bindings(args.slice or [], axes, values.shape)
     out = _out_path(args.out)
     if args.iso is not None:
-        n = vio.export_isosurface_points(out, values, axes, args.iso)
+        sliced, free = vio.bind_axes(values, axes, bindings)
+        n = vio.export_isosurface_points(out, sliced, free, args.iso)
         print(f"wrote {out} ({n} points)")
     else:
         vio.export_slice_csv(out, values, axes, bindings)
@@ -402,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--volume", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--iso", type=float, help="isosurface shell at this value")
-    sp.add_argument("--slice", action="append", metavar="AXIS=INDEX")
+    sp.add_argument("--slice", action="append", metavar="AXIS=INDEX",
+                    help="fix AXIS at INDEX (repeatable); the slice CSV or the --iso "
+                         "shell covers the axes left free")
     sp.set_defaults(func=cmd_export)
     return ap
 

@@ -39,6 +39,7 @@ from .gabor import (
     LiftedActivity,
     ManifoldGrid,
     energy_filter,
+    scales_from_frequency,
     sigmoid,
     threshold_activity,
 )
@@ -186,8 +187,9 @@ def exp1_sample_points(cfg: Experiment1Config, truth: dict, grid: ManifoldGrid):
 
     Gap samples sit on the circle inside each inter-dash gap at the mid
     frame; background samples are drawn (seeded) at least
-    ``background_margin`` pixels away from the circle curve, with uniform
-    random fiber bins, matched in count.
+    ``background_margin`` pixels away from the circle curve and
+    ceil(3 sigma_x) + 2 pixels from each image edge, with uniform random
+    fiber bins, matched in count.
     """
     mid = cfg.n_frames // 2
     cx, cy = truth["center_by_frame"][mid]
@@ -208,7 +210,8 @@ def exp1_sample_points(cfg: Experiment1Config, truth: dict, grid: ManifoldGrid):
             )
     rng = np.random.default_rng(cfg.seed + 999)
     bg = []
-    lo = int(math.ceil(3 * 1.25)) + 2  # stay off the filter boundary band
+    sigma_x = scales_from_frequency(cfg.p_modulus, cfg.v_m)[0]
+    lo = int(math.ceil(3 * sigma_x)) + 2  # stay off the filter boundary band
     hi = cfg.size - 1 - lo
     while len(bg) < len(pts):
         x = rng.integers(lo, hi + 1)

@@ -161,6 +161,13 @@ def read_kernel(path):
         raise VolumeFormatError(f"{path}: malformed kernel header: {exc!r}") from exc
 
 
+def bind_axes(values: np.ndarray, axes, bindings: dict) -> tuple[np.ndarray, list]:
+    """The field with each axis named in ``bindings`` fixed at its index,
+    and the names of the axes left free, in axis order."""
+    index = tuple(int(bindings[name]) if name in bindings else slice(None) for name in axes)
+    return np.asarray(values)[index], [name for name in axes if name not in bindings]
+
+
 def export_slice_csv(path, values: np.ndarray, axes, bindings: dict) -> None:
     """Export a slice of a field as CSV.
 
@@ -168,18 +175,9 @@ def export_slice_csv(path, values: np.ndarray, axes, bindings: dict) -> None:
     iterated in C order.  Columns are the free axis indices in axis order
     followed by ``value``.  Output is deterministic.
     """
-    values = np.asarray(values)
-    axes = list(axes)
-    index = [slice(None)] * values.ndim
-    free = []
-    for pos, name in enumerate(axes):
-        if name in bindings:
-            index[pos] = int(bindings[name])
-        else:
-            free.append((pos, name))
-    sliced = values[tuple(index)]
+    sliced, free = bind_axes(values, axes, bindings)
     with open(path, "w") as fh:
-        fh.write(",".join(name for _, name in free) + ",value\n")
+        fh.write(",".join(free) + ",value\n")
         for coords in np.ndindex(*sliced.shape):
             row = ",".join(str(int(c)) for c in coords)
             fh.write(f"{row},{float(sliced[coords])!r}\n")

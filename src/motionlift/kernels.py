@@ -24,6 +24,12 @@ all steps), the walks built by in-place row adds (the same sums in the same
 order as step by step), then sin/cos, binning and a single integer
 ``bincount`` over the whole block.  Few, large numpy calls release the GIL
 for long stretches, so the workers run in parallel.
+
+The oracle, ``fp_reference``, solves the same two Fokker-Planck operators by
+finite differences from the point source every path starts at: limited
+upwind transport along the drift, centered diffusion in the fiber
+variables.  Tests pin its low moments to the closed forms of the two
+processes.
 """
 
 from __future__ import annotations
@@ -208,7 +214,7 @@ def _simulate_batch_histogram(
     lattice: KernelLattice,
     nb: int,
     child_seed,
-    start_jitter=False,
+    start_jitter: bool = False,
 ) -> np.ndarray:
     """Run one batch of paths and count each step's passage through the lattice.
 
@@ -216,7 +222,8 @@ def _simulate_batch_histogram(
     is (step, channel, path), fixed.  The drift follows the spec's mode;
     whether deposits use a ds axis follows the lattice rank, so
     trajectory-mode paths can also be binned on the 4D per-parameter lattice
-    for oracle comparisons.
+    for oracle comparisons.  With ``start_jitter`` each path starts from a
+    half-cell Gaussian about the origin instead of at it.
 
     Steps are walked in blocks of ``STEP_BLOCK``.  Row 0 of each walk holds
     the state before the block and row r + 1 the state after its step r;
@@ -238,8 +245,7 @@ def _simulate_batch_histogram(
     d_q1, d_q2 = lattice.spacing[0], lattice.spacing[1]
     block = min(STEP_BLOCK, spec.n_steps)
     q1, q2, th, v = (np.zeros((block + 1, nb)) for _ in range(4))
-    if start_jitter == "gauss":
-        # half-cell Gaussian source: matches the oracle's 'gauss' init
+    if start_jitter:
         jit = rng.standard_normal((4, nb)) * 0.5
         q1[0] = jit[0] * d_q1
         q2[0] = jit[1] * d_q2
@@ -535,30 +541,24 @@ def fp_reference(
     snapshot_times,
     *,
     refine: int = 3,
-    transport: str = "upwind",
-    init: str = "point",
 ):
-    """Finite-difference solve of the per-parameter density.
+    """Finite-difference solve of the per-parameter density from a point source.
 
-    Transport of the drift (X1 for contour mode, the velocity-dependent
-    spatial transport for trajectory mode) plus centered second differences
-    for the fiber diffusion with periodic theta and zero-flux v, from a
-    discrete point mass at the lattice origin cell.
-
-    ``transport='upwind'`` (default) uses conservative limited upwind
-    sweeps; robust and sign-preserving, but its numerical diffusion smears
-    the thin shells these hypoelliptic densities concentrate on.
-    ``transport='spectral'`` translates each (theta, v) slice exactly by
-    its constant drift via Fourier phases, which removes transport error
-    entirely (the density must stay away from the domain edges; signed
-    ringing of sharp profiles is clipped only at snapshot aggregation and
-    its magnitude is bounded by the mass guard).
+    The density starts as a unit point mass at the lattice origin, the start
+    of every Monte Carlo path, and evolves under the mode's Fokker-Planck
+    operator: conservative limited upwind sweeps transport it along the
+    drift (X1 for contour mode, the velocity-dependent spatial transport
+    for trajectory mode), and centered second differences diffuse it in
+    theta (periodic) and v (zero-flux).  Upwind transport is
+    sign-preserving and conserves mass exactly; its numerical diffusion
+    smears the thin shells these hypoelliptic densities concentrate on, an
+    error that shrinks with the spacing.
 
     Internally the solve runs at ``refine``-fold resolution (odd factor) on
-    the q1, q2 and theta axes for either transport, and on the v axis too in
-    trajectory mode, where v sets the drift.  Results are aggregated back
-    onto the requested lattice.  The global step is CFL-limited by the
-    advection (or by splitting accuracy for spectral transport); fiber
+    the q1, q2 and theta axes, and on the v axis too in trajectory mode,
+    where v sets the drift; the point mass sits in the centre fine cell of
+    the origin cell.  Results are aggregated back onto the requested
+    lattice.  The global step is CFL-limited by the advection; fiber
     diffusions are sub-cycled explicitly at their own stable steps.  Each
     step is the transport, then the theta and v diffusions, then the mass
     check.
@@ -569,37 +569,25 @@ def fp_reference(
         raise ValueError(f"mode must be one of {MODES}")
     if refine < 1 or refine % 2 == 0:
         raise ValueError("refine must be a positive odd integer")
-    if transport not in ("upwind", "spectral"):
-        raise ValueError(f"unknown transport {transport!r}")
     sh = lattice4.shape
-    spectral = transport == "spectral"
     r_v = refine if mode == "trajectory" else 1
     rf = (refine, refine, refine, r_v)
     fine_shape = tuple(s * r for s, r in zip(sh, rf))
     spacing = [lattice4.spacing[a] / rf[a] for a in range(4)]
-    coords = []
-    for a in range(4):
-        origin_f = lattice4.origin[a] - spacing[a] * (rf[a] - 1) / 2.0
-        coords.append(origin_f + spacing[a] * np.arange(fine_shape[a]))
-    thetas = coords[2]
-    vs = coords[3]
+    # fine-cell centres on the theta and v axes
+    thetas, vs = (lattice4.origin[a] - spacing[a] * (rf[a] - 1) / 2.0
+                  + spacing[a] * np.arange(fine_shape[a]) for a in (2, 3))
     if mode == "contour":
         u1 = -np.sin(thetas)[None, None, :, None]
         u2 = np.cos(thetas)[None, None, :, None]
     else:
         u1 = (vs[None, :] * np.cos(thetas)[:, None])[None, None, :, :]
         u2 = (vs[None, :] * np.sin(thetas)[:, None])[None, None, :, :]
-    umax1 = float(np.max(np.abs(u1)))
-    umax2 = float(np.max(np.abs(u2)))
-    adv_rate = umax1 / spacing[0] + umax2 / spacing[1]
+    adv_rate = float(np.max(np.abs(u1))) / spacing[0] + float(np.max(np.abs(u2))) / spacing[1]
     diff_rate = 2.0 * kappa**2 / spacing[2] ** 2 + 2.0 * alpha**2 / spacing[3] ** 2
     if adv_rate + diff_rate <= 0:
         raise ValueError("degenerate operator: zero drift and diffusion")
-    if spectral:
-        # unconditionally stable transport; dt only limits splitting error
-        dt = min(0.02 * horizon, 0.25 / max(kappa**2, alpha**2, 1e-12))
-    else:
-        dt = FP_CFL / adv_rate if adv_rate > 0 else FP_CFL / diff_rate
+    dt = FP_CFL / adv_rate if adv_rate > 0 else FP_CFL / diff_rate
     n_steps = int(math.ceil(horizon / dt))
     if n_steps > FP_MAX_STEPS:
         raise ValueError(
@@ -610,67 +598,30 @@ def fp_reference(
     sub_th = max(1, int(math.ceil(dt * 2.0 * kappa**2 / (FP_CFL * spacing[2] ** 2))))
     sub_v = max(1, int(math.ceil(dt * 2.0 * alpha**2 / (FP_CFL * spacing[3] ** 2))))
     rho = np.zeros(fine_shape)
-    c_idx = tuple(int(round(-lattice4.origin[a] / lattice4.spacing[a])) for a in range(4))
-    if init == "point":
-        center = tuple(c_idx[a] * rf[a] + rf[a] // 2 for a in range(4))
-        rho[center] = 1.0
-    elif init == "gauss":
-        # separable half-coarse-cell Gaussian source (band-limited enough
-        # that spectral transport does not ring)
-        gs = []
-        for a in range(4):
-            x = coords[a] - (coords[a][c_idx[a] * rf[a]] + coords[a][(c_idx[a] + 1) * rf[a] - 1]) / 2.0
-            g = np.exp(-0.5 * (x / (0.5 * lattice4.spacing[a])) ** 2)
-            gs.append(g / g.sum())
-        rho = gs[0][:, None, None, None] * gs[1][None, :, None, None] \
-            * gs[2][None, None, :, None] * gs[3][None, None, None, :]
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    rho[tuple(
+        int(round(-lattice4.origin[a] / lattice4.spacing[a])) * rf[a] + rf[a] // 2
+        for a in range(4)
+    )] = 1.0
     snap_steps = sorted({max(0, min(n_steps, int(round(t / dt)))) for t in snapshot_times})
-    mass0 = rho.sum()
     taken = {}
-    if spectral:
-        kx = np.fft.fftfreq(fine_shape[0], d=spacing[0])[:, None, None, None]
-        ky = np.fft.rfftfreq(fine_shape[1], d=spacing[1])[None, :, None, None]
-        shift_op = np.exp(-2j * np.pi * dt * (kx * u1 + ky * u2))
     # alternate the upwind sweep order every step (Strang-style
     # symmetrization of the dimensional splitting)
     sweeps = ((0, u1, spacing[0]), (1, u2, spacing[1]))
-
-    def take_snapshot(f):
-        # a C-order copy, so the sum order is not the last sub-step's layout
-        coarse = np.ascontiguousarray(f).reshape(
-            sh[0], rf[0], sh[1], rf[1], sh[2], rf[2], sh[3], rf[3]
-        ).sum(axis=(1, 3, 5, 7))
-        if spectral:
-            # exact translation keeps signed ringing on sharp profiles;
-            # clip it at readout and keep it within the mass guard
-            neg = coarse < 0.0
-            lost = float(-coarse[neg].sum())
-            if lost > 1e-3:
-                raise ArithmeticError(
-                    f"spectral transport ringing {lost:.2e} exceeds the guard"
-                )
-            coarse = np.where(neg, 0.0, coarse)
-            coarse *= mass0 / coarse.sum()
-        return coarse
-
     for k in range(n_steps + 1):
         if k in snap_steps:
-            taken[k] = take_snapshot(rho)
+            # a C-order copy, so the sum order is not the last sub-step's layout
+            taken[k] = np.ascontiguousarray(rho).reshape(
+                sh[0], rf[0], sh[1], rf[1], sh[2], rf[2], sh[3], rf[3]
+            ).sum(axis=(1, 3, 5, 7))
         if k == n_steps:
             break
-        if spectral:
-            rho = np.fft.irfft2(np.fft.rfft2(rho, axes=(0, 1)) * shift_op,
-                                s=fine_shape[:2], axes=(0, 1))
-        else:
-            for ax, u, dxa in sweeps[::-1] if k % 2 else sweeps:
-                rho = _advect_axis(rho, u, ax, dxa, dt)
+        for ax, u, dxa in sweeps[::-1] if k % 2 else sweeps:
+            rho = _advect_axis(rho, u, ax, dxa, dt)
         for _ in range(sub_th if kappa > 0 else 0):
             rho = _diffuse_axis(rho, kappa**2, 2, spacing[2], dt / sub_th, periodic=True)
         for _ in range(sub_v if alpha > 0 else 0):
             rho = _diffuse_axis(rho, alpha**2, 3, spacing[3], dt / sub_v, periodic=False)
-        if abs(rho.sum() - mass0) > 1e-6:
+        if abs(rho.sum() - 1.0) > 1e-6:
             raise ArithmeticError("finite-difference step lost mass beyond 1e-6")
     times = np.array(snap_steps, dtype=float) * dt
     stack = np.stack([taken[k] for k in snap_steps])

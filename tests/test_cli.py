@@ -317,6 +317,21 @@ def test_experiment2_flags_gaps_the_kernel_cannot_bridge(tmp_path, capsys):
     assert "dT=4 " in err and "bridged: false" in err
 
 
+def test_iso_export_takes_the_shell_of_the_sliced_volume(tmp_path):
+    # three frames with different shells; --slice s=1 keeps frame 1 alone
+    values = np.zeros((5, 5, 3))
+    values[1:4, 1:4, 0] = 1.0
+    values[2, 2, 1] = 1.0
+    values[:, :, 2] = 1.0
+    volume = tmp_path / "v.vol"
+    vio.write_volume(volume, values, ("q1", "q2", "s"))
+    out, want = tmp_path / "out.csv", tmp_path / "want.csv"
+    assert main(["export", "--volume", str(volume), "--iso", "0.5", "--slice", "s=1",
+                 "--out", str(out)]) == 0
+    assert vio.export_isosurface_points(want, values[:, :, 1], ("q1", "q2"), 0.5) == 1
+    assert out.read_text() == want.read_text() == "q1,q2,value\n2.0,2.0,1.0\n"
+
+
 def test_config_text_skips_comments_and_blank_lines_and_keeps_the_last_key():
     text = "# a comment\n\nsize = 21  # trailing comment\n   \nseed=3\nsize = 25\n"
     assert parse_config_text(text) == {"size": "25", "seed": "3"}

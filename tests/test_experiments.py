@@ -11,8 +11,10 @@ import pytest
 
 from motionlift import experiments
 from motionlift.experiments import (
+    Experiment1Config,
     Experiment2Config,
     all_ones_response,
+    exp1_sample_points,
     gap_energy,
     load_or_estimate_kernel,
     run_experiment2,
@@ -24,12 +26,13 @@ from motionlift.gabor import (
     LiftedActivity,
     ManifoldGrid,
     energy_filter,
+    scales_from_frequency,
     sigmoid,
     threshold_activity,
 )
 from motionlift.kernels import KernelGrid, SdeSpec, trajectory_lattice
 from motionlift.population import activity_steady, facilitate, facilitation_difference
-from motionlift.stimuli import occluded_trajectory
+from motionlift.stimuli import dashed_circle, occluded_trajectory
 
 # perfbench's seconds-long trajectory configuration: two sweep points, both
 # bridged by a 6-frame kernel
@@ -176,3 +179,16 @@ def test_a_repeated_gap_duration_gathers_its_first_part_once(tmp_path, monkeypat
     firsts = [out.values.shape[2] for times, out, _ in calls if times[0] == 0]
     assert firsts == [cfg.n_frames + cfg.kernel_n_ds + 1, cfg.n_frames]
     assert all(np.array_equal(out.values, kept) for _, out, kept in calls)
+
+
+def test_background_points_keep_off_the_filter_band_of_a_wider_filter():
+    # at |p| = pi/4 sigma_x is 2.5 px, twice the default's: the band the
+    # filter attenuates at the image edges is 3 sigma_x wide
+    cfg = Experiment1Config(size=64, n_frames=8, radius=20.0, p_modulus=math.pi / 4)
+    grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
+    _, truth = dashed_circle(cfg.stimulus_spec())
+    _, bg = exp1_sample_points(cfg, truth, grid)
+    lo = math.ceil(3 * scales_from_frequency(cfg.p_modulus, cfg.v_m)[0]) + 2
+    assert lo == 10
+    for x, y, _, _ in bg:
+        assert lo <= min(x, y) and max(x, y) <= cfg.size - 1 - lo

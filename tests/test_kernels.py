@@ -37,8 +37,8 @@ def _per_step_batch_histogram(spec, lattice, nb, child_seed, start_jitter=False)
     sa = math.sqrt(2.0 * dt) * spec.alpha
     trajectory = spec.mode == "trajectory"
     has_ds = len(lattice.shape) == 5
-    if start_jitter == "gauss":
-        # half-cell Gaussian source: matches the oracle's 'gauss' init
+    if start_jitter:
+        # half-cell Gaussian start
         i_t, i_v = (3, 4) if has_ds else (2, 3)
         jit = rng.standard_normal((4, nb)) * 0.5
         q1 = jit[0] * lattice.spacing[0]
@@ -204,7 +204,7 @@ class TestEstimation:
         ):
             child = np.random.SeedSequence(spec.seed).spawn(1)[0]
             got = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child,
-                                                 start_jitter="gauss")
+                                                 start_jitter=True)
             # the walker's first draw is the (q1, q2, theta, v) start jitter
             jit = np.random.default_rng(child).standard_normal((4, spec.n_paths)) * 0.5
             trajectory = spec.mode == "trajectory"
@@ -238,7 +238,11 @@ class TestEstimation:
         # Binned to the nearest node, the theta marginal's E[cos] gains the
         # factor sin(d/2) / (d/2) of a d-wide cell, and the v variance
         # Sheppard's correction dv^2 / 12.  Paths stay within T = 4 pixels of
-        # the origin, so no mass leaves the lattice.
+        # the origin, so no mass leaves the lattice.  The spatial moments
+        # follow from E[cos(theta_t - theta_s)] = exp(-kappa^2 |t - s|): from
+        # theta = 0, E[q2] = (1 - exp(-kappa^2 t)) / kappa^2, E[q1] = 0 and
+        # E|q|^2 = 2 (t / kappa^2 - (1 - exp(-kappa^2 t)) / kappa^4), plus
+        # 2 / 12 for binning q1 and q2 to unit pixels.
         spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
         lat = contour_lattice(6, 16, 9, 2.0)
         k = estimate_kernel(spec, lat)
@@ -252,6 +256,14 @@ class TestEstimation:
         v = lat.coords(3)
         v_var = (p_v * v**2).sum() - (p_v * v).sum() ** 2
         assert v_var == pytest.approx((2 * spec.alpha**2 * t).mean() + d_v**2 / 12, rel=0.05)
+        k2 = spec.kappa**2
+        p_q = k.values.sum(axis=(2, 3))
+        q1, q2 = lat.coords(0)[:, None], lat.coords(1)[None, :]
+        want_q2 = ((1 - np.exp(-k2 * t)) / k2).mean()
+        assert (p_q * q2).sum() == pytest.approx(want_q2, rel=0.05)
+        assert abs((p_q * q1).sum()) < 0.05 * want_q2
+        want_r2 = (2 * (t / k2 - (1 - np.exp(-k2 * t)) / k2**2)).mean() + 2 / 12
+        assert (p_q * (q1**2 + q2**2)).sum() == pytest.approx(want_r2, rel=0.05)
 
     def test_raw_weight_is_the_weight_landed_on_the_lattice(self):
         # every passage on the lattice weighs dt, of n_paths * T in all
@@ -397,7 +409,7 @@ class TestBatchLoopPinned:
 
     def test_gaussian_start_jitter(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.05, 1.3, 513, seed=5)
-        self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 513, start_jitter="gauss")
+        self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 513, start_jitter=True)
 
     @pytest.mark.parametrize("block", [1, 7, 25, 64])
     def test_step_count_not_a_multiple_of_the_block(self, block, monkeypatch):
@@ -493,26 +505,14 @@ class TestFpReference:
         with pytest.raises(ValueError, match="steps > 10"):
             fp_reference("contour", 5.0, 5.0, lat, 50.0, [50.0])
 
-    def test_spectral_matches_upwind_on_smooth_field(self):
-        # both transports solve the same generator; on a smoothed source
-        # they must agree closely
-        lat = contour_lattice(6, 8, 5, 1.0)
-        _, up = fp_reference("contour", 0.6, 0.3, lat, 2.0, [2.0], init="gauss")
-        _, sp = fp_reference("contour", 0.6, 0.3, lat, 2.0, [2.0],
-                             transport="spectral", init="gauss")
-        d = np.abs(up[-1] / up[-1].sum() - sp[-1] / sp[-1].sum()).sum()
-        assert d < 0.12
-
     @pytest.mark.parametrize("mode", kmod.MODES)
-    @pytest.mark.parametrize("transport", ["upwind", "spectral"])
-    def test_snapshots_do_not_depend_on_memory_layout(self, mode, transport, monkeypatch):
+    def test_snapshots_do_not_depend_on_memory_layout(self, mode, monkeypatch):
         # every sub-step gives the same values in any memory layout, so the
         # snapshots must not change when each sub-step returns a C-order copy
         lat = contour_lattice(4, 8, 5, 1.0)
 
         def run():
-            return fp_reference(mode, 0.4, 0.3, lat, 1.0, [0.5, 1.0],
-                                transport=transport, init="gauss")[1]
+            return fp_reference(mode, 0.4, 0.3, lat, 1.0, [0.5, 1.0])[1]
 
         want = run()
         for name in ("_advect_axis", "_diffuse_axis"):
@@ -520,6 +520,63 @@ class TestFpReference:
             monkeypatch.setattr(kmod, name,
                                 lambda *a, step=step, **k: np.ascontiguousarray(step(*a, **k)))
         assert np.array_equal(run(), want)
+
+    @staticmethod
+    def moment_errors(mode, halfwidth, v_half):
+        """Errors of the density's moments at t = 2 against their closed forms,
+        at spacings h = 1, 1/2, 1/4 with 16, 32, 64 theta bins, refine = 1, on
+        q1, q2 in [-halfwidth, halfwidth] and v in [-v_half, v_half] at
+        spacing 1/2.
+
+        From the origin with theta = v = 0, E[cos(theta_t - theta_s)] =
+        exp(-k |t - s|), k = kappa^2.  Contour mode moves at unit speed along
+        the heading: E[q2] = (1 - exp(-kt)) / k and E|q|^2 = 2 (t / k -
+        (1 - exp(-kt)) / k^2).  Trajectory mode moves at speed v, with
+        E[v_s v_u] = 2 alpha^2 min(s, u): E|q|^2 = 4 alpha^2 (t^2 / (2k) - t / k^2
+        + (1 - exp(-kt)) / k^3).  Moments are taken at the cell centres.
+        """
+        kappa, alpha, t = 0.5, 0.3, 2.0
+        k = kappa**2
+        if mode == "contour":
+            want_q2 = (1 - math.exp(-k * t)) / k
+            want_r2 = 2 * (t / k - (1 - math.exp(-k * t)) / k**2)
+        else:
+            want_q2 = 0.0
+            want_r2 = 4 * alpha**2 * (t**2 / (2 * k) - t / k**2 + (1 - math.exp(-k * t)) / k**3)
+        errors = []
+        for h, n_theta in ((1.0, 16), (0.5, 32), (0.25, 64)):
+            n = int(2 * halfwidth / h) + 1
+            lat = KernelLattice(("q1", "q2", "theta", "v"), (n, n, n_theta, 4 * v_half + 1),
+                                (-halfwidth, -halfwidth, 0.0, -v_half),
+                                (h, h, 2 * math.pi / n_theta, 0.5))
+            _, stack = fp_reference(mode, kappa, alpha, lat, t, [t], refine=1)
+            rho = stack[-1]
+            p_q = rho.sum(axis=(2, 3))
+            q1, q2 = lat.coords(0)[:, None], lat.coords(1)[None, :]
+            p_th = rho.sum(axis=(0, 1, 3))
+            errors.append(((p_q * q1).sum(), (p_q * q2).sum() - want_q2,
+                           (p_q * (q1**2 + q2**2)).sum() - want_r2,
+                           (p_th * np.cos(lat.coords(2))).sum() - math.exp(-k * t)))
+        return np.array(errors), want_q2, want_r2
+
+    def test_contour_moments_converge_to_the_closed_forms(self):
+        # contour paths move at unit speed, so |q| <= t = 2; the 4 px domain
+        # leaves room for the upwind smear.  v does not enter the drift: one
+        # v bin
+        err, want_q2, want_r2 = self.moment_errors("contour", 4, 0)
+        e1, e2, er2, ecos = np.abs(err).T
+        assert np.all(np.diff(e2) < 0) and np.all(np.diff(er2) < 0)
+        assert e2[-1] < 0.02 * want_q2 and er2[-1] < 0.02 * want_r2
+        assert e1.max() < 1e-12 and ecos.max() < 1e-3
+
+    def test_trajectory_moments_converge_to_the_closed_forms(self):
+        # from v = 0 the rms displacement at t = 2 is 0.65 px: a 2 px domain,
+        # v on +-2 (over 3 standard deviations) at spacing 0.5
+        err, _, want_r2 = self.moment_errors("trajectory", 2, 2)
+        e1, e2, er2, ecos = np.abs(err).T
+        assert np.all(np.diff(er2) < 0)
+        assert er2[-1] < 0.05 * want_r2
+        assert e1.max() < 1e-12 and e2.max() < 1e-12 and ecos.max() < 1e-3
 
 
 class TestLeftInvarianceSymmetry:
