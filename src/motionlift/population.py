@@ -561,7 +561,8 @@ def activity_steady(
     """First-order steady activity S(F + c_f P), S the sigmoid of gain mu and threshold beta.
 
     The drive is formed in the output array and the sigmoid is taken in
-    place (``sigmoid_in_place``), so the call holds about two fields."""
+    place in cache-sized chunks (``sigmoid_in_place``), so the call holds
+    about one field."""
     if c_f < 0:
         raise ValueError("the model is purely excitatory: c_f must be >= 0")
     if raw.kind != "raw":

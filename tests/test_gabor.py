@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from motionlift.gabor import (
+    _SIG_CHUNK,
     GaborBank,
     LiftedActivity,
     ManifoldGrid,
@@ -15,6 +16,7 @@ from motionlift.gabor import (
     lift_surface,
     scales_from_frequency,
     sigmoid,
+    sigmoid_in_place,
     threshold_activity,
 )
 from motionlift.stimuli import plane_wave, translating_bar
@@ -78,11 +80,29 @@ class TestSigmoid:
 
         rng = np.random.default_rng(4)
         edges = [beta, -0.0, 0.0, beta + 1e-17, 5e-324, 1e300, -1e300, np.inf, -np.inf]
-        taus = np.concatenate([rng.normal(beta, 3.0 / mu, 10_000),
+        # spans several chunks and ends in a partial one, with edges in both
+        taus = np.concatenate([edges, rng.normal(beta, 3.0 / mu, 2 * _SIG_CHUNK),
                                rng.uniform(-100.0, 100.0, 1000), edges])
+        assert taus.size > _SIG_CHUNK and taus.size % _SIG_CHUNK
         assert np.array_equal(sigmoid(taus, mu, beta), masked(taus))
         assert sigmoid(beta + 0.1, mu, beta) == float(masked(beta + 0.1))
         assert isinstance(sigmoid(beta, mu, beta), float)
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a[:, ::2],      # strided: every other column
+        lambda a: a.T,            # Fortran-ordered
+        lambda a: a[::-1, 1:-1],  # reversed rows, cut columns
+    ])
+    def test_in_place_on_any_layout(self, view):
+        # a non-contiguous tau is written in place, entry for entry, and
+        # the entries outside the view are left alone
+        rng = np.random.default_rng(5)
+        base = rng.normal(0.5, 0.3, (_SIG_CHUNK // 100, 301))
+        want = base.copy()
+        view(want)[...] = sigmoid(view(base).copy(), 10.0, 0.5)
+        tau = view(base)
+        assert sigmoid_in_place(tau, 10.0, 0.5) is tau
+        assert np.array_equal(base, want)
 
 
 @pytest.fixture(scope="module")
@@ -178,12 +198,14 @@ class TestEnergyFilter:
         assert orth.max() < 0.1
 
     def test_flip_pair_symmetry(self, small_grid, bank):
-        # energy cannot distinguish (theta, v) from (theta+pi, -v)
+        # energy cannot distinguish (theta, v) from (theta+pi, -v): the
+        # lift computes one fiber of each pair and copies it to the other
         stim, _ = plane_wave((24, 24, 16), P_HALF, small_grid.thetas[1], 0.5)
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
-        a = act.values[:, :, 0, 1, 3]
-        b = act.values[:, :, 0, (1 + 4) % 8, 1]
-        assert np.abs(a - b).max() < 1e-12
+        vals = energy_filter(stim, small_grid, P_HALF, bank=bank).values
+        # partner[..., i, j] is the fiber (i - 4, n_v - 1 - j)
+        partner = np.roll(vals[..., ::-1], 4, axis=3)
+        assert np.array_equal(vals, partner)
+        assert vals[:, :, 0, 1, 3].max() > 0.5
 
     def test_fft_matches_direct_sum(self):
         rng = np.random.default_rng(7)
@@ -214,6 +236,37 @@ class TestEnergyFilter:
             slow = energy_filter_direct(stim, grid, P_HALF)
             assert fast.s_frames.tolist() == list(frames)
             assert np.abs(fast.values - slow.values).max() < 1e-10
+        # an odd n_theta has no (theta + pi, -v) partners: every fiber is lifted
+        grid = ManifoldGrid(12, 9, 5, 3, 1.0, s_slices=(4, 6))
+        fast = energy_filter(stim, grid, P_HALF)
+        slow = energy_filter_direct(stim, grid, P_HALF)
+        assert np.abs(fast.values - slow.values).max() < 1e-10
+
+    def test_blank_reach_frames_are_exact_zeros(self):
+        # frames 2-5 and 17-19 hold the movie; a kept frame whose +-rt
+        # frames are all blank (here 11, in the 11-frame blank run, and the
+        # end frame 23) has energy exactly 0, and the other kept frames
+        # still match the direct sum
+        rng = np.random.default_rng(9)
+        data = np.zeros((12, 9, 24))
+        data[:, :, 2:6] = rng.uniform(0, 1, (12, 9, 4))
+        data[:, :, 17:20] = rng.uniform(0, 1, (12, 9, 3))
+        stim = StimulusVolume(data)
+        frames = (11, 3, 23, 11, 0, 18, 7)
+        grid = ManifoldGrid(12, 9, 6, 3, 1.0, s_slices=frames)
+        rt = GaborBank(grid, P_HALF).rt
+        assert 6 <= 11 - rt and 11 + rt <= 16 and 20 <= 23 - rt  # 11 and 23 are blank-reach
+        fast = energy_filter(stim, grid, P_HALF)
+        slow = energy_filter_direct(stim, grid, P_HALF)
+        assert np.abs(fast.values - slow.values).max() < 1e-10
+        blank = [k for k, s in enumerate(frames) if s in (11, 23)]
+        assert not fast.values[:, :, blank].any()
+        assert not slow.values[:, :, blank].any()
+        assert all(fast.values[:, :, k].any() for k in range(len(frames)) if k not in blank)
+        # an all-blank movie lifts to all zeros
+        empty = energy_filter(StimulusVolume(np.zeros((12, 9, 24))), grid, P_HALF)
+        assert empty.values.shape == fast.values.shape
+        assert not empty.values.any()
 
     def test_rotation_covariance_exact_quarter_turn(self):
         # with four orientation bins one bin is a quarter turn, which acts

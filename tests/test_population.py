@@ -632,9 +632,10 @@ class TestSteadyActivity:
         assert (s2.values >= s1.values).all()
         assert 0.0 < s1.values.min() and s1.values.max() < 1.0
 
-    def test_peak_memory_is_about_two_fields(self):
+    def test_peak_memory_is_about_one_field(self):
         # the drive is formed in the output array and the sigmoid taken in
-        # place; the masked sigmoid held about five fields at once
+        # place in chunks (about 1.04 fields here); the masked sigmoid held
+        # about five fields at once, the whole-array in-place one about two
         grid = ManifoldGrid(32, 32, 8, 5, 1.0)
         rng = np.random.default_rng(8)
         shape = (32, 32, 24, 8, 5)
@@ -647,7 +648,7 @@ class TestSteadyActivity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * field, peak / field
+        assert peak < 1.15 * field, peak / field
         want = sigmoid(raw.values + 5.0 * pattern.values, 10.0, 0.5)
         assert np.array_equal(steady.values, want)
 
