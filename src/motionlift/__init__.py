@@ -8,7 +8,6 @@ from .gabor import (
     ManifoldGrid,
     StimulusVolume,
     energy_filter,
-    lift_surface,
     scales_from_frequency,
     sigmoid,
     threshold_activity,

@@ -34,7 +34,14 @@ from .experiments import (
     run_experiment1,
     run_experiment2,
 )
-from .gabor import LiftedActivity, ManifoldGrid, energy_filter, threshold_activity
+from .gabor import (
+    GaborBank,
+    LiftedActivity,
+    ManifoldGrid,
+    StimulusVolume,
+    energy_filter,
+    threshold_activity,
+)
 from .kernels import contour_lattice, estimate_kernel, trajectory_lattice
 from .population import facilitate
 from .stimuli import (
@@ -248,12 +255,13 @@ def cmd_make_stimulus(args) -> int:
 
 def cmd_filter(args) -> int:
     data, header = vio.read_volume(args.stimulus)
-    from .gabor import StimulusVolume
-
+    axes = tuple(header["axes"])
+    if axes != ("q1", "q2", "s"):
+        raise CliError(f"{args.stimulus}: stimulus axes {list(axes)} are not (q1, q2, s)",
+                       EXIT_NUMERIC)
     stim = StimulusVolume(data.astype(np.float64))
-    grid = ManifoldGrid(data.shape[0], data.shape[1], args.n_theta, args.n_v, args.v_m,
-                        s_slices=args.s_slice)
-    act = energy_filter(stim, grid, args.p)
+    grid = ManifoldGrid(data.shape[0], data.shape[1], args.n_theta, args.n_v, args.v_m)
+    act = energy_filter(stim, GaborBank(grid, args.p), args.s_slice)
     if args.mu is not None:
         act = threshold_activity(act, args.mu, args.beta)
     vio.write_volume(_out_path(args.out), act.values, act.axes, kind=act.kind,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -257,9 +257,8 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
     (out / "stimulus" / "truth.json").write_text(json.dumps(truth, sort_keys=True))
 
     mid = cfg.n_frames // 2
-    grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m,
-                        s_slices=(mid,))
-    raw = energy_filter(stim, grid, cfg.p_modulus)
+    grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
+    raw = energy_filter(stim, GaborBank(grid, cfg.p_modulus), frames=(mid,))
     thresholded = threshold_activity(raw, cfg.mu, cfg.beta)
 
     spec = cfg.sde()
@@ -459,7 +458,7 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     ``straddle_band`` only and is zero elsewhere, so P(T3) = P(T1) + P(T2)
     + P(D) and the whole is never gathered.  Nor is the whole lifted off
     the band: there its raw energy is the sum of its parts' to roundoff, so
-    only the band is lifted (through the grid's ``s_slices``).  The first
+    only the band is lifted (through the lift's ``frames``).  The first
     part depends on the gap duration alone: it is lifted and gathered once
     per distinct delta_t, and its raw energy and c0 P(1) + P(T1) are held
     only while that delta_t's points run; its steady response is formed
@@ -491,10 +490,10 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))  # c0
     n, n_ds = cfg.n_frames, cfg.kernel_n_ds
 
-    def lift(stim, on=grid) -> tuple[LiftedActivity, LiftedActivity]:
-        """The raw energy of a part and its thresholded energy, on the frames
-        of the grid ``on``."""
-        raw = energy_filter(stim, on, cfg.p_modulus, bank=bank)
+    def lift(stim, frames=None) -> tuple[LiftedActivity, LiftedActivity]:
+        """The raw energy of a part and its thresholded energy, on ``frames``
+        (None: every frame)."""
+        raw = energy_filter(stim, bank, frames)
         return raw, threshold_activity(raw, cfg.mu, cfg.beta)
 
     def stack(thr: LiftedActivity, n_window: int) -> np.ndarray:
@@ -546,7 +545,7 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         buf = stack(thr2, stop - lo)
         del thr2
         if hi > lo:
-            raw3_band, thr3_band = lift(s3, replace(grid, s_slices=range(lo, hi)))
+            raw3_band, thr3_band = lift(s3, range(lo, hi))
             straddle = buf[:, :, n : n + hi - lo]
             np.subtract(thr3_band.values, baseline, out=straddle)
             straddle -= t1_band

@@ -11,7 +11,7 @@ frequency and velocity yields energy 1.
 Each filter is a sum of three separable terms, each a product of one
 profile per axis (x1, x2, t), as in Adelson & Bergen's motion-energy
 filters.  The FFT lift builds every filter spectrum from per-axis 1D
-transforms and inverts the temporal axis only at the frames the grid keeps.
+transforms and inverts the temporal axis only at the frames the lift keeps.
 Energy cannot tell the fiber (theta, v) from (theta + pi, -v): their filters
 are complex conjugates, so a real movie gives both the same energy, and the
 lift computes one fiber of each such pair.  A kept frame whose filter
@@ -68,12 +68,12 @@ def scales_from_frequency(p_modulus: float, v_m: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ManifoldGrid:
-    """Discretization of the lifted domain.
+    """Discretization of the lifted domain's space and fibers.
 
-    Spatial nodes coincide with stimulus pixels, the temporal axis is a
-    chosen subset of frames (``s_slices``; None means every frame),
-    orientations are n_theta bins over [0, 2*pi) and velocities n_v bins
-    spanning [-v_m, v_m] with v = 0 a bin center.
+    Spatial nodes coincide with stimulus pixels, orientations are n_theta
+    bins over [0, 2*pi) and velocities n_v bins spanning [-v_m, v_m] with
+    v = 0 a bin center.  The frames an activity holds are its own
+    ``s_frames``.
     """
 
     nx: int
@@ -81,7 +81,6 @@ class ManifoldGrid:
     n_theta: int = 16
     n_v: int = 9
     v_m: float = 1.0
-    s_slices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -92,10 +91,6 @@ class ManifoldGrid:
             raise ValueError(f"n_v must be odd so v = 0 is a bin center, got {self.n_v}")
         if not self.v_m > 0:
             raise ValueError("v_m must be positive")
-        if self.s_slices is not None:
-            object.__setattr__(self, "s_slices", tuple(int(s) for s in self.s_slices))
-            if not self.s_slices:
-                raise ValueError("s_slices must name at least one frame (None keeps them all)")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -114,15 +109,6 @@ class ManifoldGrid:
     @property
     def d_v(self) -> float:
         return 2.0 * self.v_m / (self.n_v - 1) if self.n_v > 1 else 1.0
-
-    def frames_for(self, stimulus: StimulusVolume) -> np.ndarray:
-        n_t = stimulus.dims[2]
-        if self.s_slices is None:
-            return np.arange(n_t)
-        frames = np.asarray(self.s_slices, dtype=int)
-        if frames.min() < 0 or frames.max() >= n_t:
-            raise ValueError(f"s_slices {self.s_slices} outside stimulus frames 0..{n_t - 1}")
-        return frames
 
 
 VALID_KINDS = ("raw", "thresholded", "facilitation", "total")
@@ -315,22 +301,36 @@ def fft_period(n: int, reach: int) -> int:
     return best
 
 
-def energy_filter(
-    stimulus: StimulusVolume,
-    grid: ManifoldGrid,
-    p_modulus: float,
-    *,
-    bank: GaborBank | None = None,
-) -> LiftedActivity:
-    """Lift a stimulus: energy of the bank response at every grid node.
+def _kept_frames(stimulus: StimulusVolume, bank: GaborBank, frames) -> np.ndarray:
+    """The frames a lift keeps, checked against the movie and the bank's grid."""
+    nx, ny, n_t = stimulus.dims
+    if (bank.grid.nx, bank.grid.ny) != (nx, ny):
+        raise ValueError(
+            f"bank grid spatial dims {(bank.grid.nx, bank.grid.ny)} do not match "
+            f"stimulus {(nx, ny)}"
+        )
+    if frames is None:
+        return np.arange(n_t)
+    frames = np.asarray(frames, dtype=int)
+    if frames.ndim != 1 or frames.size == 0:
+        raise ValueError("frames must list at least one frame (None keeps them all)")
+    if frames.min() < 0 or frames.max() >= n_t:
+        raise ValueError(f"frames {frames.tolist()} outside the stimulus's frames 0..{n_t - 1}")
+    return frames
 
-    Uses FFT correlation per fiber bin (equivalent to the direct node sums to
-    floating-point roundoff; see ``energy_filter_direct``).  Filters
-    overhanging the movie boundary see zero padding, so responses within
-    3 sigma of an edge are attenuated; tests should avoid those bands.  The
-    circular periods per axis are ``fft_period`` of the input length and the
-    filter reach.  A ``bank`` passed in must have been built for
-    ``p_modulus`` and for the grid's fibers (n_theta, n_v, v_m).
+
+def energy_filter(stimulus: StimulusVolume, bank: GaborBank, frames=None) -> LiftedActivity:
+    """Lift a stimulus: energy of the bank response at every node of the
+    bank's grid, at the movie frames ``frames`` (None keeps every frame).
+
+    The frames may be unsorted or repeated; the activity's ``s_frames``
+    records them.  An empty ``frames`` or a frame outside the movie raises
+    ``ValueError``.  Uses FFT correlation per fiber bin (equivalent to the
+    direct node sums to floating-point roundoff; see
+    ``energy_filter_direct``).  Filters overhanging the movie boundary see
+    zero padding, so responses within 3 sigma of an edge are attenuated;
+    tests should avoid those bands.  The circular periods per axis are
+    ``fft_period`` of the input length and the filter reach.
 
     A filter's spectrum is a sum over its three separable terms of the
     outer product of the 1D spectra of its flipped factors.  The temporal
@@ -361,18 +361,9 @@ def energy_filter(
       0.  The inverses run on the other kept frames only, and the input
       is cut to the frames those can see.
     """
+    frames = _kept_frames(stimulus, bank, frames)
+    grid, rx, rt = bank.grid, bank.rx, bank.rt
     nx, ny, n_t = stimulus.dims
-    if (grid.nx, grid.ny) != (nx, ny):
-        raise ValueError(
-            f"grid spatial dims {(grid.nx, grid.ny)} do not match stimulus {(nx, ny)}"
-        )
-    bank = bank or GaborBank(grid, p_modulus)
-    if (bank.grid.n_theta, bank.grid.n_v, bank.grid.v_m) != (grid.n_theta, grid.n_v, grid.v_m):
-        raise ValueError("bank fiber discretization does not match the grid")
-    if bank.p_modulus != p_modulus:
-        raise ValueError(f"bank was built for |p| = {bank.p_modulus}, not {p_modulus}")
-    frames = grid.frames_for(stimulus)
-    rx, rt = bank.rx, bank.rt
     values = np.zeros((nx, ny, frames.size, grid.n_theta, grid.n_v))
     # live: the kept frames that are not blank-reach (see above)
     seen = np.concatenate(([0], np.cumsum(stimulus.data.any(axis=(0, 1)))))
@@ -429,19 +420,15 @@ def energy_filter(
     return LiftedActivity(grid, values, "raw", frames)
 
 
-def energy_filter_direct(
-    stimulus: StimulusVolume, grid: ManifoldGrid, p_modulus: float
-) -> LiftedActivity:
+def energy_filter_direct(stimulus: StimulusVolume, bank: GaborBank,
+                         frames=None) -> LiftedActivity:
     """Reference implementation: explicit truncated sums per node.
 
     Slow; used to validate the FFT path (agreement to 1e-10) on small inputs.
     """
+    frames = _kept_frames(stimulus, bank, frames)
+    grid, rx, rt = bank.grid, bank.rx, bank.rt
     nx, ny, n_t = stimulus.dims
-    if (grid.nx, grid.ny) != (nx, ny):
-        raise ValueError("grid spatial dims do not match stimulus")
-    bank = GaborBank(grid, p_modulus)
-    frames = grid.frames_for(stimulus)
-    rx, rt = bank.rx, bank.rt
     values = np.zeros((nx, ny, frames.size, grid.n_theta, grid.n_v))
     data = stimulus.data
     for fi, s0 in enumerate(frames):
@@ -461,41 +448,3 @@ def energy_filter_direct(
                         acc = (bank.filters[i, j][wsl] * patch).sum()
                         values[x0, y0, fi, i, j] = abs(acc) ** 2
     return LiftedActivity(grid, values, "raw", frames)
-
-
-def lift_surface(activity: LiftedActivity, floor: float = 1e-3):
-    """Argmax-fiber lifting of a raw energy field.
-
-    For every (q1, q2, s) whose best fiber response exceeds ``floor``,
-    returns the fiber argmax.  Ties break toward the smallest flattened
-    (theta-major, v-minor) bin index, which makes the output deterministic.
-
-    Returns a structured array with fields ix, iy, i_s, i_theta, i_v,
-    theta, v, energy.
-    """
-    if activity.kind != "raw":
-        raise ValueError("lift_surface expects raw energy")
-    vals = activity.values
-    nx, ny, ns, nth, nv = vals.shape
-    flat = vals.reshape(nx, ny, ns, nth * nv)
-    best = flat.argmax(axis=-1)  # first occurrence wins ties
-    peak = np.take_along_axis(flat, best[..., None], axis=-1)[..., 0]
-    mask = peak > floor
-    ix, iy, i_s = np.nonzero(mask)
-    fib = best[mask]
-    i_theta = fib // nv
-    i_v = fib % nv
-    out = np.zeros(
-        ix.size,
-        dtype=[
-            ("ix", np.int64), ("iy", np.int64), ("i_s", np.int64),
-            ("i_theta", np.int64), ("i_v", np.int64),
-            ("theta", np.float64), ("v", np.float64), ("energy", np.float64),
-        ],
-    )
-    out["ix"], out["iy"], out["i_s"] = ix, iy, i_s
-    out["i_theta"], out["i_v"] = i_theta, i_v
-    out["theta"] = activity.grid.thetas[i_theta]
-    out["v"] = activity.grid.vs[i_v]
-    out["energy"] = peak[mask]
-    return out

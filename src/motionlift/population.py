@@ -2,10 +2,19 @@
 
 The facilitation pattern is the gather
 
-    P(eta) = sum_zeta  K(rel(zeta, eta)) * F(zeta),
+    P(eta) = sum_zeta  K(rel(zeta, eta)) * F(zeta)
 
-where rel is the relative element compose(left_inverse(zeta), eta) for the
-5D trajectory kernel, or the contour-group quotient for the 4D kernel, and
+over the input nodes zeta = (q', s', theta', v') and the output nodes
+eta = (q, s, theta, v).  With dq = q - q' and ds = s - s', the relative
+element rel has the spatial part
+
+    R(-theta') (dq - (v' ds, 0))
+
+and the fiber parts ds, theta - theta' (mod 2 pi) and v - v'.  The 4D
+contour kernel couples the nodes of one frame, so ds = 0, there is no
+shear and rel has no ds entry.  The 5D trajectory kernel subtracts the
+shear v' ds along world x, before the rotation, so this is not yet the
+Galilean relative element R(-theta') dq - (v' ds, 0) (ROADMAP.md, item 1).
 K is looked up by multilinear interpolation (``kernel_lookup``).  Because
 the fiber variables are shared bins between kernel and activity grids, the
 orientation and velocity offsets always land exactly on kernel nodes; only
@@ -36,12 +45,12 @@ is deterministic for fixed shapes.  The frame FFTs, the stencil spectra and
 the contraction are dealt over ``n_threads`` workers (by frame, by
 (theta', phi) unit and by chunk of Fourier bins), each worker taking the
 next item no one has taken, within its share of the ``_CHUNK_BYTES``
-working set, and the output is bit-identical for every worker count.  One ``kernels.Workers`` context per call starts
-the n_threads - 1 threads once for all of these phases and holds numpy's
-OpenBLAS at one thread meanwhile.  Each public entry point builds the
-plan it uses; nothing is cached between calls.  Kernels are sparsified by
-zeroing entries below ``TRUNC_REL`` of the kernel max before either path
-runs.
+working set, and the output is bit-identical for every worker count.  One
+``workers.Workers`` context per call starts the n_threads - 1 threads once
+for all of these phases and holds numpy's OpenBLAS at one thread
+meanwhile.  Each public entry point builds the plan it uses; nothing is
+cached between calls.  Kernels are sparsified by zeroing entries below
+``TRUNC_REL`` of the kernel max before either path runs.
 """
 
 from __future__ import annotations
@@ -52,7 +61,8 @@ from dataclasses import replace
 import numpy as np
 
 from .gabor import LiftedActivity, ManifoldGrid, fft_period, sigmoid_in_place
-from .kernels import KernelGrid, Workers, kernel_lookup
+from .kernels import KernelGrid, kernel_lookup
+from .workers import Workers
 
 TRUNC_REL = 1e-6   # kernel entries below this fraction of max are dropped
 _CHUNK_BYTES = 4 << 20  # working set of one FFT batch or contraction chunk, split over workers
@@ -181,7 +191,7 @@ class FacilitationPlan:
     along y.
 
     ``apply(activity, n_threads)`` deals its work over the n_threads
-    workers of one ``kernels.Workers`` context: the calling thread is
+    workers of one ``workers.Workers`` context: the calling thread is
     worker 0, and n_threads - 1 threads started once per call serve every
     phase and end with the call.  While they run, numpy's OpenBLAS is held
     at one thread, so that the contraction's matrix products do not start
@@ -480,18 +490,23 @@ def facilitate(activity: LiftedActivity, kernel: KernelGrid,
                n_threads: int = 1) -> LiftedActivity:
     """Facilitation pattern P = kernel-weighted gather of the activity.
 
-    4D kernels couple fibers within each time slice through the contour
-    group; 5D kernels reach strictly forward in time through the trajectory
-    law, including the velocity shear of the left-inverse relative
-    coordinate.  Matches ``facilitate_reference`` to 1e-10 with fixed
-    accumulation order, and is bit-identical for every ``n_threads`` >= 1.
+    The weight of input node (q', s', theta', v') at output node
+    (q, s, theta, v) is the kernel at spatial offset
+    R(-theta') (q - q' - (v' (s - s'), 0)) and fiber offsets
+    theta - theta', v - v' (see the module docstring).  4D kernels couple
+    fibers within each time slice (s = s', no shear); 5D kernels reach
+    strictly forward in time, s - s' = 1..n_ds.  Matches
+    ``facilitate_reference`` to 1e-10 with fixed accumulation order, and is
+    bit-identical for every ``n_threads`` >= 1.
     """
     plan = FacilitationPlan(kernel, activity.grid)
     return activity.with_values(plan.apply(activity, n_threads), "facilitation")
 
 
 def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> LiftedActivity:
-    """Explicit gather through compose/left_inverse and kernel_lookup.
+    """Explicit gather: every input node's weight at every output node
+    from ``kernel_lookup`` at R(-theta') (dq - (v' ds, 0)), ds and the fiber
+    offsets (ds = 0 and no shear for the 4D kernel).
 
     The semantic reference for ``facilitate``; quadratic cost, use on small
     grids only.

@@ -7,7 +7,7 @@ directory that is removed after the run, so no ``.hypothesis/`` directory
 is written into the checkout.
 
 Every test must leave numpy's OpenBLAS thread count as it found it, which
-the worker contexts (``kernels.Workers``) cap while they run.
+the worker contexts (``workers.Workers``) cap while they run.
 """
 
 import tempfile
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from motionlift import kernels
+from motionlift import workers
 
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
@@ -35,7 +35,7 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(autouse=True)
 def openblas_threads_unchanged():
-    blas = kernels._openblas()
+    blas = workers._openblas()
     before = blas[0]() if blas else None
     yield
     if blas:
@@ -48,4 +48,4 @@ def no_worker_pool(monkeypatch):
     def refuse(self):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(kernels.Workers, "__enter__", refuse)
+    monkeypatch.setattr(workers.Workers, "__enter__", refuse)

@@ -155,6 +155,8 @@ EXIT_CASES = [
      "malformed kernel header: ValueError('kappa and alpha must be nonnegative')"),
     ("activity-axes", 5, "activity axes ['q1', 'q2', 's', 'theta'] are neither"),
     ("nan-activity", 5, "the activity holds NaN or infinite values"),
+    ("filter-axes", 5, "stimulus axes ['q1', 'q2', 'theta'] are not (q1, q2, s)"),
+    ("filter-frames", 5, "frames [99] outside the stimulus's frames 0..5"),
 ]
 
 
@@ -194,6 +196,14 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
         argv = ["export", "--volume", str(volume), "--out", str(out)]
         if case.startswith("--slice"):
             argv += case.split()
+    elif case.startswith("filter-"):
+        stimulus = tmp_path / "stimulus.vol"
+        # six orientations of one frame are not a movie
+        axes = ("q1", "q2", "theta") if case == "filter-axes" else ("q1", "q2", "s")
+        vio.write_volume(stimulus, np.zeros((12, 12, 6)), axes, kind="raw")
+        argv = ["filter", "--stimulus", str(stimulus), "--out", str(out)]
+        if case == "filter-frames":
+            argv += ["--s-slice", "99"]
     else:
         activity = tmp_path / "activity.vol"
         values = np.ones((7, 7, 6, 3))

@@ -45,11 +45,15 @@ def _grid(cfg):
     return ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
 
 
+def _bank(cfg):
+    return GaborBank(_grid(cfg), cfg.p_modulus)
+
+
 def _thresholded(cfg, delta_t, delta_theta):
     """thr of the whole, the first part and the second part."""
-    grid = _grid(cfg)
+    bank = _bank(cfg)
     s3, s1, s2, _ = occluded_trajectory(cfg.stimulus_spec(delta_t, delta_theta))
-    return [threshold_activity(energy_filter(s, grid, cfg.p_modulus), cfg.mu, cfg.beta)
+    return [threshold_activity(energy_filter(s, bank), cfg.mu, cfg.beta)
             for s in (s3, s1, s2)]
 
 
@@ -65,7 +69,7 @@ def test_the_whole_is_the_sum_of_its_parts_outside_the_straddle_band(delta_t):
     c0 = sigmoid(0.0, TINY.mu, TINY.beta)
     t3, t1, t2 = (thr.values - c0 for thr in _thresholded(TINY, delta_t, 0.5))
     residual = np.abs(t3 - t1 - t2).max(axis=(0, 1, 3, 4))
-    rt = GaborBank(_grid(TINY), TINY.p_modulus).rt
+    rt = _bank(TINY).rt
     sspec = TINY.stimulus_spec(delta_t, 0.5)
     lo, hi = straddle_band(sspec.t1, sspec.t2, rt, TINY.n_frames)
     band = np.arange(TINY.n_frames)[lo:hi]
@@ -123,7 +127,8 @@ def test_first_part_does_not_depend_on_the_turn():
 def _reference_table(cfg, kernel):
     """The gap table from the whole and both parts, each lifted and gathered
     in full, with P(1) from a full-length all-ones movie."""
-    grid = _grid(cfg)
+    bank = _bank(cfg)
+    grid = bank.grid
     shape = (cfg.size, cfg.size, cfg.n_frames, cfg.n_theta, cfg.n_v)
     p_ones = facilitate(LiftedActivity(grid, np.ones(shape), "facilitation",
                                        np.arange(cfg.n_frames)), kernel).values
@@ -133,7 +138,7 @@ def _reference_table(cfg, kernel):
         sspec = cfg.stimulus_spec(delta_t, delta_theta)
         steady = []
         for stim in occluded_trajectory(sspec)[:3]:
-            raw = energy_filter(stim, grid, cfg.p_modulus)
+            raw = energy_filter(stim, bank)
             thr = threshold_activity(raw, cfg.mu, cfg.beta)
             c0 = float(thr.values.min())
             pattern = facilitate(thr.with_values(thr.values - c0, "facilitation"), kernel)

@@ -13,7 +13,6 @@ from motionlift.gabor import (
     StimulusVolume,
     energy_filter,
     energy_filter_direct,
-    lift_surface,
     scales_from_frequency,
     sigmoid,
     sigmoid_in_place,
@@ -22,6 +21,7 @@ from motionlift.gabor import (
 from motionlift.stimuli import plane_wave, translating_bar
 
 P_HALF = math.pi / 2
+MID = (8,)  # the frame the small-grid tests lift
 
 
 class TestScales:
@@ -107,7 +107,7 @@ class TestSigmoid:
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return ManifoldGrid(24, 24, 8, 5, 1.0, s_slices=(8,))
+    return ManifoldGrid(24, 24, 8, 5, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -155,36 +155,24 @@ class TestGaborBank:
 
 
 class TestEnergyFilter:
-    def test_bank_must_match_frequency_and_fibers(self, small_grid, bank):
-        # a bank built for another |p| or another v_m lifts with its own
-        stim, _ = translating_bar((24, 24, 16), 0.0, 0.5, 2.0)
-        with pytest.raises(ValueError, match="built for"):
-            energy_filter(stim, small_grid, 1.0, bank=bank)
-        slow = ManifoldGrid(24, 24, 8, 5, 0.5, s_slices=(8,))
-        with pytest.raises(ValueError, match="fiber"):
-            energy_filter(stim, slow, P_HALF, bank=bank)
-        coarse = ManifoldGrid(24, 24, 4, 5, 1.0, s_slices=(8,))
-        with pytest.raises(ValueError, match="fiber"):
-            energy_filter(stim, coarse, P_HALF, bank=bank)
-
-    def test_constant_stimulus_zero_interior(self, small_grid, bank):
+    def test_constant_stimulus_zero_interior(self, bank):
         stim = StimulusVolume(np.full((24, 24, 16), 0.63))
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
+        act = energy_filter(stim, bank, MID)
         rx = bank.rx
         assert act.values[rx:-rx, rx:-rx].max() <= 1e-18
 
-    def test_luminance_offset_invariance(self, small_grid, bank):
+    def test_luminance_offset_invariance(self, bank):
         rng = np.random.default_rng(3)
         base = rng.uniform(0, 0.5, (24, 24, 16))
-        a1 = energy_filter(StimulusVolume(base), small_grid, P_HALF, bank=bank)
-        a2 = energy_filter(StimulusVolume(base + 0.4), small_grid, P_HALF, bank=bank)
+        a1 = energy_filter(StimulusVolume(base), bank, MID)
+        a2 = energy_filter(StimulusVolume(base + 0.4), bank, MID)
         rx = bank.rx
         assert np.abs(a1.values[rx:-rx, rx:-rx] - a2.values[rx:-rx, rx:-rx]).max() < 1e-10
 
     def test_matched_plane_wave_unit_energy(self, small_grid, bank):
         theta = small_grid.thetas[2]
         stim, _ = plane_wave((24, 24, 16), P_HALF, theta, 0.5)
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
+        act = energy_filter(stim, bank, MID)
         rx = bank.rx
         resp = act.values[rx:-rx, rx:-rx, 0, 2, 3]  # v = +0.5 bin
         assert resp.min() > 0.95 and resp.max() < 1.05
@@ -192,7 +180,7 @@ class TestEnergyFilter:
     def test_orthogonal_orientation_suppressed(self, small_grid, bank):
         theta = small_grid.thetas[2]
         stim, _ = plane_wave((24, 24, 16), P_HALF, theta, 0.5)
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
+        act = energy_filter(stim, bank, MID)
         rx = bank.rx
         orth = act.values[rx:-rx, rx:-rx, 0, (2 + 2) % 8, 3]
         assert orth.max() < 0.1
@@ -201,7 +189,7 @@ class TestEnergyFilter:
         # energy cannot distinguish (theta, v) from (theta+pi, -v): the
         # lift computes one fiber of each pair and copies it to the other
         stim, _ = plane_wave((24, 24, 16), P_HALF, small_grid.thetas[1], 0.5)
-        vals = energy_filter(stim, small_grid, P_HALF, bank=bank).values
+        vals = energy_filter(stim, bank, MID).values
         # partner[..., i, j] is the fiber (i - 4, n_v - 1 - j)
         partner = np.roll(vals[..., ::-1], 4, axis=3)
         assert np.array_equal(vals, partner)
@@ -209,10 +197,10 @@ class TestEnergyFilter:
 
     def test_fft_matches_direct_sum(self):
         rng = np.random.default_rng(7)
-        grid = ManifoldGrid(12, 12, 6, 3, 1.0, s_slices=(5,))
+        bank = GaborBank(ManifoldGrid(12, 12, 6, 3, 1.0), P_HALF)
         stim = StimulusVolume(rng.uniform(0, 1, (12, 12, 10)))
-        fast = energy_filter(stim, grid, P_HALF)
-        slow = energy_filter_direct(stim, grid, P_HALF)
+        fast = energy_filter(stim, bank, (5,))
+        slow = energy_filter_direct(stim, bank, (5,))
         assert np.abs(fast.values - slow.values).max() < 1e-10
         # bright edge cells and end frames sit where a too-short FFT period
         # would wrap filter responses into the kept window; 3 pixels along y
@@ -222,24 +210,24 @@ class TestEnergyFilter:
         data[:, [0, -1], :] = 1.0
         data[:, :, [0, -1]] = 1.0
         edges = StimulusVolume(data)
-        grid = ManifoldGrid(12, 3, 6, 3, 1.0)
-        fast = energy_filter(edges, grid, P_HALF)
-        slow = energy_filter_direct(edges, grid, P_HALF)
+        bank = GaborBank(ManifoldGrid(12, 3, 6, 3, 1.0), P_HALF)
+        fast = energy_filter(edges, bank)
+        slow = energy_filter_direct(edges, bank)
         assert np.abs(fast.values - slow.values).max() < 1e-10
         # the temporal inverse is evaluated only at the kept frames: they may
         # be non-adjacent, unsorted, repeated or an end frame, on a
         # non-square grid
         stim = StimulusVolume(rng.uniform(0, 1, (12, 9, 10)))
+        bank = GaborBank(ManifoldGrid(12, 9, 6, 3, 1.0), P_HALF)
         for frames in ((6, 1, 6), (9,), (0, 9), (3, 2)):
-            grid = ManifoldGrid(12, 9, 6, 3, 1.0, s_slices=frames)
-            fast = energy_filter(stim, grid, P_HALF)
-            slow = energy_filter_direct(stim, grid, P_HALF)
+            fast = energy_filter(stim, bank, frames)
+            slow = energy_filter_direct(stim, bank, frames)
             assert fast.s_frames.tolist() == list(frames)
             assert np.abs(fast.values - slow.values).max() < 1e-10
         # an odd n_theta has no (theta + pi, -v) partners: every fiber is lifted
-        grid = ManifoldGrid(12, 9, 5, 3, 1.0, s_slices=(4, 6))
-        fast = energy_filter(stim, grid, P_HALF)
-        slow = energy_filter_direct(stim, grid, P_HALF)
+        bank = GaborBank(ManifoldGrid(12, 9, 5, 3, 1.0), P_HALF)
+        fast = energy_filter(stim, bank, (4, 6))
+        slow = energy_filter_direct(stim, bank, (4, 6))
         assert np.abs(fast.values - slow.values).max() < 1e-10
 
     def test_blank_reach_frames_are_exact_zeros(self):
@@ -253,18 +241,18 @@ class TestEnergyFilter:
         data[:, :, 17:20] = rng.uniform(0, 1, (12, 9, 3))
         stim = StimulusVolume(data)
         frames = (11, 3, 23, 11, 0, 18, 7)
-        grid = ManifoldGrid(12, 9, 6, 3, 1.0, s_slices=frames)
-        rt = GaborBank(grid, P_HALF).rt
+        bank = GaborBank(ManifoldGrid(12, 9, 6, 3, 1.0), P_HALF)
+        rt = bank.rt
         assert 6 <= 11 - rt and 11 + rt <= 16 and 20 <= 23 - rt  # 11 and 23 are blank-reach
-        fast = energy_filter(stim, grid, P_HALF)
-        slow = energy_filter_direct(stim, grid, P_HALF)
+        fast = energy_filter(stim, bank, frames)
+        slow = energy_filter_direct(stim, bank, frames)
         assert np.abs(fast.values - slow.values).max() < 1e-10
         blank = [k for k, s in enumerate(frames) if s in (11, 23)]
         assert not fast.values[:, :, blank].any()
         assert not slow.values[:, :, blank].any()
         assert all(fast.values[:, :, k].any() for k in range(len(frames)) if k not in blank)
         # an all-blank movie lifts to all zeros
-        empty = energy_filter(StimulusVolume(np.zeros((12, 9, 24))), grid, P_HALF)
+        empty = energy_filter(StimulusVolume(np.zeros((12, 9, 24))), bank, frames)
         assert empty.values.shape == fast.values.shape
         assert not empty.values.any()
 
@@ -273,7 +261,7 @@ class TestEnergyFilter:
         # on the pixel grid exactly: the lifted response must permute its
         # theta axis under np.rot90 of the movie, with no resampling error
         n = 32
-        grid = ManifoldGrid(n, n, 4, 3, 1.0, s_slices=(6,))
+        bank = GaborBank(ManifoldGrid(n, n, 4, 3, 1.0), P_HALF)
         rng = np.random.default_rng(12)
         base = rng.uniform(0, 1, (n, n, 12))
         smooth = np.zeros_like(base)
@@ -281,9 +269,9 @@ class TestEnergyFilter:
             f = base[:, :, t_]
             smooth[:, :, t_] = (f + np.roll(f, 1, 0) + np.roll(f, 1, 1)
                                 + np.roll(f, 1, (0, 1))) / 4.0
-        act = energy_filter(StimulusVolume(smooth), grid, P_HALF)
+        act = energy_filter(StimulusVolume(smooth), bank, (6,))
         rot = np.rot90(smooth, k=1, axes=(0, 1)).copy()
-        act_rot = energy_filter(StimulusVolume(rot), grid, P_HALF)
+        act_rot = energy_filter(StimulusVolume(rot), bank, (6,))
         # q -> R q with R the quarter turn taking +x to +y: theta bin i -> i+1
         expected = np.rot90(np.roll(act.values, 1, axis=3), k=1, axes=(0, 1))
         rel = np.linalg.norm(act_rot.values - expected) / np.linalg.norm(expected)
@@ -293,119 +281,82 @@ class TestEnergyFilter:
         # rotating a drifting wave by one 45-degree bin (re-rendered
         # analytically, no resampling) advances the argmax theta bin by one
         n = 40
-        grid = ManifoldGrid(n, n, 8, 3, 1.0, s_slices=(6,))
+        grid = ManifoldGrid(n, n, 8, 3, 1.0)
+        bank = GaborBank(grid, P_HALF)
         r0, _ = plane_wave((n, n, 12), P_HALF, grid.thetas[1], 0.4)
         r1, _ = plane_wave((n, n, 12), P_HALF, grid.thetas[2], 0.4)
-        a0 = energy_filter(r0, grid, P_HALF)
-        a1 = energy_filter(r1, grid, P_HALF)
+        a0 = energy_filter(r0, bank, (6,))
+        a1 = energy_filter(r1, bank, (6,))
         m0 = a0.values[8:-8, 8:-8, 0].mean(axis=(0, 1))
         m1 = a1.values[8:-8, 8:-8, 0].mean(axis=(0, 1))
         assert np.abs(np.roll(m0, 1, axis=0) - m1).max() < 0.02
 
-    def test_empty_s_slices_rejected(self):
-        with pytest.raises(ValueError, match="s_slices"):
-            ManifoldGrid(8, 8, 4, 3, 1.0, s_slices=())
+    @pytest.mark.parametrize("lift", [energy_filter, energy_filter_direct])
+    @pytest.mark.parametrize("frames", [(), [], (0, 16), (-1,), (3, 99)],
+                             ids=["empty", "empty-list", "end", "negative", "far"])
+    def test_empty_or_outside_frames_rejected(self, bank, lift, frames):
+        stim = StimulusVolume(np.zeros((24, 24, 16)))
+        match = "at least one frame" if len(frames) == 0 else "outside the stimulus's frames 0..15"
+        with pytest.raises(ValueError, match=match):
+            lift(stim, bank, frames)
 
-    def test_grid_mismatch_rejected(self, small_grid):
+    def test_grid_mismatch_rejected(self, bank):
         stim = StimulusVolume(np.zeros((10, 10, 4)))
-        with pytest.raises(ValueError):
-            energy_filter(stim, small_grid, P_HALF)
-
-
-def _rotate_volume(data, angle):
-    """Bilinear rotation of each frame about the image center."""
-    n1, n2, nt = data.shape
-    c1, c2 = (n1 - 1) / 2.0, (n2 - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(n2), np.arange(n1), indexing="xy")
-    x = xx.T - c1
-    y = yy.T - c2
-    ca, sa = math.cos(-angle), math.sin(-angle)
-    sx = ca * x - sa * y + c1
-    sy = sa * x + ca * y + c2
-    x0 = np.clip(np.floor(sx).astype(int), 0, n1 - 2)
-    y0 = np.clip(np.floor(sy).astype(int), 0, n2 - 2)
-    fx = np.clip(sx - x0, 0, 1)
-    fy = np.clip(sy - y0, 0, 1)
-    out = np.empty_like(data)
-    for t in range(nt):
-        f = data[:, :, t]
-        out[:, :, t] = (
-            f[x0, y0] * (1 - fx) * (1 - fy)
-            + f[x0 + 1, y0] * fx * (1 - fy)
-            + f[x0, y0 + 1] * (1 - fx) * fy
-            + f[x0 + 1, y0 + 1] * fx * fy
-        )
-    inside = (sx >= 0) & (sx <= n1 - 1) & (sy >= 0) & (sy <= n2 - 1)
-    out *= inside[:, :, None]
-    return out
+        with pytest.raises(ValueError, match="do not match"):
+            energy_filter(stim, bank)
 
 
 class TestThreshold:
-    def test_elementwise_sigmoid(self, small_grid, bank):
+    def test_elementwise_sigmoid(self, bank):
         stim, _ = plane_wave((24, 24, 16), P_HALF, 0.0, 0.5)
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
+        act = energy_filter(stim, bank, MID)
         thr = threshold_activity(act, 10.0, 0.5)
         assert thr.kind == "thresholded"
         assert np.allclose(thr.values, sigmoid(act.values, 10.0, 0.5))
         assert 0.0 < thr.values.min() and thr.values.max() < 1.0
 
-    def test_requires_raw(self, small_grid, bank):
+    def test_requires_raw(self, bank):
         stim, _ = plane_wave((24, 24, 16), P_HALF, 0.0, 0.5)
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
+        act = energy_filter(stim, bank, MID)
         thr = threshold_activity(act, 10.0, 0.5)
         with pytest.raises(ValueError):
             threshold_activity(thr, 10.0, 0.5)
 
 
 class TestLiftSurface:
-    def test_plane_wave_constant_fiber(self, small_grid, bank):
-        stim, _ = plane_wave((24, 24, 16), P_HALF, small_grid.thetas[2], 0.5)
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
-        surf = lift_surface(act, floor=0.5)
-        rx = bank.rx
-        inner = surf[(surf["ix"] >= rx) & (surf["ix"] < 24 - rx)
-                     & (surf["iy"] >= rx) & (surf["iy"] < 24 - rx)]
-        assert len(inner) > 0
-        flip_ok = ((inner["i_theta"] == 2) & (inner["i_v"] == 3)) | (
-            (inner["i_theta"] == 6) & (inner["i_v"] == 1))
-        assert flip_ok.all()
+    """The argmax fiber of the lifted energy at each (q1, q2, s); ties go to
+    the first fiber in theta-major order."""
 
-    def test_below_floor_empty(self, small_grid, bank):
-        # a uniform field responds only where zero padding cuts the
-        # support, i.e. inside the boundary band
-        stim = StimulusVolume(np.full((24, 24, 16), 0.2))
-        act = energy_filter(stim, small_grid, P_HALF, bank=bank)
-        surf = lift_surface(act, floor=1e-3)
+    def test_plane_wave_constant_fiber(self, bank):
+        stim, _ = plane_wave((24, 24, 16), P_HALF, bank.grid.thetas[2], 0.5)
         rx = bank.rx
-        interior = surf[(surf["ix"] >= rx) & (surf["ix"] < 24 - rx)
-                        & (surf["iy"] >= rx) & (surf["iy"] < 24 - rx)]
-        assert len(interior) == 0
+        vals = energy_filter(stim, bank, MID).values[rx:-rx, rx:-rx, 0]
+        vals = vals.reshape(vals.shape[:2] + (-1,))
+        i_theta, i_v = np.divmod(vals.argmax(axis=-1)[vals.max(axis=-1) > 0.5], 5)
+        assert i_theta.size > 0
+        flip_ok = ((i_theta == 2) & (i_v == 3)) | ((i_theta == 6) & (i_v == 1))
+        assert flip_ok.all()
 
     def test_bar_recovery_rate(self):
         # translating bars: argmax fiber within one bin (flip-equivalent
         # representations allowed) at >= 95% of interior active locations
-        grid_proto = ManifoldGrid(40, 40, 8, 5, 1.0, s_slices=(8,))
-        bank8 = GaborBank(grid_proto, P_HALF)
+        grid = ManifoldGrid(40, 40, 8, 5, 1.0)
+        bank8 = GaborBank(grid, P_HALF)
         total = hits = 0
         for i_theta in (0, 2, 3, 5, 7):
             for v in (-0.75, -0.25, 0.0, 0.5, 1.0):
-                theta = grid_proto.thetas[i_theta]
-                stim, _ = translating_bar((40, 40, 16), theta, v, 2.0)
-                act = energy_filter(stim, grid_proto, P_HALF, bank=bank8)
-                surf = lift_surface(act, floor=0.25)
-                j_v = int(round((v + 1.0) / grid_proto.d_v))
-                for row in surf:
-                    if not (8 <= row["ix"] < 32 and 8 <= row["iy"] < 32):
-                        continue
-                    total += 1
-                    d_dir = min((row["i_theta"] - i_theta) % 8,
-                                (i_theta - row["i_theta"]) % 8)
-                    ok_dir = d_dir <= 1 and abs(row["i_v"] - j_v) <= 1
-                    d_flip = min((row["i_theta"] - i_theta - 4) % 8,
-                                 (i_theta + 4 - row["i_theta"]) % 8)
-                    j_vf = (grid_proto.n_v - 1) - j_v
-                    ok_flip = d_flip <= 1 and abs(row["i_v"] - j_vf) <= 1
-                    hits += int(ok_dir or ok_flip)
+                stim, _ = translating_bar((40, 40, 16), grid.thetas[i_theta], v, 2.0)
+                vals = energy_filter(stim, bank8, MID).values[8:32, 8:32, 0].reshape(24, 24, -1)
+                got_theta, got_v = np.divmod(vals.argmax(axis=-1)[vals.max(axis=-1) > 0.25],
+                                             grid.n_v)
+                j_v = int(round((v + 1.0) / grid.d_v))
+                d_dir = np.minimum((got_theta - i_theta) % 8, (i_theta - got_theta) % 8)
+                ok_dir = (d_dir <= 1) & (np.abs(got_v - j_v) <= 1)
+                d_flip = np.minimum((got_theta - i_theta - 4) % 8, (i_theta + 4 - got_theta) % 8)
+                j_vf = (grid.n_v - 1) - j_v
+                ok_flip = (d_flip <= 1) & (np.abs(got_v - j_vf) <= 1)
+                total += got_theta.size
+                hits += int(np.count_nonzero(ok_dir | ok_flip))
         assert total > 500
         assert hits / total >= 0.95
 

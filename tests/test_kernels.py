@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import motionlift.kernels as kmod
+import motionlift.workers as wmod
 from motionlift.geometry import (
     CONTOUR_ORIGIN,
     ContourPoint,
@@ -20,13 +21,13 @@ from motionlift.kernels import (
     KernelGrid,
     KernelLattice,
     SdeSpec,
-    Workers,
     contour_lattice,
     estimate_kernel,
     fp_reference,
     kernel_lookup,
     trajectory_lattice,
 )
+from motionlift.workers import Workers
 
 
 def _per_step_batch_histogram(spec, lattice, nb, child_seed, start_jitter=False):
@@ -297,7 +298,7 @@ class TestEstimation:
 
 def _blas_threads():
     """numpy's OpenBLAS thread count; skips the test without that library."""
-    blas = kmod._openblas()
+    blas = wmod._openblas()
     if blas is None:
         pytest.skip("numpy carries no scipy-openblas library")
     return blas[0]()
@@ -342,11 +343,11 @@ class TestWorkers:
         count = _blas_threads()
         inside = []
         with Workers(2) as workers:
-            workers.run(2, lambda w, i: inside.append(kmod._openblas()[0]()))
+            workers.run(2, lambda w, i: inside.append(wmod._openblas()[0]()))
         assert inside == [1, 1]
         assert _blas_threads() == count
         with Workers(1) as workers:  # one worker leaves the library alone
-            workers.run(1, lambda w, i: inside.append(kmod._openblas()[0]()))
+            workers.run(1, lambda w, i: inside.append(wmod._openblas()[0]()))
         assert inside[-1] == count
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -371,8 +372,8 @@ class TestWorkers:
 
     def test_a_missing_library_is_a_no_op(self, monkeypatch):
         count = _blas_threads()
-        get = kmod._openblas()[0]
-        monkeypatch.setattr(kmod, "_openblas", lambda: None)
+        get = wmod._openblas()[0]
+        monkeypatch.setattr(wmod, "_openblas", lambda: None)
         inside = []
         with Workers(2) as workers:
             workers.run(2, lambda w, i: inside.append(get()))

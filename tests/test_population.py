@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import motionlift.kernels as kmod
+import motionlift.workers as wmod
 from motionlift import population
 from motionlift.gabor import LiftedActivity, ManifoldGrid, sigmoid
 from motionlift.kernels import (
     KernelGrid,
     KernelLattice,
     SdeSpec,
-    Workers,
     contour_lattice,
     estimate_kernel,
     kernel_lookup,
@@ -30,6 +30,7 @@ from motionlift.population import (
     facilitation_difference,
     truncated_kernel_values,
 )
+from motionlift.workers import Workers
 
 
 def synthetic_kernel(lat, seed=5, mode="contour"):
@@ -558,7 +559,7 @@ class TestThreadedGather:
         vals = np.random.default_rng(rank).uniform(0, 1, (7, 7, 5, 6, 3))
         act = LiftedActivity(grid, vals, "facilitation", np.arange(5))
         capped = facilitate(act, kernel, 2).values
-        monkeypatch.setattr(kmod, "_openblas", lambda: None)
+        monkeypatch.setattr(wmod, "_openblas", lambda: None)
         assert np.array_equal(facilitate(act, kernel, 2).values, capped)
         assert np.array_equal(facilitate(act, kernel, 1).values, capped)
 
@@ -706,8 +707,6 @@ class TestRealKernelTranslation:
 
         # direct estimation from the shifted start, binned on the activity
         # grid (same noise stream as the cached kernel)
-        import motionlift.kernels as kmod
-
         theta0 = i_th * grid.d_theta
         v0 = grid.vs[j_v]
         counts = kmod._batch_counts(spec.n_paths)
