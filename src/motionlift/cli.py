@@ -260,7 +260,7 @@ def cmd_filter(args) -> int:
         raise CliError(f"{args.stimulus}: stimulus axes {list(axes)} are not (q1, q2, s)",
                        EXIT_NUMERIC)
     stim = StimulusVolume(data.astype(np.float64))
-    grid = ManifoldGrid(data.shape[0], data.shape[1], args.n_theta, args.n_v, args.v_m)
+    grid = ManifoldGrid(args.n_theta, args.n_v, args.v_m)
     act = energy_filter(stim, GaborBank(grid, args.p), args.s_slice)
     if args.mu is not None:
         act = threshold_activity(act, args.mu, args.beta)
@@ -273,11 +273,11 @@ def cmd_filter(args) -> int:
 def cmd_kernel(args) -> int:
     spec = normalized_sde(args.mode, args.kappa, args.alpha, args.T,
                           args.paths, args.seed)
+    grid = ManifoldGrid(args.n_theta, args.n_v, args.v_m)
     if args.mode == "contour":
-        lattice = contour_lattice(args.halfwidth, args.n_theta, args.n_v, args.v_m)
+        lattice = contour_lattice(args.halfwidth, grid)
     else:
-        lattice = trajectory_lattice(args.halfwidth, args.n_ds, args.n_theta,
-                                     args.n_v, args.v_m)
+        lattice = trajectory_lattice(args.halfwidth, args.n_ds, grid)
     kernel = estimate_kernel(spec, lattice, args.threads)
     out = Path(args.out)
     if out.is_dir() or args.out.endswith("/"):
@@ -300,13 +300,12 @@ def cmd_facilitate(args) -> int:
     elif axes != ("q1", "q2", "s", "theta", "v"):
         raise CliError(f"{args.activity}: activity axes {list(axes)} are neither "
                        "(q1, q2, theta, v) nor (q1, q2, s, theta, v)", EXIT_NUMERIC)
-    dims = values.shape
-    n_theta, n_v = dims[3], dims[4]
-    lat = kernel.lattice
-    v_m = lat.spacing[lat.axes.index("v")] * (n_v - 1) / 2.0
-    grid = ManifoldGrid(dims[0], dims[1], n_theta, n_v, v_m)
+    n_v = values.shape[4]
+    # the grid whose d_v is the kernel's v spacing (one velocity bin has d_v = 1 at any v_m)
+    d_v = kernel.spacing[kernel.axes.index("v")]
+    grid = ManifoldGrid(values.shape[3], n_v, d_v * max(n_v - 1, 1) / 2.0)
     act = LiftedActivity(grid, values.astype(np.float64), "facilitation",
-                         np.arange(dims[2]))
+                         np.arange(values.shape[2]))
     out_act = facilitate(act, kernel, args.threads)
     vio.write_volume(_out_path(args.out), out_act.values, out_act.axes,
                      kind="facilitation",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,12 +147,10 @@ class Experiment1Config:
     samples_per_gap: int = 5
 
     def scaled(self, factor: float) -> "Experiment1Config":
-        cfg = Experiment1Config(**asdict(self))
-        cfg.size = max(32, int(round(self.size * factor)))
-        cfg.n_frames = max(8, int(round(self.n_frames * factor)))
-        cfg.radius = self.radius * factor
-        cfg.kernel_halfwidth = max(4, int(round(self.kernel_halfwidth * factor)))
-        return cfg
+        return replace(self, size=max(32, int(round(self.size * factor))),
+                       n_frames=max(8, int(round(self.n_frames * factor))),
+                       radius=self.radius * factor,
+                       kernel_halfwidth=max(4, int(round(self.kernel_halfwidth * factor))))
 
     def stimulus_spec(self) -> CircleStimulusSpec:
         return CircleStimulusSpec(
@@ -257,12 +255,12 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
     (out / "stimulus" / "truth.json").write_text(json.dumps(truth, sort_keys=True))
 
     mid = cfg.n_frames // 2
-    grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
+    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
     raw = energy_filter(stim, GaborBank(grid, cfg.p_modulus), frames=(mid,))
     thresholded = threshold_activity(raw, cfg.mu, cfg.beta)
 
     spec = cfg.sde()
-    lattice = contour_lattice(cfg.kernel_halfwidth, cfg.n_theta, cfg.n_v, cfg.v_m)
+    lattice = contour_lattice(cfg.kernel_halfwidth, grid)
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
 
     pattern = facilitate(thresholded, kernel, n_threads)
@@ -344,14 +342,12 @@ class Experiment2Config:
     )
 
     def scaled(self, factor: float) -> "Experiment2Config":
-        cfg = Experiment2Config(**asdict(self))
-        cfg.size = max(21, int(round(self.size * factor)))
-        cfg.n_frames = max(16, int(round(self.n_frames * factor)))
-        cfg.kernel_halfwidth = max(4, int(round(self.kernel_halfwidth * factor)))
-        cfg.kernel_n_ds = max(4, int(round(self.kernel_n_ds * factor)))
         # the gaps shrink with the movie, so the scaled kernel still bridges them
-        cfg.sweep = tuple((int(round(dt * factor)), dth) for dt, dth in self.sweep)
-        return cfg
+        return replace(self, size=max(21, int(round(self.size * factor))),
+                       n_frames=max(16, int(round(self.n_frames * factor))),
+                       kernel_halfwidth=max(4, int(round(self.kernel_halfwidth * factor))),
+                       kernel_n_ds=max(4, int(round(self.kernel_n_ds * factor))),
+                       sweep=tuple((int(round(dt * factor)), dth) for dt, dth in self.sweep))
 
     def bridges(self, delta_t: int) -> bool:
         """Whether the kernel can carry activity across a gap of delta_t
@@ -479,13 +475,11 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
         out_dir, resolved, cfg.seed, kernel_cache, ("kernels", "activity", "exports"))
 
     spec = cfg.sde()
-    lattice = trajectory_lattice(
-        cfg.kernel_halfwidth, cfg.kernel_n_ds, cfg.n_theta, cfg.n_v, cfg.v_m
-    )
+    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
+    lattice = trajectory_lattice(cfg.kernel_halfwidth, cfg.kernel_n_ds, grid)
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
     vio.write_kernel(out / "kernels" / "gamma.knl", kernel, provenance=prov)
 
-    grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
     bank = GaborBank(grid, cfg.p_modulus)
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))  # c0
     n, n_ds = cfg.n_frames, cfg.kernel_n_ds

@@ -68,23 +68,21 @@ def scales_from_frequency(p_modulus: float, v_m: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ManifoldGrid:
-    """Discretization of the lifted domain's space and fibers.
+    """The fiber lattice of the lifted domain, and its one record.
 
-    Spatial nodes coincide with stimulus pixels, orientations are n_theta
-    bins over [0, 2*pi) and velocities n_v bins spanning [-v_m, v_m] with
-    v = 0 a bin center.  The frames an activity holds are its own
-    ``s_frames``.
+    Orientations are n_theta bins over [0, 2*pi) and velocities n_v bins
+    spanning [-v_m, v_m] with v = 0 a bin center.  The Gabor bank, the
+    kernel lattices (``kernels.contour_lattice``, ``trajectory_lattice``)
+    and the gather read their fiber bins and spacings from here.  Spatial
+    nodes are the pixels of the movie or activity at hand, and the frames
+    an activity holds are its own ``s_frames``.
     """
 
-    nx: int
-    ny: int
     n_theta: int = 16
     n_v: int = 9
     v_m: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid dims must be positive")
         if self.n_theta < 4:
             raise ValueError(f"n_theta must be >= 4, got {self.n_theta}")
         if self.n_v < 1 or self.n_v % 2 == 0:
@@ -229,7 +227,7 @@ class GaborBank:
     coefficient (scale, -scale * ca, -scale * cb).  The wave's spatial
     profiles depend on theta only and its temporal profile on v only, and
     every sum that fixes ca, cb and scale is a product of three per-axis
-    sums.  ``filters[i, j]`` is the dense (x1, x2, t) array the factors make.
+    sums.  The bank depends on the fibers and |p| alone, not on the movie.
     """
 
     def __init__(self, grid: ManifoldGrid, p_modulus: float):
@@ -274,8 +272,14 @@ class GaborBank:
         self.x2_factors = np.stack([np.conj(u2), np.broadcast_to(env_x, u2.shape), u2], 1)
         self.t_factors = np.stack([np.conj(ut), np.broadcast_to(env_t, ut.shape), ut], 1)
         self.coefs = scale[..., None] * np.stack([np.ones_like(ca), -ca, -cb], -1)
-        self.filters = np.einsum("ijm,imx,imy,jmt->ijxyt", self.coefs, self.x1_factors,
-                                 self.x2_factors, self.t_factors)
+
+
+def _dense_filters(bank: GaborBank) -> np.ndarray:
+    """The bank's filters as dense (theta, v, x1, x2, t) arrays, made from
+    its separable factors.  Only the direct sum needs them: they grow as
+    |p|^-3, about 100 MB for 16 x 9 fibers at |p| = 0.3."""
+    return np.einsum("ijm,imx,imy,jmt->ijxyt", bank.coefs, bank.x1_factors,
+                     bank.x2_factors, bank.t_factors)
 
 
 def fft_period(n: int, reach: int) -> int:
@@ -301,14 +305,8 @@ def fft_period(n: int, reach: int) -> int:
     return best
 
 
-def _kept_frames(stimulus: StimulusVolume, bank: GaborBank, frames) -> np.ndarray:
-    """The frames a lift keeps, checked against the movie and the bank's grid."""
-    nx, ny, n_t = stimulus.dims
-    if (bank.grid.nx, bank.grid.ny) != (nx, ny):
-        raise ValueError(
-            f"bank grid spatial dims {(bank.grid.nx, bank.grid.ny)} do not match "
-            f"stimulus {(nx, ny)}"
-        )
+def _kept_frames(n_t: int, frames) -> np.ndarray:
+    """The frames a lift keeps of an n_t-frame movie (None keeps them all)."""
     if frames is None:
         return np.arange(n_t)
     frames = np.asarray(frames, dtype=int)
@@ -361,9 +359,9 @@ def energy_filter(stimulus: StimulusVolume, bank: GaborBank, frames=None) -> Lif
       0.  The inverses run on the other kept frames only, and the input
       is cut to the frames those can see.
     """
-    frames = _kept_frames(stimulus, bank, frames)
-    grid, rx, rt = bank.grid, bank.rx, bank.rt
     nx, ny, n_t = stimulus.dims
+    frames = _kept_frames(n_t, frames)
+    grid, rx, rt = bank.grid, bank.rx, bank.rt
     values = np.zeros((nx, ny, frames.size, grid.n_theta, grid.n_v))
     # live: the kept frames that are not blank-reach (see above)
     seen = np.concatenate(([0], np.cumsum(stimulus.data.any(axis=(0, 1)))))
@@ -426,11 +424,11 @@ def energy_filter_direct(stimulus: StimulusVolume, bank: GaborBank,
 
     Slow; used to validate the FFT path (agreement to 1e-10) on small inputs.
     """
-    frames = _kept_frames(stimulus, bank, frames)
-    grid, rx, rt = bank.grid, bank.rx, bank.rt
     nx, ny, n_t = stimulus.dims
+    frames = _kept_frames(n_t, frames)
+    grid, rx, rt = bank.grid, bank.rx, bank.rt
     values = np.zeros((nx, ny, frames.size, grid.n_theta, grid.n_v))
-    data = stimulus.data
+    data, filters = stimulus.data, _dense_filters(bank)
     for fi, s0 in enumerate(frames):
         for x0 in range(nx):
             for y0 in range(ny):
@@ -445,6 +443,6 @@ def energy_filter_direct(stimulus: StimulusVolume, bank: GaborBank,
                 )
                 for i in range(grid.n_theta):
                     for j in range(grid.n_v):
-                        acc = (bank.filters[i, j][wsl] * patch).sum()
+                        acc = (filters[i, j][wsl] * patch).sum()
                         values[x0, y0, fi, i, j] = abs(acc) ** 2
     return LiftedActivity(grid, values, "raw", frames)

@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .gabor import ManifoldGrid
 from .workers import Workers
 
 BATCH_SIZE = 8192  # fixed: part of the deterministic estimation contract
@@ -132,42 +133,40 @@ class KernelLattice:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.shape[axis])
 
 
-def contour_lattice(halfwidth: int, n_theta: int, n_v: int, v_m: float) -> KernelLattice:
+def contour_lattice(halfwidth: int, grid: ManifoldGrid) -> KernelLattice:
     """4D lattice over (dq1, dq2, dtheta, dv) for the contour kernel.
 
-    Spatial bins are unit pixels centered on integer offsets, dtheta covers
-    the full circle at the activity grid's resolution, and dv spans
-    [-2 v_m, 2 v_m] at the activity grid's velocity spacing so every
-    difference of two grid velocities is a bin center.
+    Spatial bins are unit pixels centered on integer offsets.  The fiber
+    offsets take their bins and spacings from ``grid``, the one record of
+    the fiber lattice: dtheta covers the full circle at the grid's
+    orientation spacing, and dv spans [-2 v_m, 2 v_m] at its velocity
+    spacing, so every difference of two grid velocities is a bin center.
     """
     if halfwidth < 1:
         raise ValueError("halfwidth must be >= 1")
-    d_theta = 2.0 * math.pi / n_theta
-    d_v = 2.0 * v_m / (n_v - 1) if n_v > 1 else 1.0
-    n_rel_v = 2 * (n_v - 1) + 1
+    n_v, d_v = grid.n_v, grid.d_v
     return KernelLattice(
         axes=("q1", "q2", "theta", "v"),
-        shape=(2 * halfwidth + 1, 2 * halfwidth + 1, n_theta, n_rel_v),
+        shape=(2 * halfwidth + 1, 2 * halfwidth + 1, grid.n_theta, 2 * n_v - 1),
         origin=(-halfwidth, -halfwidth, 0.0, -(n_v - 1) * d_v),
-        spacing=(1.0, 1.0, d_theta, d_v),
+        spacing=(1.0, 1.0, grid.d_theta, d_v),
     )
 
 
-def trajectory_lattice(
-    halfwidth: int, n_ds: int, n_theta: int, n_v: int, v_m: float
-) -> KernelLattice:
-    """5D lattice adding the strictly positive ds axis (bins 1..n_ds frames).
+def trajectory_lattice(halfwidth: int, n_ds: int, grid: ManifoldGrid) -> KernelLattice:
+    """5D lattice: ``contour_lattice`` on ``grid`` with the strictly
+    positive ds axis (bins 1..n_ds frames) inserted before the fibers.
 
     The drift ds = dt ties the evolution parameter to ds; deposits use
     ceiling binning, ds bin k collecting parameter values in (k-1, k], so no
     mass can ever land at ds <= 0.
     """
-    base = contour_lattice(halfwidth, n_theta, n_v, v_m)
+    base = contour_lattice(halfwidth, grid)
     return KernelLattice(
         axes=("q1", "q2", "s", "theta", "v"),
-        shape=(base.shape[0], base.shape[1], n_ds, n_theta, n_v * 2 - 1),
-        origin=(base.origin[0], base.origin[1], 1.0, 0.0, base.origin[3]),
-        spacing=(1.0, 1.0, 1.0, base.spacing[2], base.spacing[3]),
+        shape=(*base.shape[:2], n_ds, *base.shape[2:]),
+        origin=(*base.origin[:2], 1.0, *base.origin[2:]),
+        spacing=(*base.spacing[:2], 1.0, *base.spacing[2:]),
     )
 
 

@@ -141,7 +141,8 @@ def _corner_table(theta: float, phi: float, h: int, ext: int) -> list:
 
 
 class FacilitationPlan:
-    """FFT gather through one kernel on one grid; ``apply`` runs it.
+    """FFT gather through one kernel on one fiber grid, for activities of
+    ``dims`` = (nx, ny) pixels; ``apply`` runs it.
 
     Every temporal offset ds of the kernel carries the input frame at time t
     to the output frame at time t + ds, with times taken from the activity's
@@ -211,7 +212,7 @@ class FacilitationPlan:
     and the input spectra freed, only once the contraction is done.
     """
 
-    def __init__(self, kernel: KernelGrid, grid: ManifoldGrid):
+    def __init__(self, kernel: KernelGrid, grid: ManifoldGrid, dims: tuple[int, int]):
         _check_compat(grid, kernel)
         vals = truncated_kernel_values(kernel)
         if kernel.is_trajectory:
@@ -239,8 +240,8 @@ class FacilitationPlan:
         shear = grid.vs[:, None] * np.array(ds, dtype=float)  # (n_v, n_offsets)
         m_shift = np.floor(shear).astype(np.int64)
         self.max_m = int(np.abs(m_shift).max())
-        self.pad1 = fft_period(grid.nx + self.max_m, self.ext)
-        self.pad2 = fft_period(grid.ny, self.ext)
+        self.pad1 = fft_period(dims[0] + self.max_m, self.ext)
+        self.pad2 = fft_period(dims[1], self.ext)
 
         # at even n_theta only theta' < pi is built, and theta' + pi is its
         # half turn
@@ -499,7 +500,7 @@ def facilitate(activity: LiftedActivity, kernel: KernelGrid,
     ``facilitate_reference`` to 1e-10 with fixed accumulation order, and is
     bit-identical for every ``n_threads`` >= 1.
     """
-    plan = FacilitationPlan(kernel, activity.grid)
+    plan = FacilitationPlan(kernel, activity.grid, activity.values.shape[:2])
     return activity.with_values(plan.apply(activity, n_threads), "facilitation")
 
 

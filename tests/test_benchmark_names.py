@@ -1,16 +1,25 @@
-"""The package names that the benchmark harness reaches.
+"""The package names and attributes that the benchmark harness reaches.
 
 ``perfbench/child.py`` patches and calls package functions by name.  These
 tests read that file without running it and check that each such name
 still exists and is callable, and that each call it makes still fits the
 signature, so that deleting or renaming one cannot break the benchmark
-unseen.
+unseen.  The harness's oracle also reads the activity's grid and frames and
+the kernel's fields; the last test runs it on small gathers.
 """
 
 import ast
-import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from motionlift.gabor import LiftedActivity, ManifoldGrid
+from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, trajectory_lattice
+from motionlift.population import facilitate
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -66,3 +75,31 @@ def test_every_package_call_of_the_benchmark_fits_the_signature():
         except TypeError as exc:
             unfit.append(f"line {call.lineno}: {call.func.value.id}.{call.func.attr}: {exc}")
     assert not unfit
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_the_benchmark_oracle_passes_on_small_gathers(monkeypatch, rank):
+    # load the harness as a module without writing its bytecode cache or
+    # keeping the source path it puts on sys.path
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    grid = ManifoldGrid(6, 3, 1.0)
+    if rank == 4:
+        lat, ns, mode = contour_lattice(3, grid), 1, "contour"
+    else:
+        lat, ns, mode = trajectory_lattice(3, 3, grid), 4, "trajectory"
+    rng = np.random.default_rng(rank)
+    vals = rng.uniform(0, 1, lat.shape)
+    kernel = KernelGrid(lat.axes, lat.origin, lat.spacing, vals / vals.sum(),
+                        SdeSpec(mode, 0.1, 0.1, 0.1, 1.0, 1, 0))
+    act = LiftedActivity(grid, rng.uniform(0, 1, (9, 8, ns, 6, 3)), "facilitation",
+                         np.arange(ns))
+    capture = child.Capture()
+    capture.activity, capture.kernel = act, kernel
+    capture.output = facilitate(act, kernel)
+    result = child.oracle_check(capture, seed=11)
+    assert result["rank"] == rank and result["nodes"] == child.ORACLE_NODES
+    assert result["max_rel_err"] <= 1e-9

@@ -15,6 +15,7 @@ from motionlift import experiments
 from motionlift import io as vio
 from motionlift.cli import _eval_number, apply_config, main, parse_config_text
 from motionlift.experiments import Experiment2Config
+from motionlift.gabor import LiftedActivity, ManifoldGrid
 from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, trajectory_lattice
 from motionlift.population import facilitate
 from motionlift.stimuli import occluded_trajectory
@@ -157,6 +158,8 @@ EXIT_CASES = [
     ("nan-activity", 5, "the activity holds NaN or infinite values"),
     ("filter-axes", 5, "stimulus axes ['q1', 'q2', 'theta'] are not (q1, q2, s)"),
     ("filter-frames", 5, "frames [99] outside the stimulus's frames 0..5"),
+    ("kernel --n-theta 3", 5, "n_theta must be >= 4, got 3"),
+    ("kernel --n-v 4", 5, "n_v must be odd so v = 0 is a bin center, got 4"),
 ]
 
 
@@ -204,6 +207,10 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
         argv = ["filter", "--stimulus", str(stimulus), "--out", str(out)]
         if case == "filter-frames":
             argv += ["--s-slice", "99"]
+    elif case.startswith("kernel "):
+        # the kernel's fiber lattice is a grid's, with the grid's checks
+        argv = [*case.split(), "--mode", "contour", "--paths", "100", "--seed", "1",
+                "--out", str(out)]
     else:
         activity = tmp_path / "activity.vol"
         values = np.ones((7, 7, 6, 3))
@@ -217,7 +224,8 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
         if case == "not-a-container":
             kernel.write_bytes(b"not a kernel")
         elif case != "missing-kernel":
-            lat = contour_lattice(3, 8 if case == "orientation-mismatch" else 6, 3, 1.0)
+            n_theta = 8 if case == "orientation-mismatch" else 6
+            lat = contour_lattice(3, ManifoldGrid(n_theta, 3, 1.0))
             vals = np.full(lat.shape, 1.0 / np.prod(lat.shape))
             spec = SdeSpec("contour", 0.1, 0.1, 0.1, 1.0, 1, 0)
             vio.write_kernel(kernel, KernelGrid(lat.axes, lat.origin, lat.spacing, vals, spec))
@@ -255,13 +263,34 @@ def _facilitate_inputs(tmp_path: Path) -> tuple[Path, Path]:
     vals = np.random.default_rng(4).uniform(0, 1, (9, 9, 5, 6, 3))
     vals[:, :, 2] = 0.0
     vio.write_volume(activity, vals, ("q1", "q2", "s", "theta", "v"), kind="facilitation")
-    lat = trajectory_lattice(3, 3, 6, 3, 1.0)
+    lat = trajectory_lattice(3, 3, ManifoldGrid(6, 3, 1.0))
     kvals = np.random.default_rng(5).uniform(0, 1, lat.shape)
     spec = SdeSpec("trajectory", 0.1, 0.1, 0.1, 1.0, 1, 0)
     kernel = tmp_path / "kernel.knl"
     vio.write_kernel(kernel, KernelGrid(lat.axes, lat.origin, lat.spacing,
                                         kvals / kvals.sum(), spec))
     return activity, kernel
+
+
+def test_facilitate_with_one_velocity_bin_matches_the_api(tmp_path):
+    # one velocity bin has d_v = 1 at any v_m, the v spacing of its kernel
+    stimulus, lifted, kernel, out = (tmp_path / name for name in
+                                     ("bar.vol", "lifted.vol", "kernel.knl", "out.vol"))
+    fibers = ["--n-theta", "8", "--n-v", "1"]
+    assert main(["make-stimulus", "--kind", "bar", "--dims", "16", "16", "6",
+                 "--out", str(stimulus)]) == 0
+    assert main(["filter", "--stimulus", str(stimulus), *fibers, "--out", str(lifted)]) == 0
+    assert main(["kernel", "--mode", "contour", *fibers, "--paths", "2000", "--seed", "1",
+                 "--halfwidth", "3", "--out", str(kernel)]) == 0
+    assert main(["facilitate", "--activity", str(lifted), "--kernel", str(kernel),
+                 "--out", str(out)]) == 0
+    values, _ = vio.read_volume(lifted)
+    act = LiftedActivity(ManifoldGrid(8, 1), values.astype(np.float64), "facilitation",
+                         np.arange(values.shape[2]))
+    want = facilitate(act, vio.read_kernel(kernel)).values
+    got, _ = vio.read_volume(out)
+    assert want.any()
+    assert np.array_equal(got, want.astype(got.dtype))
 
 
 def test_facilitate_output_does_not_depend_on_the_thread_count(tmp_path):

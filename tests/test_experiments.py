@@ -42,7 +42,7 @@ TINY = Experiment2Config(size=21, n_frames=12, n_theta=4, n_v=3, kernel_halfwidt
 
 
 def _grid(cfg):
-    return ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
+    return ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
 
 
 def _bank(cfg):
@@ -79,7 +79,7 @@ def test_the_whole_is_the_sum_of_its_parts_outside_the_straddle_band(delta_t):
 
 
 def _random_trajectory_kernel(n_ds):
-    lat = trajectory_lattice(3, n_ds, 4, 3, 1.0)
+    lat = trajectory_lattice(3, n_ds, ManifoldGrid(4, 3, 1.0))
     vals = np.random.default_rng(3).uniform(0, 1, lat.shape)
     return KernelGrid(lat.axes, lat.origin, lat.spacing, vals / vals.sum(),
                       SdeSpec("trajectory", 0.1, 0.1, 0.1, 1.0, 1, 0))
@@ -89,7 +89,7 @@ def _random_trajectory_kernel(n_ds):
 def test_all_ones_response_from_one_frame_matches_the_full_gather(n_frames):
     # the kernel reaches 6 frames, so 6 and 4 frames never see every offset
     kernel = _random_trajectory_kernel(6)
-    grid = ManifoldGrid(9, 9, 4, 3, 1.0)
+    grid = ManifoldGrid(4, 3, 1.0)
     ones = np.ones((9, 9, n_frames, 4, 3))
     want = facilitate(LiftedActivity(grid, ones, "facilitation", np.arange(n_frames)),
                       kernel).values
@@ -106,7 +106,7 @@ def test_a_window_stacked_past_the_movie_is_gathered_as_if_alone(n_window):
     # every frame of both is live, the movie's last frame too
     n_ds, n_frames = 3, 5
     kernel = _random_trajectory_kernel(n_ds)
-    grid = ManifoldGrid(9, 9, 4, 3, 1.0)
+    grid = ManifoldGrid(4, 3, 1.0)
     rng = np.random.default_rng(n_window)
     movie = rng.uniform(0, 1, (9, 9, n_frames, 4, 3))
     window = rng.uniform(0, 1, (9, 9, n_window, 4, 3))
@@ -154,8 +154,8 @@ def test_decomposed_gap_table_matches_the_whole_stimulus_reference(tmp_path):
     cfg = replace(TINY, sweep=(*TINY.sweep, (0, 0.3)))
     cache = tmp_path / "kernels"
     table = run_experiment2(cfg, tmp_path / "run", kernel_cache=cache)
-    kernel = load_or_estimate_kernel(cache, cfg.sde(), trajectory_lattice(
-        cfg.kernel_halfwidth, cfg.kernel_n_ds, cfg.n_theta, cfg.n_v, cfg.v_m))
+    lattice = trajectory_lattice(cfg.kernel_halfwidth, cfg.kernel_n_ds, _grid(cfg))
+    kernel = load_or_estimate_kernel(cache, cfg.sde(), lattice)
     want = _reference_table(cfg, kernel)
     scale = max(abs(row["energy"]) for row in want)
     for row, ref in zip(table, want):
@@ -190,7 +190,7 @@ def test_background_points_keep_off_the_filter_band_of_a_wider_filter():
     # at |p| = pi/4 sigma_x is 2.5 px, twice the default's: the band the
     # filter attenuates at the image edges is 3 sigma_x wide
     cfg = Experiment1Config(size=64, n_frames=8, radius=20.0, p_modulus=math.pi / 4)
-    grid = ManifoldGrid(cfg.size, cfg.size, cfg.n_theta, cfg.n_v, cfg.v_m)
+    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
     _, truth = dashed_circle(cfg.stimulus_spec())
     _, bg = exp1_sample_points(cfg, truth, grid)
     lo = math.ceil(3 * scales_from_frequency(cfg.p_modulus, cfg.v_m)[0]) + 2

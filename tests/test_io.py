@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from motionlift import io as vio
+from motionlift.gabor import ManifoldGrid
 from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, estimate_kernel
 
 
@@ -81,7 +82,7 @@ def test_not_a_container(tmp_path):
 
 def test_kernel_round_trip(tmp_path):
     spec = SdeSpec("contour", 0.4, 0.2, 0.02, 2.0, 2000, seed=3)
-    lat = contour_lattice(5, 8, 5, 1.0)
+    lat = contour_lattice(5, ManifoldGrid(8, 5, 1.0))
     kernel = estimate_kernel(spec, lat)
     path = tmp_path / "k.knl"
     vio.write_kernel(path, kernel)
@@ -94,7 +95,7 @@ def test_kernel_round_trip(tmp_path):
 
 def test_kernel_mass_enforced(tmp_path):
     spec = SdeSpec("contour", 0.4, 0.2, 0.02, 2.0, 100, seed=3)
-    lat = contour_lattice(4, 8, 5, 1.0)
+    lat = contour_lattice(4, ManifoldGrid(8, 5, 1.0))
     kernel = estimate_kernel(spec, lat)
     kernel.values *= 2.0
     with pytest.raises(vio.VolumeFormatError):

@@ -10,6 +10,7 @@ import pytest
 
 import motionlift.kernels as kmod
 import motionlift.workers as wmod
+from motionlift.gabor import ManifoldGrid
 from motionlift.geometry import (
     CONTOUR_ORIGIN,
     ContourPoint,
@@ -28,6 +29,8 @@ from motionlift.kernels import (
     trajectory_lattice,
 )
 from motionlift.workers import Workers
+
+FIBERS = ManifoldGrid(8, 5, 1.0)  # the fiber grid of most kernels here
 
 
 def _per_step_batch_histogram(spec, lattice, nb, child_seed, start_jitter=False):
@@ -112,14 +115,16 @@ class TestSpecValidation:
 
 class TestLattices:
     def test_contour_lattice_layout(self):
-        lat = contour_lattice(10, 16, 9, 1.0)
+        grid = ManifoldGrid(16, 9, 1.0)
+        lat = contour_lattice(10, grid)
         assert lat.axes == ("q1", "q2", "theta", "v")
         assert lat.shape == (21, 21, 16, 17)
+        assert lat.spacing[2:] == (grid.d_theta, grid.d_v)  # the grid's own spacings
         assert lat.origin[0] == -10
         assert lat.coords(3)[8] == pytest.approx(0.0)
 
     def test_trajectory_lattice_ds_axis(self):
-        lat = trajectory_lattice(8, 12, 16, 9, 1.0)
+        lat = trajectory_lattice(8, 12, ManifoldGrid(16, 9, 1.0))
         assert lat.axes == ("q1", "q2", "s", "theta", "v")
         assert lat.coords(2)[0] == 1.0
         assert lat.shape[2] == 12
@@ -128,20 +133,20 @@ class TestLattices:
 class TestEstimation:
     def test_unit_mass_and_nonnegative(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
-        k = estimate_kernel(spec, contour_lattice(6, 8, 5, 1.0))
+        k = estimate_kernel(spec, contour_lattice(6, FIBERS))
         assert k.mass() == pytest.approx(1.0, abs=1e-12)
         assert k.values.min() >= 0.0
 
     def test_deterministic_across_thread_counts(self):
         # 20k paths are 3 batches: 2 workers split them unevenly, 4 are capped
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
-        lat = contour_lattice(6, 8, 5, 1.0)
+        lat = contour_lattice(6, FIBERS)
         k1 = estimate_kernel(spec, lat)
         k2 = estimate_kernel(spec, lat, n_threads=4)
         assert np.array_equal(k1.values, k2.values)
         assert np.array_equal(k1.values, estimate_kernel(spec, lat, n_threads=2).values)
         traj = SdeSpec("trajectory", 0.4, 0.3, 0.04, 6.0, 20_000, seed=6)
-        lat5 = trajectory_lattice(6, 4, 8, 5, 1.0)
+        lat5 = trajectory_lattice(6, 4, FIBERS)
         t1 = estimate_kernel(traj, lat5)
         for n in (2, 4):
             assert np.array_equal(t1.values, estimate_kernel(traj, lat5, n_threads=n).values)
@@ -150,10 +155,10 @@ class TestEstimation:
     def test_thread_count_below_one_rejected(self, n_threads, no_worker_pool):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
         with pytest.raises(ValueError, match="n_threads"):
-            estimate_kernel(spec, contour_lattice(6, 8, 5, 1.0), n_threads)
+            estimate_kernel(spec, contour_lattice(6, FIBERS), n_threads)
 
     def test_seed_changes_result(self):
-        lat = contour_lattice(6, 8, 5, 1.0)
+        lat = contour_lattice(6, FIBERS)
         k1 = estimate_kernel(SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 5000, seed=3), lat)
         k2 = estimate_kernel(SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 5000, seed=4), lat)
         assert not np.array_equal(k1.values, k2.values)
@@ -161,14 +166,14 @@ class TestEstimation:
     def test_mode_lattice_consistency_enforced(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 100, seed=3)
         with pytest.raises(ValueError):
-            estimate_kernel(spec, trajectory_lattice(6, 4, 8, 5, 1.0))
+            estimate_kernel(spec, trajectory_lattice(6, 4, FIBERS))
         with pytest.raises(ValueError):
-            estimate_kernel(replace(spec, mode="trajectory"), contour_lattice(6, 8, 5, 1.0))
+            estimate_kernel(replace(spec, mode="trajectory"), contour_lattice(6, FIBERS))
 
     def test_contour_drift_direction(self):
         # from the origin the drift is +q2; the spatial centroid follows it
         spec = SdeSpec("contour", 0.3, 0.1, 0.02, 3.0, 30_000, seed=5)
-        k = estimate_kernel(spec, contour_lattice(8, 8, 5, 1.0))
+        k = estimate_kernel(spec, contour_lattice(8, FIBERS))
         q = k.lattice.coords(1)
         com2 = (k.values.sum(axis=(0, 2, 3)) * q).sum()
         com1 = (k.values.sum(axis=(1, 2, 3)) * k.lattice.coords(0)).sum()
@@ -180,7 +185,7 @@ class TestEstimation:
         # each step deposits dt at the node nearest the curve point (no
         # sample of 0.2 k lands on a half-cell tie)
         spec = SdeSpec("contour", 0.0, 0.0, 0.2, 6.0, 1, seed=1)
-        lat = contour_lattice(7, 8, 3, 1.0)
+        lat = contour_lattice(7, ManifoldGrid(8, 3, 1.0))
         k = estimate_kernel(spec, lat)
         want = np.zeros(lat.shape)
         for step in range(1, spec.n_steps + 1):
@@ -199,9 +204,9 @@ class TestEstimation:
         # count nothing
         for spec, lat in (
             (SdeSpec("trajectory", 0.0, 0.0, 0.25, 6.0, 400, seed=2),
-             trajectory_lattice(4, 5, 8, 5, 1.0)),
+             trajectory_lattice(4, 5, FIBERS)),
             (SdeSpec("contour", 0.0, 0.0, 0.25, 6.0, 400, seed=2),
-             contour_lattice(5, 8, 5, 1.0)),
+             contour_lattice(5, FIBERS)),
         ):
             child = np.random.SeedSequence(spec.seed).spawn(1)[0]
             got = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child,
@@ -245,7 +250,7 @@ class TestEstimation:
         # E|q|^2 = 2 (t / kappa^2 - (1 - exp(-kappa^2 t)) / kappa^4), plus
         # 2 / 12 for binning q1 and q2 to unit pixels.
         spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
-        lat = contour_lattice(6, 16, 9, 2.0)
+        lat = contour_lattice(6, ManifoldGrid(16, 9, 2.0))
         k = estimate_kernel(spec, lat)
         t = spec.dt_exact * np.arange(1, spec.n_steps + 1)
         d_th, d_v = lat.spacing[2], lat.spacing[3]
@@ -270,16 +275,16 @@ class TestEstimation:
         # every passage on the lattice weighs dt, of n_paths * T in all
         spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
         attempted = spec.n_paths * spec.T
-        wide = estimate_kernel(spec, contour_lattice(6, 16, 9, 2.0))
+        wide = estimate_kernel(spec, contour_lattice(6, ManifoldGrid(16, 9, 2.0)))
         assert wide.raw_weight / attempted == pytest.approx(1.0, abs=1e-12)
-        narrow = estimate_kernel(spec, contour_lattice(2, 16, 9, 2.0))
+        narrow = estimate_kernel(spec, contour_lattice(2, ManifoldGrid(16, 9, 2.0)))
         assert 0.5 < narrow.raw_weight / attempted < 0.95
 
     def test_trajectory_mass_only_at_positive_ds(self):
         # structural: the ds axis starts at bin 1 and ceiling binning makes
         # mass at ds <= 0 impossible
         spec = SdeSpec("trajectory", 0.4, 0.3, 0.04, 8.0, 20_000, seed=6)
-        lat = trajectory_lattice(8, 8, 8, 5, 1.0)
+        lat = trajectory_lattice(8, 8, FIBERS)
         k = estimate_kernel(spec, lat)
         assert lat.coords(2).min() >= 1.0
         assert k.mass() == pytest.approx(1.0)
@@ -398,19 +403,19 @@ class TestBatchLoopPinned:
 
     def test_contour(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 1001, seed=3)
-        hist = self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 1001)
+        hist = self.run_both(spec, contour_lattice(4, FIBERS), 1001)
         assert hist.sum() > 0
 
     def test_trajectory_steps_past_the_last_ds_bin(self):
         # 150 steps reach ds = 6, the lattice stops at ds = 3
         spec = SdeSpec("trajectory", 0.5, 0.3, 0.04, 6.0, 777, seed=4)
-        lat = trajectory_lattice(4, 3, 8, 5, 1.0)
+        lat = trajectory_lattice(4, 3, FIBERS)
         hist = self.run_both(spec, lat, 777)
         assert 0 < hist.sum() <= 777 * 75  # nothing counted past ds = 3, step 75
 
     def test_gaussian_start_jitter(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.05, 1.3, 513, seed=5)
-        self.run_both(spec, contour_lattice(4, 8, 5, 1.0), 513, start_jitter=True)
+        self.run_both(spec, contour_lattice(4, FIBERS), 513, start_jitter=True)
 
     @pytest.mark.parametrize("block", [1, 7, 25, 64])
     def test_step_count_not_a_multiple_of_the_block(self, block, monkeypatch):
@@ -418,14 +423,14 @@ class TestBatchLoopPinned:
         monkeypatch.setattr(kmod, "STEP_BLOCK", block)
         spec = SdeSpec("trajectory", 0.5, 0.3, 0.05, 2.0, 999, seed=7)
         assert block == 1 or spec.n_steps % block != 0
-        lat = contour_lattice(4, 8, 5, 1.0)
+        lat = contour_lattice(4, FIBERS)
         assert self.run_both(spec, lat, 999).sum() > 0
 
 
 class TestKernelLookup:
     def make_kernel(self):
         rng = np.random.default_rng(8)
-        lat = contour_lattice(3, 8, 3, 1.0)
+        lat = contour_lattice(3, ManifoldGrid(8, 3, 1.0))
         vals = rng.uniform(0, 1, lat.shape)
         vals /= vals.sum()
         return KernelGrid(lat.axes, lat.origin, lat.spacing, vals,
@@ -464,7 +469,7 @@ class TestKernelLookup:
 class TestFpReference:
     def test_pure_transport_tracks_the_curve(self):
         # kappa = alpha = 0: the point mass advects along the X1 curve
-        lat = contour_lattice(6, 8, 3, 1.0)
+        lat = contour_lattice(6, ManifoldGrid(8, 3, 1.0))
         times, stack = fp_reference("contour", 0.0, 0.0, lat, 3.0, [3.0])
         rho = stack[-1]
         assert rho.sum() == pytest.approx(1.0, abs=1e-9)
@@ -480,7 +485,7 @@ class TestFpReference:
     def test_pure_fiber_diffusion_variances(self):
         # at refine=1 the centered-difference chain grows the bin-center
         # second moment at exactly 2 kappa^2 (no grouping correction)
-        lat = contour_lattice(4, 16, 9, 1.0)
+        lat = contour_lattice(4, ManifoldGrid(16, 9, 1.0))
         kap, alp = 0.35, 0.18
         times, stack = fp_reference("contour", kap, alp, lat, 2.0, [1.0, 2.0],
                                     refine=1)
@@ -495,14 +500,14 @@ class TestFpReference:
             assert var_v == pytest.approx(2 * alp**2 * t, rel=0.02)
 
     def test_mass_conserved(self):
-        lat = contour_lattice(5, 8, 5, 1.0)
+        lat = contour_lattice(5, FIBERS)
         _, stack = fp_reference("contour", 0.4, 0.2, lat, 1.5, [0.75, 1.5])
         for rho in stack:
             assert rho.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_cfl_guard(self, monkeypatch):
         monkeypatch.setattr(kmod, "FP_MAX_STEPS", 10)
-        lat = contour_lattice(5, 8, 5, 1.0)
+        lat = contour_lattice(5, FIBERS)
         with pytest.raises(ValueError, match="steps > 10"):
             fp_reference("contour", 5.0, 5.0, lat, 50.0, [50.0])
 
@@ -510,7 +515,7 @@ class TestFpReference:
     def test_snapshots_do_not_depend_on_memory_layout(self, mode, monkeypatch):
         # every sub-step gives the same values in any memory layout, so the
         # snapshots must not change when each sub-step returns a C-order copy
-        lat = contour_lattice(4, 8, 5, 1.0)
+        lat = contour_lattice(4, FIBERS)
 
         def run():
             return fp_reference(mode, 0.4, 0.3, lat, 1.0, [0.5, 1.0])[1]
@@ -585,7 +590,7 @@ class TestLeftInvarianceSymmetry:
         # estimates from a shifted, rotated start match origin estimates
         # transported by the contour group law (exact symmetry; matched
         # seeds so only binning noise remains)
-        lat = contour_lattice(6, 8, 5, 1.0)
+        lat = contour_lattice(6, FIBERS)
         spec = SdeSpec("contour", 0.4, 0.25, 0.02, 2.0, 40_000, seed=21)
         k0 = estimate_kernel(spec, lat)
 

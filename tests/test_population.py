@@ -67,7 +67,7 @@ def fast_in_blocks(act, kernel, several=True):
         n_default = len(blocks)
         mp.setattr(population, "_BLOCK_BYTES", 1)
         fast.append(facilitate(act, kernel))
-    built = act.grid.thetas[: FacilitationPlan(kernel, act.grid).n_built]
+    built = act.grid.thetas[: FacilitationPlan(kernel, act.grid, act.values.shape[:2]).n_built]
     assert {th for ths, _ in blocks for th in ths} == set(built)
     if several:
         assert max(len(ths) for ths, _ in blocks[n_default:]) < len(built)
@@ -76,29 +76,29 @@ def fast_in_blocks(act, kernel, several=True):
 
 @pytest.fixture(scope="module")
 def small4():
-    grid = ManifoldGrid(7, 7, 6, 3, 1.0)
-    kernel = synthetic_kernel(contour_lattice(3, 6, 3, 1.0))
+    grid = ManifoldGrid(6, 3, 1.0)
+    kernel = synthetic_kernel(contour_lattice(3, grid))
     return grid, kernel
 
 
 @pytest.fixture(scope="module")
 def small5():
-    grid = ManifoldGrid(7, 7, 6, 3, 1.0)
-    kernel = synthetic_kernel(trajectory_lattice(3, 3, 6, 3, 1.0), mode="trajectory")
+    grid = ManifoldGrid(6, 3, 1.0)
+    kernel = synthetic_kernel(trajectory_lattice(3, 3, grid), mode="trajectory")
     return grid, kernel
 
 
 class TestGatherContract:
     def test_4d_fast_matches_reference(self, small4):
         _, kernel = small4
-        odd = synthetic_kernel(contour_lattice(3, 5, 3, 1.0))
+        odd = synthetic_kernel(contour_lattice(3, ManifoldGrid(5, 3, 1.0)))
         rng = np.random.default_rng(1)
         # the stencil is 13 cells wide: sides 3 and 5 put the FFT periods at
         # their floor of one stencil side, 7 fills it exactly, 12 exceeds it;
         # at the odd n_theta = 5 no orientation is the half turn of another
         for side, kern in ((7, kernel), (3, kernel), (5, kernel), (12, kernel), (7, odd)):
             n_theta = kern.values.shape[2]
-            grid = ManifoldGrid(side, side, n_theta, 3, 1.0)
+            grid = ManifoldGrid(n_theta, 3, 1.0)
             act = LiftedActivity(grid, rng.uniform(0, 1, (side, side, 2, n_theta, 3)),
                                  "facilitation", np.array([0, 1]))
             ref = facilitate_reference(act, kern)
@@ -113,13 +113,13 @@ class TestGatherContract:
         # each input orientation's block of spectra; n_v = 9 has the classes
         # 0, 1/4, 1/2 and 3/4, where the half turn of 1/4 is built from 3/4;
         # at the odd n_theta = 5 no orientation is the half turn of another
-        cases = [(small5, 5, False)]
+        cases = [(small5, 7, 5, False)]
         for side, n_theta, n_v, ns in ((7, 6, 5, 5), (6, 4, 9, 3), (7, 5, 3, 3)):
-            kernel = synthetic_kernel(trajectory_lattice(3, 3, n_theta, n_v, 1.0),
-                                      mode="trajectory")
-            cases.append(((ManifoldGrid(side, side, n_theta, n_v, 1.0), kernel), ns, True))
-        for (grid, kernel), ns, several in cases:
-            shape = (grid.nx, grid.ny, ns, grid.n_theta, grid.n_v)
+            grid = ManifoldGrid(n_theta, n_v, 1.0)
+            kernel = synthetic_kernel(trajectory_lattice(3, 3, grid), mode="trajectory")
+            cases.append(((grid, kernel), side, ns, True))
+        for (grid, kernel), side, ns, several in cases:
+            shape = (side, side, ns, grid.n_theta, grid.n_v)
             act = LiftedActivity(grid, rng.uniform(0, 1, shape), "facilitation", np.arange(ns))
             ref = facilitate_reference(act, kernel)
             for fast in fast_in_blocks(act, kernel, several):
@@ -133,14 +133,13 @@ class TestGatherContract:
         # builds at theta' itself.  Velocities 0.05 apart put the classes phi
         # within 0.1 of 0 and 1, and n_theta = 8 turns by pi/4, where the
         # lookups reach furthest into the corners of the stencil window
-        n_theta, n_v, v_m = 8, 3, 0.05
+        n_theta, n_v = 8, 3
+        grid = ManifoldGrid(n_theta, n_v, 0.05)
         if rank == 4:
-            kernel = synthetic_kernel(contour_lattice(h, n_theta, n_v, v_m), seed=h)
+            kernel = synthetic_kernel(contour_lattice(h, grid), seed=h)
         else:
-            kernel = synthetic_kernel(trajectory_lattice(h, 2, n_theta, n_v, v_m), seed=h,
-                                      mode="trajectory")
-        grid = ManifoldGrid(5, 5, n_theta, n_v, v_m)
-        plan = FacilitationPlan(kernel, grid)
+            kernel = synthetic_kernel(trajectory_lattice(h, 2, grid), seed=h, mode="trajectory")
+        plan = FacilitationPlan(kernel, grid, (5, 5))
         nf, n_dv = n_theta * n_v, kernel.values.shape[-1]
         nk = plan.pad1 * (plan.pad2 // 2 + 1)
         k1 = np.repeat(np.fft.fftfreq(plan.pad1), plan.pad2 // 2 + 1)
@@ -178,8 +177,8 @@ class TestGatherContract:
         # the built half (theta' < pi) of the single offset's spectra takes
         # 70 MiB on this grid; built and freed in blocks of input
         # orientations, no two blocks are held at once
-        grid = ManifoldGrid(56, 56, 16, 9, 1.0)
-        kernel = synthetic_kernel(contour_lattice(4, 16, 9, 1.0))
+        grid = ManifoldGrid(16, 9, 1.0)
+        kernel = synthetic_kernel(contour_lattice(4, grid))
         act = LiftedActivity(grid, np.random.default_rng(12).uniform(0, 1, (56, 56, 1, 16, 9)),
                              "facilitation", np.array([0]))
         with pytest.MonkeyPatch.context() as mp:
@@ -213,8 +212,8 @@ class TestGatherContract:
         # the plan puts dtheta = 0 at bin 0 and the other zero offsets at the
         # middle bin; a kernel shifted by one bin along v or q1 missed the
         # explicit gather by 0.097 and 0.033 (reference maxima 0.28, 0.25)
-        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
-        lat = contour_lattice(3, 6, 3, 1.0)
+        grid = ManifoldGrid(6, 3, 1.0)
+        lat = contour_lattice(3, grid)
         a = lat.axes.index(axis)
         origin = tuple(o + (lat.spacing[a] if i == a else 0.0)
                        for i, o in enumerate(lat.origin))
@@ -229,8 +228,8 @@ class TestGatherContract:
     def test_non_square_kernel_rejected(self):
         # the plan's stencil is square: a centred 7x9 kernel missed the
         # explicit gather by 0.037 (reference max 0.23)
-        grid = ManifoldGrid(7, 7, 7, 3, 1.0)
-        lat = contour_lattice(3, 7, 3, 1.0)
+        grid = ManifoldGrid(7, 3, 1.0)
+        lat = contour_lattice(3, grid)
         lat = KernelLattice(lat.axes, (7, 9) + lat.shape[2:], (-3.0, -4.0) + lat.origin[2:],
                             lat.spacing)
         act = LiftedActivity(grid, np.random.default_rng(1).uniform(0, 1, (7, 7, 1, 7, 3)),
@@ -287,8 +286,8 @@ class TestGatherContract:
     def test_trajectory_kernel_needs_unit_frame_spacing(self, kernel_ds):
         # the plan's offsets are ds = 1..n_ds whole frames, so a kernel whose
         # ds bins lie 2 frames apart would be applied at the wrong time lags
-        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
-        lat = trajectory_lattice(3, 3, 6, 3, 1.0)
+        grid = ManifoldGrid(6, 3, 1.0)
+        lat = trajectory_lattice(3, 3, grid)
         spacing = lat.spacing[:2] + (kernel_ds,) + lat.spacing[3:]
         kernel = synthetic_kernel(KernelLattice(lat.axes, lat.shape, lat.origin, spacing),
                                   mode="trajectory")
@@ -302,8 +301,8 @@ class TestGatherContract:
     def test_fresh_same_shape_kernels_are_each_gathered(self):
         # a kernel built right after the previous one is dropped reuses its
         # id(); every call must still gather through the kernel it was given
-        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
-        lat = contour_lattice(3, 6, 3, 1.0)
+        grid = ManifoldGrid(6, 3, 1.0)
+        lat = contour_lattice(3, grid)
         rng = np.random.default_rng(11)
         act = LiftedActivity(grid, rng.uniform(0, 1, (7, 7, 1, 6, 3)),
                              "facilitation", np.array([0]))
@@ -324,8 +323,8 @@ class TestGatherContract:
         # a quarter turn of the input plane that also advances every
         # orientation by pi/2 is exact on the pixel grid and must carry
         # through the gather unchanged
-        grid = ManifoldGrid(size, size, n_theta, 3, 1.0)
-        kernel = synthetic_kernel(contour_lattice(3, n_theta, 3, 1.0), seed=seed)
+        grid = ManifoldGrid(n_theta, 3, 1.0)
+        kernel = synthetic_kernel(contour_lattice(3, grid), seed=seed)
         vals = np.random.default_rng(seed).uniform(0, 1, (size, size, 1, n_theta, 3))
         turn = lambda v: np.roll(np.rot90(v, 1, axes=(0, 1)), n_theta // 4, axis=3)
         mk = lambda v: LiftedActivity(grid, v, "facilitation", np.array([0]))
@@ -365,8 +364,8 @@ class TestGatherContract:
     def test_point_mass_reproduces_kernel(self):
         # a unit point source at the origin element samples the kernel
         # itself on the activity grid
-        grid = ManifoldGrid(9, 9, 6, 3, 1.0)
-        kernel = synthetic_kernel(contour_lattice(3, 6, 3, 1.0), seed=7)
+        grid = ManifoldGrid(6, 3, 1.0)
+        kernel = synthetic_kernel(contour_lattice(3, grid), seed=7)
         vals = np.zeros((9, 9, 1, 6, 3))
         vals[4, 4, 0, 0, 1] = 1.0  # theta = 0 bin, v = 0 bin
         act = LiftedActivity(grid, vals, "facilitation", np.array([0]))
@@ -381,8 +380,8 @@ class TestGatherContract:
     def test_point_mass_left_translation(self):
         # translating the input point mass by a group element moves the
         # response peak by the same element
-        grid = ManifoldGrid(11, 11, 6, 3, 1.0)
-        kernel = synthetic_kernel(contour_lattice(3, 6, 3, 1.0), seed=8)
+        grid = ManifoldGrid(6, 3, 1.0)
+        kernel = synthetic_kernel(contour_lattice(3, grid), seed=8)
         # concentrate the kernel so the argmax is crisp
         vals = np.zeros_like(kernel.values)
         vals[4, 5, 1, 2] = 1.0  # offset (+1, +2) rotated, dtheta one bin
@@ -411,7 +410,7 @@ class TestGatherContract:
 
     def test_incompatible_grids_rejected(self, small4):
         grid, kernel = small4
-        bad = ManifoldGrid(7, 7, 8, 3, 1.0)
+        bad = ManifoldGrid(8, 3, 1.0)
         act = LiftedActivity(bad, np.zeros((7, 7, 1, 8, 3)), "facilitation",
                              np.array([0]))
         with pytest.raises(ValueError):
@@ -451,11 +450,11 @@ class TestThreadedGather:
         # spectra, so a 1-byte budget builds it in several blocks, and in 5D
         # the mirrored fibers of the class phi = 1/2 are served from the
         # built ones; the n_v = 3 inputs keep the reference check cheap
-        grid5 = ManifoldGrid(7, 7, 6, 5, 1.0)
+        grid5 = ManifoldGrid(6, 5, 1.0)
         if rank == 4:
-            cases = [small4, (grid5, synthetic_kernel(contour_lattice(3, 6, 5, 1.0)))]
+            cases = [small4, (grid5, synthetic_kernel(contour_lattice(3, grid5)))]
         else:
-            cases = [small5, (grid5, synthetic_kernel(trajectory_lattice(3, 3, 6, 5, 1.0),
+            cases = [small5, (grid5, synthetic_kernel(trajectory_lattice(3, 3, grid5),
                                                       mode="trajectory"))]
         for c, (grid, kernel) in enumerate(cases):
             vals = np.random.default_rng(rank).uniform(0, 1, (7, 7, 5, 6, grid.n_v))
@@ -484,7 +483,7 @@ class TestThreadedGather:
                 finally:
                     sys.setswitchinterval(interval)
             if budget == "one-byte-blocks" and grid.n_v == 5:
-                n_built = FacilitationPlan(kernel, grid).n_built
+                n_built = FacilitationPlan(kernel, grid, (7, 7)).n_built
                 assert max(len(ths) for ths, _ in blocks) < n_built
             if budget == "default" and c == 0:
                 ref = facilitate_reference(act, kernel).values
@@ -495,15 +494,14 @@ class TestThreadedGather:
         # each worker's FFT batch and k-chunk take its share of _CHUNK_BYTES,
         # so the peak stays that of one worker
         if rank == 4:
-            grid = ManifoldGrid(40, 40, 16, 9, 1.0)
-            kernel = synthetic_kernel(contour_lattice(4, 16, 9, 1.0))
-            ns = 1
+            grid = ManifoldGrid(16, 9, 1.0)
+            kernel = synthetic_kernel(contour_lattice(4, grid))
+            side, ns = 40, 1
         else:
-            grid = ManifoldGrid(24, 24, 8, 5, 1.0)
-            kernel = synthetic_kernel(trajectory_lattice(4, 4, 8, 5, 1.0), mode="trajectory")
-            ns = 10
-        vals = np.random.default_rng(12).uniform(0, 1, (grid.nx, grid.ny, ns, grid.n_theta,
-                                                        grid.n_v))
+            grid = ManifoldGrid(8, 5, 1.0)
+            kernel = synthetic_kernel(trajectory_lattice(4, 4, grid), mode="trajectory")
+            side, ns = 24, 10
+        vals = np.random.default_rng(12).uniform(0, 1, (side, side, ns, grid.n_theta, grid.n_v))
         act = LiftedActivity(grid, vals, "facilitation", np.arange(ns))
         peaks = []
         for n in (1, 2):
@@ -569,8 +567,8 @@ class TestZeroPlanes:
         # a trajectory kernel whose ds = 1 keeps a few (dtheta, dv) planes,
         # whose ds = 2 is below the truncation everywhere and whose ds = 3
         # loses one orientation offset
-        grid = ManifoldGrid(7, 7, 6, 3, 1.0)
-        kernel = synthetic_kernel(trajectory_lattice(3, 3, 6, 3, 1.0), mode="trajectory")
+        grid = ManifoldGrid(6, 3, 1.0)
+        kernel = synthetic_kernel(trajectory_lattice(3, 3, grid), mode="trajectory")
         vals = kernel.values
         top = vals.max()
         keep = np.zeros((6, 5), bool)
@@ -582,7 +580,7 @@ class TestZeroPlanes:
         trunc = truncated_kernel_values(kernel)
         want = [np.flatnonzero(trunc[:, :, d].reshape(49, -1).any(axis=0)) for d in range(3)]
         assert [len(w) for w in want] == [9, 0, 25]
-        plan = FacilitationPlan(kernel, grid)
+        plan = FacilitationPlan(kernel, grid, (7, 7))
         for (live, _), w in zip(plan.planes, want):
             assert np.array_equal(live, w)
         built = []
@@ -637,7 +635,7 @@ class TestSteadyActivity:
         # the drive is formed in the output array and the sigmoid taken in
         # place in chunks (about 1.04 fields here); the masked sigmoid held
         # about five fields at once, the whole-array in-place one about two
-        grid = ManifoldGrid(32, 32, 8, 5, 1.0)
+        grid = ManifoldGrid(8, 5, 1.0)
         rng = np.random.default_rng(8)
         shape = (32, 32, 24, 8, 5)
         raw = LiftedActivity(grid, rng.uniform(0, 1, shape), "raw", np.arange(24))
@@ -695,10 +693,10 @@ class TestRealKernelTranslation:
     def test_contour_point_source_matches_shifted_estimate(self):
         # facilitation of a point source at zeta equals a kernel directly
         # re-estimated from zeta (matched seeds), within MC binning noise
-        lat = contour_lattice(5, 8, 5, 1.0)
+        grid = ManifoldGrid(8, 5, 1.0)
+        lat = contour_lattice(5, grid)
         spec = SdeSpec("contour", 0.35, 0.2, 0.02, 2.0, 30_000, seed=31)
         kernel = estimate_kernel(spec, lat)
-        grid = ManifoldGrid(17, 17, 8, 5, 1.0)
         i_th, j_v = 2, 3
         vals = np.zeros((17, 17, 1, 8, 5))
         vals[8, 8, 0, i_th, j_v] = 1.0
