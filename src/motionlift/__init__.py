@@ -12,18 +12,6 @@ from .gabor import (
     sigmoid,
     threshold_activity,
 )
-from .geometry import (
-    ContourPoint,
-    GalileiElement,
-    ManifoldPoint,
-    compose,
-    contour_curve,
-    embed_galilei,
-    galilei_compose,
-    left_inverse,
-    project_galilei,
-    trajectory_curve,
-)
 from .kernels import (
     KernelGrid,
     KernelLattice,

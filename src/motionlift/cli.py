@@ -80,16 +80,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def _coerce(value: str, target_type):
-    if target_type is float:
-        return float(_eval_number(value))
-    if target_type is int:
-        num = _eval_number(value)
-        if float(num) != int(float(num)):
-            raise ValueError(f"{value!r} is not an integer")
-        return int(float(num))
+    """A config value as its field's type: a sweep, or a finite float or int."""
     if target_type is tuple:
         return _sweep(json.loads(value))
-    raise ValueError(f"unsupported config field type {target_type}")
+    num = float(_eval_number(value))
+    if not math.isfinite(num):
+        raise ValueError(f"{value!r} is not a finite number")
+    if target_type is int and not num.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return target_type(num)
 
 
 def _sweep(points) -> tuple:
@@ -144,7 +143,7 @@ def apply_config(cfg, mapping: dict, overrides: list[str] | None = None):
         ftype = type(getattr(cfg, key))
         try:
             setattr(cfg, key, _coerce(value, ftype))
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise CliError(f"config key {key!r}: {exc}") from exc
     return cfg
 

@@ -53,6 +53,7 @@ from .kernels import (
 from .population import activity_steady, facilitate, facilitation_difference
 from .stimuli import (
     CircleStimulusSpec,
+    StimulusError,
     TrajectoryStimulusSpec,
     circle_fiber_truth,
     dashed_circle,
@@ -180,6 +181,19 @@ def _nearest_v_bin(grid: ManifoldGrid, v: float) -> int:
     return min(max(j, 0), grid.n_v - 1)
 
 
+def _background_square(cfg: Experiment1Config) -> range:
+    """Pixel coordinates along each axis that background samples are drawn
+    from: ceil(3 sigma_x) + 2 pixels off each image edge, clear of the
+    filter boundary band."""
+    lo = int(math.ceil(3 * scales_from_frequency(cfg.p_modulus, cfg.v_m)[0])) + 2
+    return range(lo, cfg.size - lo)
+
+
+def _is_background(cfg: Experiment1Config, dx: float, dy: float) -> bool:
+    # at least background_margin from the circle, (dx, dy) from its center
+    return abs(math.hypot(dx, dy) - cfg.radius) >= cfg.background_margin
+
+
 def exp1_sample_points(cfg: Experiment1Config, truth: dict, grid: ManifoldGrid):
     """Gap-arc sample points with ground-truth fiber bins, plus background.
 
@@ -208,14 +222,11 @@ def exp1_sample_points(cfg: Experiment1Config, truth: dict, grid: ManifoldGrid):
             )
     rng = np.random.default_rng(cfg.seed + 999)
     bg = []
-    sigma_x = scales_from_frequency(cfg.p_modulus, cfg.v_m)[0]
-    lo = int(math.ceil(3 * sigma_x)) + 2  # stay off the filter boundary band
-    hi = cfg.size - 1 - lo
+    side = _background_square(cfg)
     while len(bg) < len(pts):
-        x = rng.integers(lo, hi + 1)
-        y = rng.integers(lo, hi + 1)
-        r = math.hypot(x - cx, y - cy)
-        if abs(r - cfg.radius) < cfg.background_margin:
+        x = rng.integers(side.start, side.stop)
+        y = rng.integers(side.start, side.stop)
+        if not _is_background(cfg, x - cx, y - cy):
             continue
         bg.append(
             (
@@ -245,6 +256,11 @@ def _start_run(out_dir, resolved: dict, seed: int, kernel_cache, subdirs):
 def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
                     kernel_cache=None) -> dict:
     """Full pipeline; writes the output tree and returns the gap metrics."""
+    cx, cy = cfg.stimulus_spec().center_at(cfg.n_frames // 2)
+    side = _background_square(cfg)
+    if not any(_is_background(cfg, x - cx, y - cy) for x in side for y in side):
+        raise StimulusError(f"no pixel lies background_margin = {cfg.background_margin} or "
+                            "more from the circle, so no background sample can be drawn")
     resolved = asdict(cfg)
     out, chash, prov, cache_dir = _start_run(
         out_dir, resolved, cfg.seed, kernel_cache, ("stimulus", "kernels", "activity", "exports"))

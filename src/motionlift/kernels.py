@@ -3,8 +3,10 @@
 Two families of random paths are integrated with Euler-Maruyama: contour
 mode drifts along the orientation-transverse direction X1, trajectory mode
 along the motion generator X5; both diffuse in the fiber variables
-(orientation, velocity).  The noise enters as sqrt(2) kappa dW and
-sqrt(2) alpha dW so the generator of the process is exactly
+(orientation, velocity).  In (q1, q2, s, theta, v), X1 = (-sin theta,
+cos theta, 0, 0, 0) and X5 = (v cos theta, v sin theta, 1, 0, 0); contour
+paths carry no s.  The noise enters as sqrt(2) kappa dW and sqrt(2)
+alpha dW so the generator of the process is exactly
 drift + kappa^2 d^2/dtheta^2 + alpha^2 d^2/dv^2, matching the Fokker-Planck
 operators whose time-integrated fundamental solutions the histograms
 estimate.

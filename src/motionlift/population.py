@@ -221,6 +221,7 @@ class FacilitationPlan:
             vals = vals[:, :, None]
             ds = [0]
         self.grid = grid
+        self.dims = tuple(dims)
         self.ds = ds
         h = (vals.shape[0] - 1) // 2
         nth, nv, n_dv = grid.n_theta, grid.n_v, vals.shape[4]
@@ -418,13 +419,15 @@ class FacilitationPlan:
         frame live, so it reaches the output.  Accumulation order is fixed
         (offsets and orientation blocks ascending, and each k-chunk owns its
         rows of the output spectra), so the result is deterministic for
-        fixed shapes.  The
-        work is dealt over ``n_threads`` workers (the caller and
-        n_threads - 1 threads started once for the call) and the result is
-        bit-identical for every count.
+        fixed shapes.  The work is dealt over ``n_threads`` workers (the
+        caller and n_threads - 1 threads started once for the call) and the
+        result is bit-identical for every count.
         """
         workers = Workers(n_threads)  # rejects n_threads < 1, even with no route
         values = activity.values
+        if values.shape[:2] != self.dims or activity.grid != self.grid:
+            raise ValueError(f"plan is for {self.dims} pixels on {self.grid}, activity has "
+                             f"{values.shape[:2]} pixels on {activity.grid}")
         nx, ny, ns, nth, nv = values.shape
         times = activity.s_frames.tolist()
         frame_at = {t: o for o, t in enumerate(times)}

@@ -398,6 +398,12 @@ def test_set_overrides_the_config_file():
 @pytest.mark.parametrize("line, message", [
     ("size 21", "config line 2: expected 'key = value'"),
     ("n_frames = 2.5", "config key 'n_frames': '2.5' is not an integer"),
+    ("mu = nan", "config key 'mu': 'nan' is not a finite number"),
+    ("c_f = inf", "config key 'c_f': 'inf' is not a finite number"),
+    ("n_paths = 1e400", "config key 'n_paths': '1e400' is not a finite number"),
+    ("radius = pi/0", "config key 'radius': float division by zero"),
+    # a margin wider than the image leaves no pixel to draw background from
+    ("background_margin = 1000", "so no background sample can be drawn"),
 ])
 def test_bad_config_lines_are_usage_errors(tmp_path, capsys, line, message):
     config = tmp_path / "run.cfg"

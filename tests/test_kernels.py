@@ -11,13 +11,6 @@ import pytest
 import motionlift.kernels as kmod
 import motionlift.workers as wmod
 from motionlift.gabor import ManifoldGrid
-from motionlift.geometry import (
-    CONTOUR_ORIGIN,
-    ContourPoint,
-    ManifoldPoint,
-    contour_curve,
-    trajectory_curve,
-)
 from motionlift.kernels import (
     KernelGrid,
     KernelLattice,
@@ -181,27 +174,29 @@ class TestEstimation:
         assert abs(com1) < 0.1
 
     def test_zero_noise_kernel_is_the_binned_curve(self):
-        # with kappa = alpha = 0 every path is the straight contour curve;
-        # each step deposits dt at the node nearest the curve point (no
-        # sample of 0.2 k lands on a half-cell tie)
+        # with kappa = alpha = 0 every path is the straight X1 line from the
+        # origin, (q1, q2, theta, v) = (0, t, 0, 0); each step deposits dt at
+        # the node nearest the line point (no sample of 0.2 k lands on a
+        # half-cell tie)
         spec = SdeSpec("contour", 0.0, 0.0, 0.2, 6.0, 1, seed=1)
         lat = contour_lattice(7, ManifoldGrid(8, 3, 1.0))
         k = estimate_kernel(spec, lat)
         want = np.zeros(lat.shape)
         for step in range(1, spec.n_steps + 1):
-            p = contour_curve(CONTOUR_ORIGIN, 0.0, 0.0, step * spec.dt_exact)
-            node = [int(np.rint((x - o) / d)) for x, o, d in
-                    zip(p.as_array(), lat.origin, lat.spacing)]
+            p = (0.0, step * spec.dt_exact, 0.0, 0.0)
+            node = [int(np.rint((x - o) / d)) for x, o, d in zip(p, lat.origin, lat.spacing)]
             want[tuple(node)] += 1
         want *= spec.dt_exact
         assert np.array_equal(k.values, want / want.sum())
 
     def test_zero_noise_trajectory_walk_is_the_binned_curve(self):
-        # with kappa = alpha = 0 each jittered path of the batch walker is the
-        # straight curve of its mode from its start, heading included; every
-        # step counts one passage at the nearest (q1, q2, theta, v) node (and,
-        # for a trajectory, the ceiling ds bin), and points off the lattice
-        # count nothing
+        # with kappa = alpha = 0 each jittered path of the batch walker keeps
+        # its start heading and speed, so it is the straight line of its
+        # mode's drift: X1 gives q + t (-sin theta, cos theta), X5 gives
+        # q + t v (cos theta, sin theta) with s = t; every step counts one
+        # passage at the nearest (q1, q2, theta, v) node (and, for a
+        # trajectory, the ceiling ds bin), and points off the lattice count
+        # nothing
         for spec, lat in (
             (SdeSpec("trajectory", 0.0, 0.0, 0.25, 6.0, 400, seed=2),
              trajectory_lattice(4, 5, FIBERS)),
@@ -220,16 +215,16 @@ class TestEstimation:
             counts = np.zeros(lat.shape, dtype=np.int64)
             for q1, q2, th, v in (jit * np.array([d[0], d[1], d[ax_t], d[ax_v]])[:, None]).T:
                 for step in range(1, spec.n_steps + 1):
+                    t = step * dt
                     if trajectory:
-                        p = trajectory_curve(ManifoldPoint(q1, q2, 0.0, th, v), 0.0, 0.0,
-                                             step * dt)
-                        i_s = (math.ceil(step * dt - 1e-9) - 1,)
+                        p1, p2 = q1 + t * v * math.cos(th), q2 + t * v * math.sin(th)
+                        i_s = (math.ceil(t - 1e-9) - 1,)
                     else:
-                        p = contour_curve(ContourPoint(q1, q2, th, v), 0.0, 0.0, step * dt)
+                        p1, p2 = q1 - t * math.sin(th), q2 + t * math.cos(th)
                         i_s = ()
                     i1, i2, i_v = (int(np.rint((x - o[a]) / d[a])) for a, x in
-                                   ((0, p.q1), (1, p.q2), (ax_v, p.v)))
-                    i_t = int(np.rint(p.theta / d[ax_t])) % lat.shape[ax_t]
+                                   ((0, p1), (1, p2), (ax_v, v)))
+                    i_t = int(np.rint(th / d[ax_t])) % lat.shape[ax_t]
                     idx = (i1, i2, *i_s, i_t, i_v)
                     if all(0 <= i < n for i, n in zip(idx, lat.shape)):
                         counts[idx] += 1

@@ -416,6 +416,22 @@ class TestGatherContract:
         with pytest.raises(ValueError):
             facilitate(act, kernel)
 
+    def test_plan_rejects_an_activity_it_was_not_built_for(self):
+        # a plan's FFT periods are for its dims and its shears for its grid's
+        # velocities; v_m = 2 has the same shapes as v_m = 1, so only the
+        # check stops a gather sheared by the wrong velocities
+        grid = ManifoldGrid(8, 5, 1.0)
+        kernel = synthetic_kernel(trajectory_lattice(3, 2, grid), mode="trajectory")
+        plan = FacilitationPlan(kernel, grid, (5, 5))
+        rng = np.random.default_rng(1)
+        for other, n in ((grid, 5), (grid, 30), (ManifoldGrid(8, 5, 2.0), 5)):
+            act = LiftedActivity(other, rng.uniform(0, 1, (n, n, 3, 8, 5)), "raw", np.arange(3))
+            if (other, n) == (grid, 5):
+                assert plan.apply(act).shape == act.values.shape
+                continue
+            with pytest.raises(ValueError, match="plan is for"):
+                plan.apply(act)
+
     def test_trajectory_kernel_reaches_strictly_forward(self, small5):
         grid, kernel = small5
         vals = np.zeros((7, 7, 5, 6, 3))
