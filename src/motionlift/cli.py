@@ -384,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel", help="estimate a connectivity kernel cache")
     sp.add_argument("--mode", required=True, choices=("contour", "trajectory"))
-    sp.add_argument("--paths", type=int, required=True)
+    sp.add_argument("--paths", type=int, required=True,
+                    help="paths in the kernel histogram: ceil(PATHS / 4) walks are "
+                         "walked, and each deposits itself and its three mirror images")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--kappa", type=float, default=2.0)
     sp.add_argument("--alpha", type=float, default=1.0)

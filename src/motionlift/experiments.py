@@ -44,6 +44,7 @@ from .gabor import (
     threshold_activity,
 )
 from .kernels import (
+    ESTIMATOR,
     KernelGrid,
     SdeSpec,
     contour_lattice,
@@ -97,8 +98,10 @@ def normalized_sde(
 
 
 def kernel_cache_path(cache_dir, spec: SdeSpec, lattice) -> Path:
+    """The cache file of the kernel of (spec, lattice) under the current
+    estimator, so that a kernel estimated another way is never reused."""
     key = vio.config_hash(
-        {"sde": spec.to_dict(), "axes": list(lattice.axes),
+        {"estimator": ESTIMATOR, "sde": spec.to_dict(), "axes": list(lattice.axes),
          "shape": list(lattice.shape), "origin": list(lattice.origin),
          "spacing": list(lattice.spacing)}
     )
@@ -256,6 +259,8 @@ def _start_run(out_dir, resolved: dict, seed: int, kernel_cache, subdirs):
 def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
                     kernel_cache=None) -> dict:
     """Full pipeline; writes the output tree and returns the gap metrics."""
+    if cfg.samples_per_gap < 1:
+        raise StimulusError(f"samples_per_gap must be >= 1, got {cfg.samples_per_gap}")
     cx, cy = cfg.stimulus_spec().center_at(cfg.n_frames // 2)
     side = _background_square(cfg)
     if not any(_is_background(cfg, x - cx, y - cy) for x in side for y in side):
@@ -485,6 +490,8 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     straight into the stacked buffer.  T1 is never stacked with D and T2:
     that one call held about a quarter more memory than the sweep's peak.
     """
+    for delta_t, delta_theta in cfg.sweep:  # a bad point is refused before any output
+        cfg.stimulus_spec(int(delta_t), float(delta_theta))
     resolved = asdict(cfg)
     resolved["sweep"] = [list(map(float, pair)) for pair in cfg.sweep]
     out, chash, prov, cache_dir = _start_run(

@@ -11,14 +11,26 @@ drift + kappa^2 d^2/dtheta^2 + alpha^2 d^2/dv^2, matching the Fokker-Planck
 operators whose time-integrated fundamental solutions the histograms
 estimate.
 
-Estimation is deterministic: paths are organized in fixed-size batches,
-each batch draws from its own generator spawned from the seed, and the walker
-returns integer passage counts, which are summed exactly, so results are
-bit-identical for a given spec regardless of the number of worker threads or
-of the order in which the batches finish.  The batches are dealt over the
-workers of a ``workers.Workers`` context, the calling thread and n - 1
-threads, each taking the next batch no one has taken and adding its counts
-into its own total.
+Both SDEs, started at the origin, are invariant under a four-element group
+of reflections, the walks whose noise signs are (+-W1, +-W2).  Contour mode:
+flipping W1 maps (q1, theta) to (-q1, -theta), flipping W2 maps v to -v.
+Trajectory mode: flipping W1 maps (q2, theta) to (-q2, -theta), flipping W2
+maps (q1, q2, v) to (-q1, -q2, -v); ds is untouched.  On a lattice centred on
+the origin each reflection is an index permutation of the counts (an axis
+flip, or theta bin k to -k mod n_theta), so one walk deposits its whole
+orbit (antithetic sampling).  Every kernel therefore equals its mirror
+images exactly.
+
+Estimation is deterministic: ``n_paths`` counts the paths in the histogram,
+and ceil(n_paths / 4) walks are walked, each depositing its orbit of four.
+The walks are organized in fixed-size batches, each batch draws from its own
+generator spawned from the seed, and the walker returns integer passage
+counts, which are summed exactly, so results are bit-identical for a given
+spec regardless of the number of worker threads or of the order in which the
+batches finish.  The batches are dealt over the workers of a
+``workers.Workers`` context, the calling thread and n - 1 threads, each
+taking the next batch no one has taken and adding its counts into its own
+total; the mirror images are added to the sum once, at the end.
 
 Each batch walks its steps in blocks of ``STEP_BLOCK``: one noise draw per
 block into a reused buffer (the random stream is the same as one draw for
@@ -44,7 +56,9 @@ import numpy as np
 from .gabor import ManifoldGrid
 from .workers import Workers
 
-BATCH_SIZE = 8192  # fixed: part of the deterministic estimation contract
+BATCH_SIZE = 8192  # walks per batch; fixed: part of the deterministic estimation contract
+ORBIT = 4  # histogram paths per walk: the walk and its three mirror images
+ESTIMATOR = "reflection-orbit"  # names the estimator in the kernel cache key
 STEP_BLOCK = 8  # steps walked per numpy call; any value gives the same bits
 FP_CFL = 0.4  # Courant number of the explicit steps of ``fp_reference``
 FP_MAX_STEPS = 500_000  # ``fp_reference`` refuses a solve that needs more steps
@@ -59,8 +73,12 @@ class SdeSpec:
     (variance of theta after time T is exactly 2 kappa^2 T, same for v with
     alpha); dt and T are in the evolution-parameter units of the chosen
     drift (pixels of arclength for contour mode, frames for trajectory
-    mode).  ``calibration`` is free-form metadata recording how kappa and
-    alpha were derived when they come from normalized-horizon conventions.
+    mode).  ``n_paths`` is the number of paths in the histogram: the
+    estimate walks ceil(n_paths / 4) of them and each deposits itself and
+    its three mirror images (see the module docstring), so the histogram
+    holds n_paths rounded up to a multiple of 4.  ``calibration`` is
+    free-form metadata recording how kappa and alpha were derived when they
+    come from normalized-horizon conventions.
     """
 
     mode: str
@@ -203,8 +221,11 @@ class KernelGrid:
 
 
 def _batch_counts(n_paths: int) -> list[int]:
-    n_batches = (n_paths + BATCH_SIZE - 1) // BATCH_SIZE
-    return [min(BATCH_SIZE, n_paths - b * BATCH_SIZE) for b in range(n_batches)]
+    """The walks of each batch: ceil(n_paths / ORBIT) walks in batches of
+    ``BATCH_SIZE``."""
+    n_walks = -(-n_paths // ORBIT)
+    n_batches = -(-n_walks // BATCH_SIZE)
+    return [min(BATCH_SIZE, n_walks - b * BATCH_SIZE) for b in range(n_batches)]
 
 
 def _simulate_batch_histogram(
@@ -221,7 +242,8 @@ def _simulate_batch_histogram(
     whether deposits use a ds axis follows the lattice rank, so
     trajectory-mode paths can also be binned on the 4D per-parameter lattice
     for oracle comparisons.  With ``start_jitter`` each path starts from a
-    half-cell Gaussian about the origin instead of at it.
+    half-cell Gaussian about the origin instead of at it; such walks are
+    test-only, and the estimate never mirrors them.
 
     Steps are walked in blocks of ``STEP_BLOCK``.  Row 0 of each walk holds
     the state before the block and row r + 1 the state after its step r;
@@ -311,10 +333,40 @@ def _guarded_bin(x: np.ndarray, origin: float, spacing: float, n: int) -> np.nda
     return i
 
 
+def _check_centred(lattice: KernelLattice) -> None:
+    """Raise unless the reflections map the lattice onto itself: the q and v
+    axes centred on 0, and theta starting at 0."""
+    for a, name in enumerate(lattice.axes):
+        if name in ("q1", "q2", "v"):
+            half = (lattice.shape[a] - 1) / 2 * lattice.spacing[a]
+            if not math.isclose(lattice.origin[a], -half, abs_tol=1e-9 * lattice.spacing[a]):
+                raise ValueError(f"the {name} axis must be centred on 0 for the walks' "
+                                 f"mirror images, but its bins start at "
+                                 f"{lattice.origin[a]}, not {-half}")
+    if lattice.origin[lattice.theta_axis] != 0.0:
+        raise ValueError("the theta axis must start at 0 for the walks' mirror images, "
+                         f"not at {lattice.origin[lattice.theta_axis]}")
+
+
+def _orbit_sum(counts: np.ndarray, trajectory: bool) -> np.ndarray:
+    """Counts on a lattice plus their three images under the SDE's reflection
+    group: the counts of the walks with noise signs (+-W1, +-W2)."""
+    ax_t = 3 if trajectory else 2
+    n_th = counts.shape[ax_t]
+    neg_theta = -np.arange(n_th) % n_th  # theta bin k -> -k mod n_theta
+    if trajectory:  # (q1, q2, s, theta, v)
+        counts = counts + np.flip(counts, (0, 1, 4))  # -W2: (q1, q2, v) -> -(q1, q2, v)
+        return counts + np.flip(counts, 1).take(neg_theta, axis=ax_t)  # -W1: (q2, theta)
+    counts = counts + np.flip(counts, 3)  # -W2: v -> -v
+    return counts + np.flip(counts, 0).take(neg_theta, axis=ax_t)  # -W1: (q1, theta)
+
+
 def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -> np.ndarray:
-    """The passage counts of every batch, summed: each worker adds the batches
-    it takes into its own int64 total, and the totals are added at the end.
-    Integer sums do not depend on their order, so neither does the result."""
+    """The passage counts of every batch, summed, plus their mirror images,
+    on the lattice's shape: each worker adds the batches it takes into its
+    own int64 total, the totals are added at the end, and then the sum's
+    three images.  Integer sums do not depend on their order, so neither
+    does the result."""
     counts = _batch_counts(spec.n_paths)
     children = np.random.SeedSequence(spec.seed).spawn(len(counts))
     n_workers = min(n_threads, len(counts))
@@ -325,7 +377,7 @@ def _estimate(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -> np.n
     with Workers(n_workers) as workers:
         totals = np.zeros((n_workers, int(np.prod(lattice.shape))), dtype=np.int64)
         workers.run(len(counts), work)
-    return totals.sum(axis=0)
+    return _orbit_sum(totals.sum(axis=0).reshape(lattice.shape), spec.mode == "trajectory")
 
 
 def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -> KernelGrid:
@@ -334,25 +386,29 @@ def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -
     Every step of every path deposits weight dt at its nearest cell
     (ceiling binning on the ds axis in trajectory mode); passages outside
     the lattice deposit nothing, and paths are never killed so they may
-    re-enter.  The passages are counted in integers and summed exactly, so
-    the kernel is the same to the bit for every thread count; ``n_threads``
-    must be at least 1.
+    re-enter.  Each walk also deposits its three mirror images, so the
+    lattice must be one the reflections map onto itself (q and v axes
+    centred on 0, theta starting at 0), as every ``contour_lattice`` and
+    ``trajectory_lattice`` is; any other raises ``ValueError``.  The
+    passages are counted in integers and summed exactly, so the kernel is
+    the same to the bit for every thread count; ``n_threads`` must be at
+    least 1.
     """
     want = 5 if spec.mode == "trajectory" else 4
     if len(lattice.shape) != want:
         raise ValueError(
             f"{spec.mode} mode needs a {want}-d lattice, got {len(lattice.shape)}-d"
         )
+    _check_centred(lattice)
     hist = _estimate(spec, lattice, n_threads) * spec.dt_exact
     total = hist.sum()
     if total <= 0:
         raise ValueError("no path passage landed on the lattice; nothing to normalize")
-    values = (hist / total).reshape(lattice.shape)
     return KernelGrid(
         axes=lattice.axes,
         origin=lattice.origin,
         spacing=lattice.spacing,
-        values=values,
+        values=hist / total,
         spec=spec,
         raw_weight=float(total),
     )

@@ -20,7 +20,8 @@ SUPERSAMPLE = 4
 
 
 class StimulusError(ValueError):
-    """Raised when a spec would draw the object outside the frame."""
+    """Raised when a stimulus spec, or the sampling of one, is invalid or
+    would draw the object outside the frame: a configuration error."""
 
 
 def _supersample_axis(n: int) -> np.ndarray:
@@ -49,11 +50,11 @@ class CircleStimulusSpec:
 
     def __post_init__(self):
         if min(self.size, self.n_frames, self.n_segments) < 1:
-            raise ValueError("size, n_frames and n_segments must be positive")
+            raise StimulusError("size, n_frames and n_segments must be positive")
         if not (self.radius > 0 and self.segment_width > 0):
-            raise ValueError("radius and segment width must be positive")
+            raise StimulusError("radius and segment width must be positive")
         if not 0.0 < self.gap_fraction < 1.0:
-            raise ValueError(f"gap_fraction must be in (0, 1), got {self.gap_fraction}")
+            raise StimulusError(f"gap_fraction must be in (0, 1), got {self.gap_fraction}")
 
     def center_at(self, t: int) -> tuple[float, float]:
         # anchored so the mid frame is centered in the image
@@ -134,13 +135,13 @@ class TrajectoryStimulusSpec:
 
     def __post_init__(self):
         if self.eccentricity < 1.0:
-            raise ValueError(f"eccentricity must be >= 1, got {self.eccentricity}")
+            raise StimulusError(f"eccentricity must be >= 1, got {self.eccentricity}")
         if not (self.speed >= 0 and self.minor_axis > 0):
-            raise ValueError("speed must be >= 0 and minor_axis positive")
+            raise StimulusError("speed must be >= 0 and minor_axis positive")
         if self.delta_t < 0 or self.t1 < 0:
-            raise ValueError("t1 and delta_t must be nonnegative")
+            raise StimulusError("t1 and delta_t must be nonnegative")
         if self.t1 + self.delta_t >= self.n_frames:
-            raise ValueError(
+            raise StimulusError(
                 f"t1 + delta_t = {self.t1 + self.delta_t} must be < n_frames = {self.n_frames}"
             )
 

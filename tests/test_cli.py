@@ -91,12 +91,12 @@ def test_experiment2_scale_shrinks_the_sweep_gaps_with_the_kernel(tmp_path):
 
 
 def test_experiment1_outputs_do_not_depend_on_the_thread_count(tmp_path):
-    # 20k paths are 3 Monte Carlo batches, spread over every available CPU
-    # by default
+    # 80k paths are 20k walks in 3 Monte Carlo batches, spread over every
+    # available CPU by default
     runs = []
     for tag, threads in (("one", ["--threads", "1"]), ("default", [])):
         out = tmp_path / tag
-        code = main(["experiment1", "--scale", "0.2", "--set", "n_paths=20000",
+        code = main(["experiment1", "--scale", "0.2", "--set", "n_paths=80000",
                      "--out", str(out), *threads])
         assert code == 0
         runs.append(_outputs(out))
@@ -242,6 +242,38 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists() and not (tmp_path / "run").exists()
+
+
+# small runs, so that a field that slipped through would fail fast
+SMALL_EXPERIMENT1 = ["experiment1", "--set", "size=64", "--set", "n_frames=8",
+                     "--set", "radius=20", "--set", "kernel_halfwidth=4",
+                     "--set", "n_paths=100"]
+BAD_FIELDS = [
+    (SMALL_EXPERIMENT1, "size=0", "size, n_frames and n_segments must be positive"),
+    (SMALL_EXPERIMENT1, "n_frames=0", "size, n_frames and n_segments must be positive"),
+    (SMALL_EXPERIMENT1, "n_segments=0", "size, n_frames and n_segments must be positive"),
+    (SMALL_EXPERIMENT1, "radius=-5", "radius and segment width must be positive"),
+    (SMALL_EXPERIMENT1, "segment_width=0", "radius and segment width must be positive"),
+    (SMALL_EXPERIMENT1, "gap_fraction=1", "gap_fraction must be in (0, 1), got 1.0"),
+    (SMALL_EXPERIMENT1, "samples_per_gap=0", "samples_per_gap must be >= 1, got 0"),
+    (TINY_EXPERIMENT2, "eccentricity=0.5", "eccentricity must be >= 1, got 0.5"),
+    (TINY_EXPERIMENT2, "speed=-1", "speed must be >= 0 and minor_axis positive"),
+    (TINY_EXPERIMENT2, "minor_axis=0", "speed must be >= 0 and minor_axis positive"),
+    (TINY_EXPERIMENT2, "sweep=[[2, 0.5], [-2, 0]]", "t1 and delta_t must be nonnegative"),
+    (TINY_EXPERIMENT2, "sweep=[[2, 0.5], [12, 0]]",
+     "t1 + delta_t = 12 must be < n_frames = 12"),
+]
+
+
+@pytest.mark.parametrize("command, field, message", BAD_FIELDS,
+                         ids=[f"{c[0]}-{f}" for c, f, _ in BAD_FIELDS])
+def test_a_bad_stimulus_or_sampling_field_is_a_config_error(tmp_path, capsys, command,
+                                                            field, message):
+    out = tmp_path / "run"
+    assert main([*command, "--set", field, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]  # after any unbridged-gap warning
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_python_dash_m_motionlift_returns_the_cli_exit_code(tmp_path):

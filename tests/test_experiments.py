@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from motionlift import experiments
+from motionlift import io as vio
 from motionlift.experiments import (
     Experiment1Config,
     Experiment2Config,
@@ -30,7 +31,13 @@ from motionlift.gabor import (
     sigmoid,
     threshold_activity,
 )
-from motionlift.kernels import KernelGrid, SdeSpec, trajectory_lattice
+from motionlift.kernels import (
+    KernelGrid,
+    SdeSpec,
+    contour_lattice,
+    estimate_kernel,
+    trajectory_lattice,
+)
 from motionlift.population import activity_steady, facilitate, facilitation_difference
 from motionlift.stimuli import dashed_circle, occluded_trajectory
 
@@ -197,3 +204,21 @@ def test_background_points_keep_off_the_filter_band_of_a_wider_filter():
     assert lo == 10
     for x, y, _, _ in bg:
         assert lo <= min(x, y) and max(x, y) <= cfg.size - 1 - lo
+
+
+def test_a_kernel_cached_under_the_key_of_the_unmirrored_estimator_is_not_reused(tmp_path):
+    # before the walks deposited their mirror images, the cache key hashed
+    # the spec and the lattice alone
+    spec = SdeSpec("contour", 0.5, 0.3, 0.05, 2.0, 4096, seed=5)
+    lattice = contour_lattice(3, ManifoldGrid(8, 3, 1.0))
+    key = vio.config_hash({"sde": spec.to_dict(), "axes": list(lattice.axes),
+                           "shape": list(lattice.shape), "origin": list(lattice.origin),
+                           "spacing": list(lattice.spacing)})
+    stale = np.full(lattice.shape, 1.0 / np.prod(lattice.shape))
+    vio.write_kernel(tmp_path / f"contour_{key}.knl",
+                     KernelGrid(lattice.axes, lattice.origin, lattice.spacing, stale, spec))
+    got = load_or_estimate_kernel(tmp_path, spec, lattice)
+    assert experiments.kernel_cache_path(tmp_path, spec, lattice).exists()
+    assert len(list(tmp_path.glob("*.knl"))) == 2
+    # the cache stores float32
+    assert np.allclose(got.values, estimate_kernel(spec, lattice).values, rtol=1e-6, atol=0)

@@ -1,5 +1,6 @@
 """Path simulation, kernel histograms, FP oracle, lookups."""
 
+import itertools
 import math
 import threading
 import time
@@ -24,10 +25,15 @@ from motionlift.kernels import (
 from motionlift.workers import Workers
 
 FIBERS = ManifoldGrid(8, 5, 1.0)  # the fiber grid of most kernels here
+SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))  # (theta, v) noise signs of a walk's orbit
 
 
-def _per_step_batch_histogram(spec, lattice, nb, child_seed, start_jitter=False):
-    """Reference batch: the plain loop, one numpy call per step and per deposit."""
+def _per_step_batch_histogram(spec, lattice, nb, child_seed, start_jitter=False, signs=(1, 1)):
+    """Reference batch: the plain loop, one numpy call per step and per deposit.
+
+    ``signs`` multiply the (theta, v) noise channels: (1, 1) is the walk the
+    batch walker walks, the other three sign patterns its mirror images.
+    """
     rng = np.random.default_rng(child_seed)
     dt = spec.dt_exact
     sk = math.sqrt(2.0 * dt) * spec.kappa
@@ -60,7 +66,7 @@ def _per_step_batch_histogram(spec, lattice, nb, child_seed, start_jitter=False)
     d_v = lattice.spacing[ax_v]
     o_q1, o_q2 = lattice.origin[0], lattice.origin[1]
     d_q1, d_q2 = lattice.spacing[0], lattice.spacing[1]
-    noise = rng.standard_normal((spec.n_steps, 2, nb))
+    noise = rng.standard_normal((spec.n_steps, 2, nb)) * np.array(signs)[:, None]
     for k in range(spec.n_steps):
         # drift at the current state, then fiber noise
         if trajectory:
@@ -131,14 +137,15 @@ class TestEstimation:
         assert k.values.min() >= 0.0
 
     def test_deterministic_across_thread_counts(self):
-        # 20k paths are 3 batches: 2 workers split them unevenly, 4 are capped
-        spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
+        # 80k paths are 20k walks in 3 batches: 2 workers split them
+        # unevenly, 4 are capped
+        spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 80_000, seed=3)
         lat = contour_lattice(6, FIBERS)
         k1 = estimate_kernel(spec, lat)
         k2 = estimate_kernel(spec, lat, n_threads=4)
         assert np.array_equal(k1.values, k2.values)
         assert np.array_equal(k1.values, estimate_kernel(spec, lat, n_threads=2).values)
-        traj = SdeSpec("trajectory", 0.4, 0.3, 0.04, 6.0, 20_000, seed=6)
+        traj = SdeSpec("trajectory", 0.4, 0.3, 0.04, 6.0, 80_000, seed=6)
         lat5 = trajectory_lattice(6, 4, FIBERS)
         t1 = estimate_kernel(traj, lat5)
         for n in (2, 4):
@@ -266,6 +273,45 @@ class TestEstimation:
         want_r2 = (2 * (t / k2 - (1 - np.exp(-k2 * t)) / k2**2)).mean() + 2 / 12
         assert (p_q * (q1**2 + q2**2)).sum() == pytest.approx(want_r2, rel=0.05)
 
+    def test_trajectory_fiber_law(self):
+        # theta and v obey the contour law above.  The Euler walk moves
+        # v_i (cos theta_i, sin theta_i) dt at step i from the state after i
+        # steps, with E[v_i v_j] = 2 alpha^2 min(i, j) dt and
+        # E[cos(theta_i - theta_j)] = exp(-kappa^2 |i - j| dt), so after N
+        # steps E|q|^2 is the double sum of their product times dt^2 over
+        # i, j < N, plus 2 / 12 for binning q1 and q2 to unit pixels (alpha
+        # is large, so that few steps stay within a pixel of the origin,
+        # where binning adds less).  The kernel weighs N = 1..n_steps alike;
+        # the 4 ds bins hold every step, and all but about 2 in 10^5
+        # passages stay on the 20 px half-width and the v axis's +-12.  The
+        # (q1, q2, v) mirror makes E[q] = 0 by construction, to the
+        # roundoff of the sums.
+        spec = SdeSpec("trajectory", 0.5, 1.0, 0.05, 4.0, 80_000, seed=9)
+        lat = trajectory_lattice(20, 4, ManifoldGrid(16, 9, 6.0))
+        k = estimate_kernel(spec, lat)
+        assert k.raw_weight / (spec.n_paths * spec.T) > 0.9999
+        dt, n = spec.dt_exact, spec.n_steps
+        t = dt * np.arange(1, n + 1)
+        d_th, d_v = lat.spacing[3], lat.spacing[4]
+        p_th = k.values.sum(axis=(0, 1, 2, 4))
+        p_v = k.values.sum(axis=(0, 1, 2, 3))
+        cos_mean = (p_th * np.cos(lat.coords(3))).sum()
+        want = np.exp(-spec.kappa**2 * t).mean() * math.sin(d_th / 2) / (d_th / 2)
+        assert cos_mean == pytest.approx(want, rel=0.05)
+        v = lat.coords(4)
+        v_var = (p_v * v**2).sum() - (p_v * v).sum() ** 2
+        assert v_var == pytest.approx((2 * spec.alpha**2 * t).mean() + d_v**2 / 12, rel=0.05)
+        p_q = k.values.sum(axis=(2, 3, 4))
+        q1, q2 = lat.coords(0)[:, None], lat.coords(1)[None, :]
+        assert (p_q * q1).sum() == pytest.approx(0.0, abs=1e-15)
+        assert (p_q * q2).sum() == pytest.approx(0.0, abs=1e-15)
+        i = np.arange(n)
+        terms = (2 * spec.alpha**2 * np.minimum.outer(i, i) * dt
+                 * np.exp(-spec.kappa**2 * np.abs(np.subtract.outer(i, i)) * dt) * dt**2)
+        r2_after = terms.cumsum(axis=0).cumsum(axis=1).diagonal()  # N = 1..n_steps
+        want_r2 = r2_after.mean() + 2 / 12
+        assert (p_q * (q1**2 + q2**2)).sum() == pytest.approx(want_r2, rel=0.05)
+
     def test_raw_weight_is_the_weight_landed_on_the_lattice(self):
         # every passage on the lattice weighs dt, of n_paths * T in all
         spec = SdeSpec("contour", 0.5, 0.3, 0.05, 4.0, 20000, seed=9)
@@ -288,12 +334,25 @@ class TestEstimation:
         assert per_ds.min() > 0.9 / lat.shape[2]
 
     def test_empty_histogram_raises(self):
-        # lattice displaced far from the paths collects nothing
-        lat = KernelLattice(("q1", "q2", "theta", "v"), (3, 3, 4, 3),
-                            (100.0, 100.0, 0.0, -1.0), (1.0, 1.0, math.pi / 2, 1.0))
+        # one step of 5 px carries every path off a 3 x 3 px lattice
+        spec = SdeSpec("contour", 0.1, 0.1, 5.0, 5.0, 10, seed=1)
+        with pytest.raises(ValueError, match="no path passage landed"):
+            estimate_kernel(spec, contour_lattice(1, FIBERS))
+
+    @pytest.mark.parametrize("axis, origin, message", [
+        (0, 100.0, "the q1 axis must be centred on 0"),
+        (1, -0.5, "the q2 axis must be centred on 0"),
+        (3, 0.0, "the v axis must be centred on 0"),
+        (2, 0.1, "the theta axis must start at 0"),
+    ])
+    def test_a_lattice_the_reflections_do_not_map_onto_itself_is_rejected(
+            self, axis, origin, message):
+        lat = contour_lattice(2, FIBERS)
+        moved = replace(lat, origin=tuple(origin if a == axis else o
+                                          for a, o in enumerate(lat.origin)))
         spec = SdeSpec("contour", 0.1, 0.1, 0.1, 1.0, 10, seed=1)
-        with pytest.raises(ValueError):
-            estimate_kernel(spec, lat)
+        with pytest.raises(ValueError, match=message):
+            estimate_kernel(spec, moved)
 
 
 def _blas_threads():
@@ -420,6 +479,85 @@ class TestBatchLoopPinned:
         assert block == 1 or spec.n_steps % block != 0
         lat = contour_lattice(4, FIBERS)
         assert self.run_both(spec, lat, 999).sum() > 0
+
+
+def _mirror(values, lattice, flipped):
+    """``values`` under the reflection that negates the coordinates named in
+    ``flipped``: each bin takes the value of the bin at its negated centre
+    (theta modulo the circle)."""
+    for name in flipped:
+        a = lattice.axes.index(name)
+        n = lattice.shape[a]
+        if name == "theta":
+            idx = -np.arange(n) % n
+        else:
+            idx = np.rint((-lattice.coords(a) - lattice.origin[a]) / lattice.spacing[a])
+        values = values.take(idx.astype(np.int64), axis=a)
+    return values
+
+
+# the images of the walks with noise signs SIGNS[1:] in each mode
+MIRRORS = {
+    "contour": (("q1", "theta"), ("v",), ("q1", "theta", "v")),
+    "trajectory": (("q2", "theta"), ("q1", "q2", "v"), ("q1", "theta", "v")),
+}
+ORBIT_CASES = {  # one batch of walks each
+    "contour": (SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 4 * 1001, seed=3),
+                contour_lattice(4, FIBERS)),
+    "trajectory": (SdeSpec("trajectory", 0.5, 0.3, 0.04, 6.0, 4 * 777, seed=4),
+                   trajectory_lattice(4, 3, FIBERS)),
+}
+
+
+class TestReflectionOrbit:
+    """Each walk deposits itself and its three mirror images."""
+
+    @pytest.mark.parametrize("mode", kmod.MODES)
+    def test_the_counts_are_the_four_sign_pattern_walks(self, mode):
+        spec, lat = ORBIT_CASES[mode]
+        (nb,) = kmod._batch_counts(spec.n_paths)
+        assert nb == spec.n_paths // 4
+        child = np.random.SeedSequence(spec.seed).spawn(1)[0]
+        walks = [_per_step_batch_histogram(spec, lat, nb, child, signs=signs).reshape(lat.shape)
+                 for signs in SIGNS]
+        # flipping the noise signs reflects the walk, bin for bin
+        for walk, flipped in zip(walks[1:], MIRRORS[mode]):
+            assert np.array_equal(walk, _mirror(walks[0], lat, flipped))
+        got = kmod._estimate(spec, lat)
+        assert got.dtype == np.int64 and np.array_equal(got, sum(walks))
+
+    @pytest.mark.parametrize("mode", kmod.MODES)
+    def test_the_kernel_equals_each_of_its_mirror_images(self, mode):
+        spec, lat = ORBIT_CASES[mode]
+        k = estimate_kernel(spec, lat).values
+        for flipped in MIRRORS[mode]:
+            assert np.array_equal(_mirror(k, lat, flipped), k)
+
+    @pytest.mark.parametrize("mode", kmod.MODES)
+    def test_seed_to_seed_spread_is_near_that_of_as_many_raw_walks(self, mode):
+        # the L1 distance between two seeds' kernels, averaged over the pairs
+        # of 8 seeds, against that of the raw estimate that walks all n_paths
+        # and deposits each once: about 1.1x here, where a quarter of the
+        # walks each deposited four times over would read about 2x
+        spec, lat = {
+            "contour": (SdeSpec("contour", 0.5, 0.3, 0.05, 3.0, 4096, seed=0),
+                        contour_lattice(4, FIBERS)),
+            "trajectory": (SdeSpec("trajectory", 0.4, 0.3, 0.05, 4.0, 4096, seed=0),
+                           trajectory_lattice(4, 4, FIBERS)),
+        }[mode]
+
+        def raw(seed):
+            child = np.random.SeedSequence(seed).spawn(1)[0]
+            counts = kmod._simulate_batch_histogram(spec, lat, spec.n_paths, child)
+            return counts.reshape(lat.shape) / counts.sum()
+
+        def spread(kernels):
+            return np.mean([np.abs(a - b).sum() for i, a in enumerate(kernels)
+                            for b in kernels[:i]])
+
+        seeds = range(1, 9)
+        orbit = spread([estimate_kernel(replace(spec, seed=s), lat).values for s in seeds])
+        assert orbit <= 1.3 * spread([raw(s) for s in seeds])
 
 
 class TestKernelLookup:
@@ -590,7 +728,8 @@ class TestLeftInvarianceSymmetry:
         k0 = estimate_kernel(spec, lat)
 
         # direct re-estimation from a start displaced by a group element:
-        # simulate with the same noise by reusing the spec seed and
+        # simulate with the same noise by reusing the spec seed, walking each
+        # walk's four noise sign patterns as the estimate deposits them, and
         # transporting the deposit lattice through the group action
 
         theta0 = 2 * math.pi * 2 / 8  # two theta bins
@@ -600,9 +739,9 @@ class TestLeftInvarianceSymmetry:
         children = np.random.SeedSequence(spec.seed).spawn(len(counts))
         hist = np.zeros(int(np.prod(lat.shape)))
         c, s = math.cos(theta0), math.sin(theta0)
-        for nb, ch in zip(counts, children):
+        for (nb, ch), signs in itertools.product(zip(counts, children), SIGNS):
             rng = np.random.default_rng(ch)
-            noise = rng.standard_normal((spec.n_steps, 2, nb))
+            noise = rng.standard_normal((spec.n_steps, 2, nb)) * np.array(signs)[:, None]
             dt = spec.dt_exact
             sk = math.sqrt(2 * dt) * spec.kappa
             sa = math.sqrt(2 * dt) * spec.alpha

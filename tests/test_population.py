@@ -1,5 +1,6 @@
 """Facilitation gathers and steady activity."""
 
+import itertools
 import math
 import sys
 import threading
@@ -720,7 +721,8 @@ class TestRealKernelTranslation:
         pattern = facilitate(act, kernel).values[:, :, 0]
 
         # direct estimation from the shifted start, binned on the activity
-        # grid (same noise stream as the cached kernel)
+        # grid (same noise stream as the cached kernel: each walk with its
+        # four (theta, v) noise sign patterns)
         theta0 = i_th * grid.d_theta
         v0 = grid.vs[j_v]
         counts = kmod._batch_counts(spec.n_paths)
@@ -729,9 +731,10 @@ class TestRealKernelTranslation:
         dt = spec.dt_exact
         sk = math.sqrt(2 * dt) * spec.kappa
         sa = math.sqrt(2 * dt) * spec.alpha
-        for nb, ch in zip(counts, children):
+        signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+        for (nb, ch), sign in itertools.product(zip(counts, children), signs):
             rng = np.random.default_rng(ch)
-            noise = rng.standard_normal((spec.n_steps, 2, nb))
+            noise = rng.standard_normal((spec.n_steps, 2, nb)) * np.array(sign)[:, None]
             q1 = np.full(nb, 8.0)
             q2 = np.full(nb, 8.0)
             th = np.full(nb, theta0)
