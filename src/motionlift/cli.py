@@ -9,8 +9,9 @@ next to its outputs, and rerunning with the same inputs reproduces the
 outputs byte for byte.
 
 Exit codes: 0 success, 2 invalid usage or configuration, 3 a named input
-file does not exist, 4 malformed volume/kernel file, 5 numerical or
-validation failure.
+file does not exist, 4 malformed volume/kernel file (a kernel whose axes
+are off the layout of its SDE's mode included), 5 numerical or validation
+failure.
 """
 
 from __future__ import annotations
@@ -161,6 +162,13 @@ def _thread_count(value: str) -> int:
     return n
 
 
+def _scale_factor(value: str) -> float:
+    x = float(value)
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {value}")
+    return x
+
+
 def _add_threads_arg(sp):
     if hasattr(os, "sched_getaffinity"):
         default = len(os.sched_getaffinity(0))
@@ -185,7 +193,7 @@ def _common_experiment_args(sp):
     sp.add_argument("--config", help="key = value config file")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--seed", type=int, help="override the estimation seed")
-    sp.add_argument("--scale", type=float, help="shrink grid dims proportionally")
+    sp.add_argument("--scale", type=_scale_factor, help="shrink grid dims proportionally")
     _add_threads_arg(sp)
     sp.add_argument("--kernel-cache", help="shared kernel cache directory")
     sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

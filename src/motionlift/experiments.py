@@ -266,6 +266,11 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
     if not any(_is_background(cfg, x - cx, y - cy) for x in side for y in side):
         raise StimulusError(f"no pixel lies background_margin = {cfg.background_margin} or "
                             "more from the circle, so no background sample can be drawn")
+    # the model is built, and a bad one refused, before any output
+    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
+    bank = GaborBank(grid, cfg.p_modulus)
+    spec = cfg.sde()
+    lattice = contour_lattice(cfg.kernel_halfwidth, grid)
     resolved = asdict(cfg)
     out, chash, prov, cache_dir = _start_run(
         out_dir, resolved, cfg.seed, kernel_cache, ("stimulus", "kernels", "activity", "exports"))
@@ -276,12 +281,9 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
     (out / "stimulus" / "truth.json").write_text(json.dumps(truth, sort_keys=True))
 
     mid = cfg.n_frames // 2
-    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
-    raw = energy_filter(stim, GaborBank(grid, cfg.p_modulus), frames=(mid,))
+    raw = energy_filter(stim, bank, frames=(mid,))
     thresholded = threshold_activity(raw, cfg.mu, cfg.beta)
 
-    spec = cfg.sde()
-    lattice = contour_lattice(cfg.kernel_halfwidth, grid)
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
 
     pattern = facilitate(thresholded, kernel, n_threads)
@@ -490,20 +492,21 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     straight into the stacked buffer.  T1 is never stacked with D and T2:
     that one call held about a quarter more memory than the sweep's peak.
     """
-    for delta_t, delta_theta in cfg.sweep:  # a bad point is refused before any output
+    # a bad sweep point or model is refused before any output
+    for delta_t, delta_theta in cfg.sweep:
         cfg.stimulus_spec(int(delta_t), float(delta_theta))
+    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
+    bank = GaborBank(grid, cfg.p_modulus)
+    spec = cfg.sde()
+    lattice = trajectory_lattice(cfg.kernel_halfwidth, cfg.kernel_n_ds, grid)
     resolved = asdict(cfg)
     resolved["sweep"] = [list(map(float, pair)) for pair in cfg.sweep]
     out, chash, prov, cache_dir = _start_run(
         out_dir, resolved, cfg.seed, kernel_cache, ("kernels", "activity", "exports"))
 
-    spec = cfg.sde()
-    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
-    lattice = trajectory_lattice(cfg.kernel_halfwidth, cfg.kernel_n_ds, grid)
     kernel = load_or_estimate_kernel(cache_dir, spec, lattice, n_threads=n_threads)
     vio.write_kernel(out / "kernels" / "gamma.knl", kernel, provenance=prov)
 
-    bank = GaborBank(grid, cfg.p_modulus)
     baseline = float(sigmoid(0.0, cfg.mu, cfg.beta))  # c0
     n, n_ds = cfg.n_frames, cfg.kernel_n_ds
 

@@ -101,6 +101,8 @@ class SdeSpec:
             raise ValueError("T must be at least dt")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_steps(self) -> int:
@@ -145,10 +147,6 @@ class KernelLattice:
         if min(self.spacing) <= 0:
             raise ValueError("lattice spacing must be positive")
 
-    @property
-    def theta_axis(self) -> int:
-        return self.axes.index("theta")
-
     def coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.shape[axis])
 
@@ -190,9 +188,42 @@ def trajectory_lattice(halfwidth: int, n_ds: int, grid: ManifoldGrid) -> KernelL
     )
 
 
+def _check_layout(lattice: KernelLattice, mode: str) -> None:
+    """Raise ``ValueError`` unless the lattice has the layout of a ``mode``
+    kernel, the one ``contour_lattice`` and ``trajectory_lattice`` build and
+    the walks' mirror images and the FFT gather rely on: axes (q1, q2,
+    theta, v), with s before theta in trajectory mode; square q axes of an
+    odd number of pixels and a v axis of an odd number of bins, all centred
+    on 0; theta from 0 around the circle; s from ds = 1 in whole frames."""
+    axes = ("q1", "q2", "theta", "v")
+    if mode == "trajectory":
+        axes = ("q1", "q2", "s", "theta", "v")
+    if tuple(lattice.axes) != axes:
+        raise ValueError(f"a {mode} kernel has the axes {axes}, not {tuple(lattice.axes)}")
+    for n, o, d, name in zip(lattice.shape, lattice.origin, lattice.spacing, axes):
+        if name == "theta":
+            ok = o == 0.0 and math.isclose(n * d, 2 * math.pi)
+            rule = "start at 0 and span the circle"
+        elif name == "s":
+            ok = o == 1.0 and d == 1.0
+            rule = "start at ds = 1 with a spacing of 1"
+        else:  # q1, q2 and v
+            ok = n % 2 == 1 and math.isclose(o, -(n - 1) / 2 * d, abs_tol=1e-9 * d)
+            ok = ok and (d == 1.0 or name == "v")
+            rule = "be centred on 0 in an odd number of " + ("bins" if name == "v" else "pixels")
+        if not ok:
+            raise ValueError(f"the {name} axis must {rule}; its {n} bins of {d} start at {o}")
+    if lattice.shape[0] != lattice.shape[1]:
+        raise ValueError(f"the q1 and q2 axes must have the same length, not {lattice.shape[:2]}")
+
+
 @dataclass
 class KernelGrid:
-    """Normalized kernel histogram with the spec that produced it."""
+    """Normalized kernel histogram with the spec that produced it.
+
+    Its lattice has the layout of the spec's mode (``_check_layout``),
+    checked here, the one place for every kernel, estimated, read or built.
+    """
 
     axes: tuple[str, ...]
     origin: tuple[float, ...]
@@ -205,6 +236,7 @@ class KernelGrid:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != len(self.axes):
             raise ValueError("kernel values rank does not match axes")
+        _check_layout(self.lattice, self.spec.mode)
         if self.values.size and float(self.values.min()) < 0:
             raise ValueError("kernel values must be nonnegative")
 
@@ -215,9 +247,6 @@ class KernelGrid:
     @property
     def is_trajectory(self) -> bool:
         return "s" in self.axes
-
-    def mass(self) -> float:
-        return float(self.values.sum())
 
 
 def _batch_counts(n_paths: int) -> list[int]:
@@ -333,21 +362,6 @@ def _guarded_bin(x: np.ndarray, origin: float, spacing: float, n: int) -> np.nda
     return i
 
 
-def _check_centred(lattice: KernelLattice) -> None:
-    """Raise unless the reflections map the lattice onto itself: the q and v
-    axes centred on 0, and theta starting at 0."""
-    for a, name in enumerate(lattice.axes):
-        if name in ("q1", "q2", "v"):
-            half = (lattice.shape[a] - 1) / 2 * lattice.spacing[a]
-            if not math.isclose(lattice.origin[a], -half, abs_tol=1e-9 * lattice.spacing[a]):
-                raise ValueError(f"the {name} axis must be centred on 0 for the walks' "
-                                 f"mirror images, but its bins start at "
-                                 f"{lattice.origin[a]}, not {-half}")
-    if lattice.origin[lattice.theta_axis] != 0.0:
-        raise ValueError("the theta axis must start at 0 for the walks' mirror images, "
-                         f"not at {lattice.origin[lattice.theta_axis]}")
-
-
 def _orbit_sum(counts: np.ndarray, trajectory: bool) -> np.ndarray:
     """Counts on a lattice plus their three images under the SDE's reflection
     group: the counts of the walks with noise signs (+-W1, +-W2)."""
@@ -387,19 +401,14 @@ def estimate_kernel(spec: SdeSpec, lattice: KernelLattice, n_threads: int = 1) -
     (ceiling binning on the ds axis in trajectory mode); passages outside
     the lattice deposit nothing, and paths are never killed so they may
     re-enter.  Each walk also deposits its three mirror images, so the
-    lattice must be one the reflections map onto itself (q and v axes
-    centred on 0, theta starting at 0), as every ``contour_lattice`` and
-    ``trajectory_lattice`` is; any other raises ``ValueError``.  The
-    passages are counted in integers and summed exactly, so the kernel is
-    the same to the bit for every thread count; ``n_threads`` must be at
-    least 1.
+    lattice must have the layout of the spec's mode (``_check_layout``:
+    among others, q and v axes centred on 0 and theta starting at 0), as
+    every ``contour_lattice`` and ``trajectory_lattice`` has; any other
+    raises ``ValueError`` before a path is walked.  The passages are
+    counted in integers and summed exactly, so the kernel is the same to the
+    bit for every thread count; ``n_threads`` must be at least 1.
     """
-    want = 5 if spec.mode == "trajectory" else 4
-    if len(lattice.shape) != want:
-        raise ValueError(
-            f"{spec.mode} mode needs a {want}-d lattice, got {len(lattice.shape)}-d"
-        )
-    _check_centred(lattice)
+    _check_layout(lattice, spec.mode)
     hist = _estimate(spec, lattice, n_threads) * spec.dt_exact
     total = hist.sum()
     if total <= 0:
@@ -586,7 +595,7 @@ def kernel_lookup(kernel: KernelGrid, target) -> float | np.ndarray:
     n = pts.shape[0]
     result = np.zeros(n)
     idx_f = (pts - np.array(lat.origin)) / np.array(lat.spacing)
-    th_ax = lat.theta_axis
+    th_ax = lat.axes.index("theta")
     n_th = lat.shape[th_ax]
     idx_f[:, th_ax] = np.mod(idx_f[:, th_ax], n_th)
     lo = np.floor(idx_f).astype(np.int64)

@@ -51,6 +51,10 @@ for all of these phases and holds numpy's OpenBLAS at one thread
 meanwhile.  Each public entry point builds the plan it uses; nothing is
 cached between calls.  Kernels are sparsified by zeroing entries below
 ``TRUNC_REL`` of the kernel max before either path runs.
+
+Both gathers rely on the kernel layout that ``KernelGrid`` checks when a
+kernel is built, and check only that the kernel fits the activity's grid
+(``_check_compat``).
 """
 
 from __future__ import annotations
@@ -77,36 +81,13 @@ def truncated_kernel_values(kernel: KernelGrid) -> np.ndarray:
 
 
 def _check_compat(grid: ManifoldGrid, kernel: KernelGrid) -> None:
-    lat = kernel.lattice
-    i_th = lat.theta_axis
-    if lat.shape[i_th] != grid.n_theta:
-        raise ValueError(
-            f"kernel has {lat.shape[i_th]} orientation bins, grid has {grid.n_theta}"
-        )
-    if abs(lat.spacing[i_th] - grid.d_theta) > 1e-12:
-        raise ValueError("kernel and grid orientation spacings differ")
-    i_v = lat.axes.index("v")
-    if abs(lat.spacing[i_v] - grid.d_v) > 1e-12:
+    """Raise unless the kernel fits the grid: as many orientations and the
+    same velocity spacing.  ``KernelGrid`` checked the rest of its layout."""
+    n_th = kernel.values.shape[kernel.axes.index("theta")]
+    if n_th != grid.n_theta:
+        raise ValueError(f"kernel has {n_th} orientation bins, grid has {grid.n_theta}")
+    if abs(kernel.spacing[kernel.axes.index("v")] - grid.d_v) > 1e-12:
         raise ValueError("kernel and grid velocity spacings differ")
-    if abs(lat.spacing[0] - 1.0) > 1e-12 or abs(lat.spacing[1] - 1.0) > 1e-12:
-        raise ValueError("kernel spatial spacing must be one pixel")
-    # the plan puts dtheta = 0 at bin 0 and the zero offset of q1, q2 and v
-    # at the middle bin of a square stencil, where kernel_lookup finds them
-    if abs(lat.origin[i_th]) > 1e-12:
-        raise ValueError("kernel orientation axis must start at dtheta = 0")
-    for a in (0, 1, i_v):
-        n = lat.shape[a]
-        if n % 2 == 0 or abs(lat.origin[a] / lat.spacing[a] + (n - 1) / 2) > 1e-9:
-            raise ValueError(f"kernel {lat.axes[a]} axis must be centered on zero")
-    if lat.shape[0] != lat.shape[1]:
-        raise ValueError("kernel spatial axes must have the same length")
-    if kernel.is_trajectory:
-        i_s = lat.axes.index("s")
-        # the plan's offsets are ds = 1..n_ds whole frames, sheared by v' ds
-        if abs(lat.spacing[i_s] - 1.0) > 1e-12:
-            raise ValueError("trajectory kernels need a ds spacing of 1")
-        if abs(lat.origin[i_s] - 1.0) > 1e-12:
-            raise ValueError("trajectory kernel ds axis must start at ds = 1")
 
 
 def _corner_table(theta: float, phi: float, h: int, ext: int) -> list:
@@ -528,12 +509,8 @@ def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> Lifted
     pair_y = (np.arange(ny)[:, None] - np.arange(ny) + ny - 1)[None, None]
     thetas = grid.thetas
     vs = grid.vs
-    if trunc.is_trajectory:
-        # kernel_lookup is exactly zero at and beyond one spacing off the ds axis
-        lat = trunc.lattice
-        i_s = lat.axes.index("s")
-        ds_lo = lat.origin[i_s] - lat.spacing[i_s]
-        ds_hi = lat.origin[i_s] + lat.shape[i_s] * lat.spacing[i_s]
+    # kernel_lookup is exactly zero at and beyond one frame off the ds axis 1..n_ds
+    n_ds = trunc.values.shape[2]
     # fiber offsets of every output fiber, one lookup batch per input fiber
     fiber = (slice(None), slice(None), None, None)
     for i_p in range(nth):
@@ -548,7 +525,7 @@ def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> Lifted
                 for so in range(ns):
                     if trunc.is_trajectory:
                         ds = float(activity.s_frames[so] - activity.s_frames[sp])
-                        if not ds_lo < ds < ds_hi:
+                        if not 0 < ds < n_ds + 1:
                             continue
                         shear = vs[j_p] * ds
                     else:

@@ -160,6 +160,14 @@ EXIT_CASES = [
     ("filter-frames", 5, "frames [99] outside the stimulus's frames 0..5"),
     ("kernel --n-theta 3", 5, "n_theta must be >= 4, got 3"),
     ("kernel --n-v 4", 5, "n_v must be odd so v = 0 is a bin center, got 4"),
+    ("kernel --seed -5", 5, "seed must be >= 0, got -5"),
+    # a kernel off the layout of its mode is malformed, not gathered
+    ("kernel-v-origin", 4,
+     "malformed kernel header: ValueError('the v axis must be centred on 0"),
+    ("kernel-ds-spacing=2", 4,
+     "malformed kernel header: ValueError('the s axis must start at ds = 1 with a spacing of 1"),
+    ("kernel-5d-contour-sde", 4,
+     'malformed kernel header: ValueError("a contour kernel has the axes'),
 ]
 
 
@@ -209,8 +217,8 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
             argv += ["--s-slice", "99"]
     elif case.startswith("kernel "):
         # the kernel's fiber lattice is a grid's, with the grid's checks
-        argv = [*case.split(), "--mode", "contour", "--paths", "100", "--seed", "1",
-                "--out", str(out)]
+        argv = ["kernel", "--mode", "contour", "--paths", "100", "--seed", "1",
+                *case.split()[1:], "--out", str(out)]
     else:
         activity = tmp_path / "activity.vol"
         values = np.ones((7, 7, 6, 3))
@@ -224,10 +232,13 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
         if case == "not-a-container":
             kernel.write_bytes(b"not a kernel")
         elif case != "missing-kernel":
-            n_theta = 8 if case == "orientation-mismatch" else 6
-            lat = contour_lattice(3, ManifoldGrid(n_theta, 3, 1.0))
+            grid = ManifoldGrid(8 if case == "orientation-mismatch" else 6, 3, 1.0)
+            if case in ("kernel-ds-spacing=2", "kernel-5d-contour-sde"):
+                mode, lat = "trajectory", trajectory_lattice(3, 2, grid)
+            else:
+                mode, lat = "contour", contour_lattice(3, grid)
             vals = np.full(lat.shape, 1.0 / np.prod(lat.shape))
-            spec = SdeSpec("contour", 0.1, 0.1, 0.1, 1.0, 1, 0)
+            spec = SdeSpec(mode, 0.1, 0.1, 0.1, 1.0, 1, 0)
             vio.write_kernel(kernel, KernelGrid(lat.axes, lat.origin, lat.spacing, vals, spec))
             if case == "kernel-without-sde":
                 _edit_header(kernel, lambda h: {k: x for k, x in h.items() if k != "sde"})
@@ -236,6 +247,14 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
                                                              if k != "kappa"}})
             elif case == "kernel-kappa=-1":
                 _edit_header(kernel, lambda h: {**h, "sde": {**h["sde"], "kappa": -1}})
+            elif case == "kernel-v-origin":  # one bin off centre
+                _edit_header(kernel, lambda h: {**h, "origin": [*h["origin"][:-1],
+                                                                h["origin"][-1] + 1.0]})
+            elif case == "kernel-ds-spacing=2":
+                _edit_header(kernel, lambda h: {**h, "spacing": [*h["spacing"][:2], 2.0,
+                                                                 *h["spacing"][3:]]})
+            elif case == "kernel-5d-contour-sde":
+                _edit_header(kernel, lambda h: {**h, "sde": {**h["sde"], "mode": "contour"}})
         argv = ["facilitate", "--activity", str(activity), "--kernel", str(kernel),
                 "--out", str(out)]
     assert main(argv) == code
@@ -273,6 +292,39 @@ def test_a_bad_stimulus_or_sampling_field_is_a_config_error(tmp_path, capsys, co
     assert main([*command, "--set", field, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()[-1]  # after any unbridged-gap warning
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--set", "kappa=-1"], "kappa and alpha must be nonnegative"),
+    (["--set", "n_paths=0"], "n_paths must be >= 1"),
+    (["--set", "n_v=4"], "n_v must be odd so v = 0 is a bin center, got 4"),
+    (["--set", "p_modulus=4"], "|p| = 4.0 is not below the Nyquist limit pi"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["kappa=-1", "n_paths=0", "n_v=4", "p_modulus=4", "seed=-1"])
+@pytest.mark.parametrize("command", [SMALL_EXPERIMENT1, TINY_EXPERIMENT2],
+                         ids=["experiment1", "experiment2"])
+def test_a_bad_model_is_refused_before_any_output(tmp_path, capsys, command, override,
+                                                  message):
+    # the grid, the lift's bank, the SDE and the kernel lattice are built
+    # before the output tree, so nothing of it is written
+    out = tmp_path / "run"
+    assert main([*command, *override, "--out", str(out)]) == 5
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [SMALL_EXPERIMENT1, TINY_EXPERIMENT2],
+                         ids=["experiment1", "experiment2"])
+def test_scale_must_be_finite_and_positive(tmp_path, no_worker_pool, command, value):
+    # a scale of 0 rounds every gap to 0 frames and clamps every size to its
+    # floor, and nan or inf cannot size a grid
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--scale", value, "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import motionlift.kernels as kmod
 import motionlift.workers as wmod
@@ -128,12 +129,29 @@ class TestLattices:
         assert lat.coords(2)[0] == 1.0
         assert lat.shape[2] == 12
 
+    @given(n_theta=st.integers(4, 16), n_v=st.sampled_from([1, 3, 5, 7, 9]),
+           v_m=st.floats(0.25, 4.0), halfwidth=st.integers(1, 12), n_ds=st.integers(1, 20))
+    def test_every_lattice_has_the_layout_of_its_mode_and_no_shift_of_it_does(
+            self, n_theta, n_v, v_m, halfwidth, n_ds):
+        grid = ManifoldGrid(n_theta, n_v, v_m)
+        for mode, other, lat in (
+            ("contour", "trajectory", contour_lattice(halfwidth, grid)),
+            ("trajectory", "contour", trajectory_lattice(halfwidth, n_ds, grid)),
+        ):
+            kmod._check_layout(lat, mode)
+            with pytest.raises(ValueError, match=f"a {other} kernel has the axes"):
+                kmod._check_layout(lat, other)
+            for a, name in enumerate(lat.axes):  # one bin along each axis
+                origin = tuple(o + lat.spacing[a] * (i == a) for i, o in enumerate(lat.origin))
+                with pytest.raises(ValueError, match=f"the {name} axis"):
+                    kmod._check_layout(replace(lat, origin=origin), mode)
+
 
 class TestEstimation:
     def test_unit_mass_and_nonnegative(self):
         spec = SdeSpec("contour", 0.5, 0.3, 0.02, 2.0, 20_000, seed=3)
         k = estimate_kernel(spec, contour_lattice(6, FIBERS))
-        assert k.mass() == pytest.approx(1.0, abs=1e-12)
+        assert k.values.sum() == pytest.approx(1.0, abs=1e-12)
         assert k.values.min() >= 0.0
 
     def test_deterministic_across_thread_counts(self):
@@ -328,7 +346,7 @@ class TestEstimation:
         lat = trajectory_lattice(8, 8, FIBERS)
         k = estimate_kernel(spec, lat)
         assert lat.coords(2).min() >= 1.0
-        assert k.mass() == pytest.approx(1.0)
+        assert k.values.sum() == pytest.approx(1.0)
         # per-ds mass is flat (every step deposits once, nothing at ds<=0)
         per_ds = k.values.sum(axis=(0, 1, 3, 4))
         assert per_ds.min() > 0.9 / lat.shape[2]

@@ -212,31 +212,24 @@ class TestGatherContract:
     def test_off_centre_kernel_axes_rejected(self, axis):
         # the plan puts dtheta = 0 at bin 0 and the other zero offsets at the
         # middle bin; a kernel shifted by one bin along v or q1 missed the
-        # explicit gather by 0.097 and 0.033 (reference maxima 0.28, 0.25)
-        grid = ManifoldGrid(6, 3, 1.0)
-        lat = contour_lattice(3, grid)
+        # explicit gather by 0.097 and 0.033 (reference maxima 0.28, 0.25).
+        # No such kernel can be built, so none is ever gathered
+        lat = contour_lattice(3, ManifoldGrid(6, 3, 1.0))
         a = lat.axes.index(axis)
         origin = tuple(o + (lat.spacing[a] if i == a else 0.0)
                        for i, o in enumerate(lat.origin))
-        kernel = synthetic_kernel(KernelLattice(lat.axes, lat.shape, origin, lat.spacing))
-        act = LiftedActivity(grid, np.random.default_rng(1).uniform(0, 1, (7, 7, 1, 6, 3)),
-                             "facilitation", np.array([0]))
         with pytest.raises(ValueError, match=axis):
-            facilitate(act, kernel)
-        with pytest.raises(ValueError, match=axis):
-            facilitate_reference(act, kernel)
+            synthetic_kernel(KernelLattice(lat.axes, lat.shape, origin, lat.spacing))
 
     def test_non_square_kernel_rejected(self):
         # the plan's stencil is square: a centred 7x9 kernel missed the
-        # explicit gather by 0.037 (reference max 0.23)
-        grid = ManifoldGrid(7, 3, 1.0)
-        lat = contour_lattice(3, grid)
+        # explicit gather by 0.037 (reference max 0.23); no such kernel can
+        # be built
+        lat = contour_lattice(3, ManifoldGrid(7, 3, 1.0))
         lat = KernelLattice(lat.axes, (7, 9) + lat.shape[2:], (-3.0, -4.0) + lat.origin[2:],
                             lat.spacing)
-        act = LiftedActivity(grid, np.random.default_rng(1).uniform(0, 1, (7, 7, 1, 7, 3)),
-                             "facilitation", np.array([0]))
         with pytest.raises(ValueError, match="same length"):
-            facilitate(act, synthetic_kernel(lat))
+            synthetic_kernel(lat)
 
     @pytest.mark.parametrize("frames", [[0, 2, 4], [0, 10, 20]])
     def test_5d_gather_pairs_frames_by_time(self, small5, frames):
@@ -286,18 +279,13 @@ class TestGatherContract:
     @pytest.mark.parametrize("kernel_ds", [2.0])
     def test_trajectory_kernel_needs_unit_frame_spacing(self, kernel_ds):
         # the plan's offsets are ds = 1..n_ds whole frames, so a kernel whose
-        # ds bins lie 2 frames apart would be applied at the wrong time lags
-        grid = ManifoldGrid(6, 3, 1.0)
-        lat = trajectory_lattice(3, 3, grid)
+        # ds bins lie 2 frames apart would be applied at the wrong time lags;
+        # no such kernel can be built, so none is ever gathered
+        lat = trajectory_lattice(3, 3, ManifoldGrid(6, 3, 1.0))
         spacing = lat.spacing[:2] + (kernel_ds,) + lat.spacing[3:]
-        kernel = synthetic_kernel(KernelLattice(lat.axes, lat.shape, lat.origin, spacing),
-                                  mode="trajectory")
-        act = LiftedActivity(grid, np.random.default_rng(2).uniform(0, 1, (7, 7, 5, 6, 3)),
-                             "facilitation", np.arange(5))
         with pytest.raises(ValueError, match="spacing of 1"):
-            facilitate(act, kernel)
-        with pytest.raises(ValueError, match="spacing of 1"):
-            facilitate_reference(act, kernel)
+            synthetic_kernel(KernelLattice(lat.axes, lat.shape, lat.origin, spacing),
+                             mode="trajectory")
 
     def test_fresh_same_shape_kernels_are_each_gathered(self):
         # a kernel built right after the previous one is dropped reuses its
