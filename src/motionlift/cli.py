@@ -2,11 +2,14 @@
 
 Subcommands wire plain-text configs (``key = value`` lines, ``#`` comments)
 to the experiment pipelines and to the individual stages (stimulus
-generation, filtering, kernel estimation, facilitation, exports).  Angles
-may be written as multiples of pi with one leading sign (``pi/6``, ``2pi/3``,
-``2*pi/3``, ``-pi/2``).  Every run writes its resolved configuration and seed
-next to its outputs, and rerunning with the same inputs reproduces the
-outputs byte for byte.
+generation, filtering, kernel estimation, facilitation, exports).  The
+experiment commands and ``kernel`` resolve an experiment's config alike
+(defaults, ``--config``, ``--set``, ``--seed``, ``--scale``), and ``kernel``
+estimates the kernel of that experiment's model.  Angles may be written as
+multiples of pi with one leading sign (``pi/6``, ``2pi/3``, ``2*pi/3``,
+``-pi/2``).  Every run writes its resolved configuration and seed next to
+its outputs, and rerunning with the same inputs reproduces the outputs byte
+for byte.
 
 Exit codes: 0 success, 2 invalid usage or configuration, 3 a named input
 file does not exist, 4 malformed volume/kernel file (a kernel whose axes
@@ -31,7 +34,6 @@ from .experiments import (
     Experiment1Config,
     Experiment2Config,
     kernel_cache_path,
-    normalized_sde,
     run_experiment1,
     run_experiment2,
 )
@@ -43,7 +45,7 @@ from .gabor import (
     energy_filter,
     threshold_activity,
 )
-from .kernels import contour_lattice, estimate_kernel, trajectory_lattice
+from .kernels import estimate_kernel
 from .population import facilitate
 from .stimuli import (
     StimulusError,
@@ -189,23 +191,28 @@ def _out_path(out) -> Path:
     return path
 
 
-def _common_experiment_args(sp):
+def _experiment_args(sp):
     sp.add_argument("--config", help="key = value config file")
-    sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                    help="override one config key")
     sp.add_argument("--seed", type=int, help="override the estimation seed")
     sp.add_argument("--scale", type=_scale_factor, help="shrink grid dims proportionally")
     _add_threads_arg(sp)
-    sp.add_argument("--kernel-cache", help="shared kernel cache directory")
-    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                    help="override one config key")
 
 
-def cmd_experiment1(args) -> int:
-    cfg = apply_config(Experiment1Config(), _load_config_file(args.config), args.set)
+def _experiment_config(cls, args):
+    """An experiment's config: its defaults, then ``--config``, ``--set``,
+    ``--seed`` and ``--scale``."""
+    cfg = apply_config(cls(), _load_config_file(args.config), args.set)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.scale is not None:
         cfg = cfg.scaled(args.scale)
+    return cfg
+
+
+def cmd_experiment1(args) -> int:
+    cfg = _experiment_config(Experiment1Config, args)
     metrics = run_experiment1(cfg, args.out, n_threads=args.threads,
                               kernel_cache=args.kernel_cache)
     for key in ("F0_gap_over_background", "FT_gap_over_background"):
@@ -214,15 +221,7 @@ def cmd_experiment1(args) -> int:
 
 
 def cmd_experiment2(args) -> int:
-    cfg = apply_config(Experiment2Config(), _load_config_file(args.config), args.set)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.dt is not None or args.dtheta is not None:
-        if args.dt is None or args.dtheta is None:
-            raise CliError("--dt and --dtheta must be given together")
-        cfg.sweep = ((int(args.dt), float(args.dtheta)),)
-    if args.scale is not None:
-        cfg = cfg.scaled(args.scale)
+    cfg = _experiment_config(Experiment2Config, args)
     for dt, dth in cfg.sweep:
         if not cfg.bridges(int(dt)):
             print(f"warning: sweep point dT={int(dt)} dtheta={float(dth):.4f}: a "
@@ -278,13 +277,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    spec = normalized_sde(args.mode, args.kappa, args.alpha, args.T,
-                          args.paths, args.seed)
-    grid = ManifoldGrid(args.n_theta, args.n_v, args.v_m)
-    if args.mode == "contour":
-        lattice = contour_lattice(args.halfwidth, grid)
-    else:
-        lattice = trajectory_lattice(args.halfwidth, args.n_ds, grid)
+    cls = Experiment1Config if args.mode == "contour" else Experiment2Config
+    _grid, spec, lattice = _experiment_config(cls, args).model()
     kernel = estimate_kernel(spec, lattice, args.threads)
     out = Path(args.out)
     if out.is_dir() or args.out.endswith("/"):
@@ -307,6 +301,9 @@ def cmd_facilitate(args) -> int:
     elif axes != ("q1", "q2", "s", "theta", "v"):
         raise CliError(f"{args.activity}: activity axes {list(axes)} are neither "
                        "(q1, q2, theta, v) nor (q1, q2, s, theta, v)", EXIT_NUMERIC)
+    if kernel.spec.mode == "trajectory" and values.shape[2] < 2:
+        raise CliError(f"{args.activity}: a trajectory kernel links frames 1 to n_ds apart, "
+                       "and a single-slice activity has no such pair", EXIT_NUMERIC)
     n_v = values.shape[4]
     # the grid whose d_v is the kernel's v spacing (one velocity bin has d_v = 1 at any v_m)
     d_v = kernel.spacing[kernel.axes.index("v")]
@@ -354,15 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="motionlift", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("experiment1", help="moving-contour completion pipeline")
-    _common_experiment_args(sp)
-    sp.set_defaults(func=cmd_experiment1)
-
-    sp = sub.add_parser("experiment2", help="occluded-trajectory integration sweep")
-    _common_experiment_args(sp)
-    sp.add_argument("--dt", type=int, help="single-instance gap duration (frames)")
-    sp.add_argument("--dtheta", type=float, help="single-instance turn angle (rad)")
-    sp.set_defaults(func=cmd_experiment2)
+    for name, func, text in (
+        ("experiment1", cmd_experiment1, "moving-contour completion pipeline"),
+        ("experiment2", cmd_experiment2, "occluded-trajectory integration sweep"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        _experiment_args(sp)
+        sp.add_argument("--out", required=True, help="output directory")
+        sp.add_argument("--kernel-cache", help="shared kernel cache directory")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("make-stimulus", help="render a synthetic stimulus volume")
     sp.add_argument("--kind", required=True,
@@ -390,22 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.5)
     sp.set_defaults(func=cmd_filter)
 
-    sp = sub.add_parser("kernel", help="estimate a connectivity kernel cache")
+    sp = sub.add_parser(
+        "kernel", help="estimate an experiment's connectivity kernel",
+        description="Estimate experiment 1's (contour) or 2's (trajectory) kernel from "
+                    "its config, whose other keys are ignored.  n_paths counts paths in "
+                    "the histogram: ceil(n_paths / 4) walks, each deposited with its "
+                    "three mirror images.")
     sp.add_argument("--mode", required=True, choices=("contour", "trajectory"))
-    sp.add_argument("--paths", type=int, required=True,
-                    help="paths in the kernel histogram: ceil(PATHS / 4) walks are "
-                         "walked, and each deposits itself and its three mirror images")
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--kappa", type=float, default=2.0)
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--T", type=float, default=15.0)
-    sp.add_argument("--halfwidth", type=int, default=15)
-    sp.add_argument("--n-ds", dest="n_ds", type=int, default=16)
-    sp.add_argument("--n-theta", dest="n_theta", type=int, default=16)
-    sp.add_argument("--n-v", dest="n_v", type=int, default=9)
-    sp.add_argument("--v-m", dest="v_m", type=float, default=1.0)
-    _add_threads_arg(sp)
-    sp.add_argument("--out", required=True)
+    _experiment_args(sp)
+    sp.add_argument("--out", required=True,
+                    help="kernel file, or a directory (existing, or ending in /) taken as "
+                         "the experiment's kernel cache, which --kernel-cache reads")
     sp.set_defaults(func=cmd_kernel)
 
     sp = sub.add_parser("facilitate", help="apply a kernel to an activity volume")

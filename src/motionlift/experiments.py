@@ -46,6 +46,7 @@ from .gabor import (
 from .kernels import (
     ESTIMATOR,
     KernelGrid,
+    KernelLattice,
     SdeSpec,
     contour_lattice,
     estimate_kernel,
@@ -167,12 +168,13 @@ class Experiment1Config:
             velocity=(0.0, self.speed),
         )
 
-    def sde(self) -> SdeSpec:
-        # horizon = drift traversal of the kernel's spatial half-width
-        return normalized_sde(
-            "contour", self.kappa, self.alpha, float(self.kernel_halfwidth),
-            self.n_paths, self.seed,
-        )
+    def model(self) -> tuple[ManifoldGrid, SdeSpec, KernelLattice]:
+        """The fiber grid, the contour kernel's SDE and its lattice.  The
+        horizon is the drift traversal of the kernel's spatial half-width."""
+        grid = ManifoldGrid(self.n_theta, self.n_v, self.v_m)
+        spec = normalized_sde("contour", self.kappa, self.alpha, float(self.kernel_halfwidth),
+                              self.n_paths, self.seed)
+        return grid, spec, contour_lattice(self.kernel_halfwidth, grid)
 
 
 def _nearest_theta_bin(grid: ManifoldGrid, theta: float) -> int:
@@ -267,10 +269,8 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
         raise StimulusError(f"no pixel lies background_margin = {cfg.background_margin} or "
                             "more from the circle, so no background sample can be drawn")
     # the model is built, and a bad one refused, before any output
-    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
+    grid, spec, lattice = cfg.model()
     bank = GaborBank(grid, cfg.p_modulus)
-    spec = cfg.sde()
-    lattice = contour_lattice(cfg.kernel_halfwidth, grid)
     resolved = asdict(cfg)
     out, chash, prov, cache_dir = _start_run(
         out_dir, resolved, cfg.seed, kernel_cache, ("stimulus", "kernels", "activity", "exports"))
@@ -366,11 +366,15 @@ class Experiment2Config:
 
     def scaled(self, factor: float) -> "Experiment2Config":
         # the gaps shrink with the movie, so the scaled kernel still bridges them
+        gaps = {dt: int(round(dt * factor)) for dt, _ in self.sweep}
+        if len(set(gaps.values())) < len(gaps):
+            raise StimulusError(f"scale {factor} rounds the gap durations {sorted(gaps)} to "
+                                f"{sorted(set(gaps.values()))} frames, so sweep points merge")
         return replace(self, size=max(21, int(round(self.size * factor))),
                        n_frames=max(16, int(round(self.n_frames * factor))),
                        kernel_halfwidth=max(4, int(round(self.kernel_halfwidth * factor))),
                        kernel_n_ds=max(4, int(round(self.kernel_n_ds * factor))),
-                       sweep=tuple((int(round(dt * factor)), dth) for dt, dth in self.sweep))
+                       sweep=tuple((gaps[dt], dth) for dt, dth in self.sweep))
 
     def bridges(self, delta_t: int) -> bool:
         """Whether the kernel can carry activity across a gap of delta_t
@@ -391,12 +395,13 @@ class Experiment2Config:
             delta_theta=delta_theta,
         )
 
-    def sde(self) -> SdeSpec:
-        # horizon = the kernel's temporal depth in frames
-        return normalized_sde(
-            "trajectory", self.kappa, self.alpha, float(self.kernel_n_ds),
-            self.n_paths, self.seed,
-        )
+    def model(self) -> tuple[ManifoldGrid, SdeSpec, KernelLattice]:
+        """The fiber grid, the trajectory kernel's SDE and its lattice.  The
+        horizon is the kernel's temporal depth in frames."""
+        grid = ManifoldGrid(self.n_theta, self.n_v, self.v_m)
+        spec = normalized_sde("trajectory", self.kappa, self.alpha, float(self.kernel_n_ds),
+                              self.n_paths, self.seed)
+        return grid, spec, trajectory_lattice(self.kernel_halfwidth, self.kernel_n_ds, grid)
 
 
 def gap_window(t1: int, t2: int, margin: int, n_frames: int) -> tuple[int, int]:
@@ -495,10 +500,8 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     # a bad sweep point or model is refused before any output
     for delta_t, delta_theta in cfg.sweep:
         cfg.stimulus_spec(int(delta_t), float(delta_theta))
-    grid = ManifoldGrid(cfg.n_theta, cfg.n_v, cfg.v_m)
+    grid, spec, lattice = cfg.model()
     bank = GaborBank(grid, cfg.p_modulus)
-    spec = cfg.sde()
-    lattice = trajectory_lattice(cfg.kernel_halfwidth, cfg.kernel_n_ds, grid)
     resolved = asdict(cfg)
     resolved["sweep"] = [list(map(float, pair)) for pair in cfg.sweep]
     out, chash, prov, cache_dir = _start_run(

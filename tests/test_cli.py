@@ -14,11 +14,18 @@ import pytest
 from motionlift import experiments
 from motionlift import io as vio
 from motionlift.cli import _eval_number, apply_config, main, parse_config_text
-from motionlift.experiments import Experiment2Config
-from motionlift.gabor import LiftedActivity, ManifoldGrid
+from motionlift.experiments import Experiment1Config, Experiment2Config
+from motionlift.gabor import (
+    GaborBank,
+    LiftedActivity,
+    ManifoldGrid,
+    StimulusVolume,
+    energy_filter,
+    threshold_activity,
+)
 from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, trajectory_lattice
 from motionlift.population import facilitate
-from motionlift.stimuli import occluded_trajectory
+from motionlift.stimuli import dashed_circle, occluded_trajectory, plane_wave
 
 
 def _outputs(out: Path) -> dict:
@@ -80,7 +87,7 @@ def test_experiment2_scale_shrinks_the_sweep_gaps_with_the_kernel(tmp_path):
     # at half scale the kernel reaches 8 frames, so an unscaled 12-frame gap
     # could never be bridged; the gap must shrink to 6 frames with it
     out = tmp_path / "traj"
-    code = main(["experiment2", "--scale", "0.5", "--dt", "12", "--dtheta", "0",
+    code = main(["experiment2", "--scale", "0.5", "--set", "sweep=[[12, 0]]",
                  "--set", "n_paths=8192", "--set", "n_theta=8", "--set", "n_v=5",
                  "--out", str(out)])
     assert code == 0
@@ -88,6 +95,39 @@ def test_experiment2_scale_shrinks_the_sweep_gaps_with_the_kernel(tmp_path):
     assert manifest["config"]["kernel_n_ds"] == 8
     assert manifest["config"]["sweep"] == [[6, 0.0]]
     assert manifest["gap_table"][0]["energy_positive"] > 0
+
+
+def test_a_kernel_run_warms_the_experiment2_cache(tmp_path, monkeypatch):
+    # one set of config keys, the sweep among them, serves both commands
+    cold = tmp_path / "cold"
+    assert main([*TINY_EXPERIMENT2, "--seed", "7", "--out", str(cold)]) == 0
+    cache = tmp_path / "cache"
+    assert main(["kernel", "--mode", "trajectory", *TINY_EXPERIMENT2[1:], "--seed", "7",
+                 "--out", f"{cache}/"]) == 0
+    [written] = cache.iterdir()
+    assert written.read_bytes() == (cold / "kernels" / written.name).read_bytes()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the kernel was estimated, not read from the cache")
+
+    monkeypatch.setattr(experiments, "estimate_kernel", refuse)
+    warm = tmp_path / "warm"
+    assert main([*TINY_EXPERIMENT2, "--seed", "7", "--out", str(warm),
+                 "--kernel-cache", str(cache)]) == 0
+    assert _outputs(warm) == _outputs(cold)
+
+
+def test_the_default_trajectory_kernel_has_mass_on_every_frame_offset(tmp_path):
+    # the horizon is the kernel's n_ds frames, so paths reach the last ds plane,
+    # under experiment 2's diffusion
+    out = tmp_path / "gamma.knl"
+    assert main(["kernel", "--mode", "trajectory", "--set", "n_paths=4000",
+                 "--out", str(out)]) == 0
+    kernel = vio.read_kernel(out)
+    cfg = Experiment2Config(n_paths=4000)
+    assert kernel.spec == cfg.model()[1]
+    mass = kernel.values.sum(axis=(0, 1, 3, 4))
+    assert mass.shape == (cfg.kernel_n_ds,) and (mass > 0).all()
 
 
 def test_experiment1_outputs_do_not_depend_on_the_thread_count(tmp_path):
@@ -108,7 +148,7 @@ def test_experiment1_outputs_do_not_depend_on_the_thread_count(tmp_path):
 @pytest.mark.parametrize("command", [
     ["experiment1", "--scale", "0.2", "--set", "n_paths=100"],
     ["experiment2", "--scale", "0.5", "--set", "n_paths=100"],
-    ["kernel", "--mode", "contour", "--paths", "100", "--seed", "1"],
+    ["kernel", "--mode", "contour", "--set", "n_paths=100", "--seed", "1"],
     ["facilitate", "--activity", "activity.vol", "--kernel", "kernel.knl"],
 ])
 def test_thread_count_below_one_is_a_usage_error(tmp_path, no_worker_pool, command, value):
@@ -158,9 +198,11 @@ EXIT_CASES = [
     ("nan-activity", 5, "the activity holds NaN or infinite values"),
     ("filter-axes", 5, "stimulus axes ['q1', 'q2', 'theta'] are not (q1, q2, s)"),
     ("filter-frames", 5, "frames [99] outside the stimulus's frames 0..5"),
-    ("kernel --n-theta 3", 5, "n_theta must be >= 4, got 3"),
-    ("kernel --n-v 4", 5, "n_v must be odd so v = 0 is a bin center, got 4"),
+    ("kernel --set n_theta=3", 5, "n_theta must be >= 4, got 3"),
+    ("kernel --set n_v=4", 5, "n_v must be odd so v = 0 is a bin center, got 4"),
     ("kernel --seed -5", 5, "seed must be >= 0, got -5"),
+    # a single slice has no frame pair for a trajectory kernel to link
+    ("single-slice-trajectory", 5, "a single-slice activity has no such pair"),
     # a kernel off the layout of its mode is malformed, not gathered
     ("kernel-v-origin", 4,
      "malformed kernel header: ValueError('the v axis must be centred on 0"),
@@ -217,7 +259,7 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
             argv += ["--s-slice", "99"]
     elif case.startswith("kernel "):
         # the kernel's fiber lattice is a grid's, with the grid's checks
-        argv = ["kernel", "--mode", "contour", "--paths", "100", "--seed", "1",
+        argv = ["kernel", "--mode", "contour", "--set", "n_paths=100", "--seed", "1",
                 *case.split()[1:], "--out", str(out)]
     else:
         activity = tmp_path / "activity.vol"
@@ -233,7 +275,8 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
             kernel.write_bytes(b"not a kernel")
         elif case != "missing-kernel":
             grid = ManifoldGrid(8 if case == "orientation-mismatch" else 6, 3, 1.0)
-            if case in ("kernel-ds-spacing=2", "kernel-5d-contour-sde"):
+            if case in ("kernel-ds-spacing=2", "kernel-5d-contour-sde",
+                        "single-slice-trajectory"):
                 mode, lat = "trajectory", trajectory_lattice(3, 2, grid)
             else:
                 mode, lat = "contour", contour_lattice(3, grid)
@@ -328,6 +371,20 @@ def test_scale_must_be_finite_and_positive(tmp_path, no_worker_pool, command, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", ["0.1", "0.01"])
+@pytest.mark.parametrize("command", [["experiment2"], ["kernel", "--mode", "trajectory"]],
+                         ids=["experiment2", "kernel"])
+def test_a_scale_that_merges_sweep_points_is_a_config_error(tmp_path, capsys, no_worker_pool,
+                                                            command, scale):
+    # at 0.1 the default sweep's gaps of 6 and 12 frames both round to 1; at
+    # 0.01 every gap rounds to 0
+    out = tmp_path / "run"
+    assert main([*command, "--scale", scale, "--set", "n_paths=100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "so sweep points merge" in err
+    assert not out.exists()
+
+
 def test_python_dash_m_motionlift_returns_the_cli_exit_code(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("nosuchkey = 1\n")
@@ -360,12 +417,13 @@ def test_facilitate_with_one_velocity_bin_matches_the_api(tmp_path):
     # one velocity bin has d_v = 1 at any v_m, the v spacing of its kernel
     stimulus, lifted, kernel, out = (tmp_path / name for name in
                                      ("bar.vol", "lifted.vol", "kernel.knl", "out.vol"))
-    fibers = ["--n-theta", "8", "--n-v", "1"]
     assert main(["make-stimulus", "--kind", "bar", "--dims", "16", "16", "6",
                  "--out", str(stimulus)]) == 0
-    assert main(["filter", "--stimulus", str(stimulus), *fibers, "--out", str(lifted)]) == 0
-    assert main(["kernel", "--mode", "contour", *fibers, "--paths", "2000", "--seed", "1",
-                 "--halfwidth", "3", "--out", str(kernel)]) == 0
+    assert main(["filter", "--stimulus", str(stimulus), "--n-theta", "8", "--n-v", "1",
+                 "--out", str(lifted)]) == 0
+    assert main(["kernel", "--mode", "contour", "--set", "n_theta=8", "--set", "n_v=1",
+                 "--set", "n_paths=2000", "--set", "kernel_halfwidth=3", "--seed", "1",
+                 "--out", str(kernel)]) == 0
     assert main(["facilitate", "--activity", str(lifted), "--kernel", str(kernel),
                  "--out", str(out)]) == 0
     values, _ = vio.read_volume(lifted)
@@ -375,6 +433,48 @@ def test_facilitate_with_one_velocity_bin_matches_the_api(tmp_path):
     got, _ = vio.read_volume(out)
     assert want.any()
     assert np.array_equal(got, want.astype(got.dtype))
+
+
+def test_filter_with_a_gain_thresholds_the_api_lift(tmp_path):
+    stimulus, lifted = tmp_path / "bar.vol", tmp_path / "lifted.vol"
+    assert main(["make-stimulus", "--kind", "bar", "--dims", "16", "16", "6",
+                 "--out", str(stimulus)]) == 0
+    assert main(["filter", "--stimulus", str(stimulus), "--n-theta", "4", "--n-v", "3",
+                 "--mu", "10", "--beta", "0.4", "--out", str(lifted)]) == 0
+    data, _ = vio.read_volume(stimulus)
+    raw = energy_filter(StimulusVolume(data.astype(np.float64)),
+                        GaborBank(ManifoldGrid(4, 3, 1.0), math.pi / 2))
+    want = threshold_activity(raw, 10.0, 0.4).values
+    got, header = vio.read_volume(lifted)
+    assert header["kind"] == "thresholded"
+    assert np.array_equal(got, want.astype(got.dtype))
+
+
+def test_export_slice_writes_the_api_csv(tmp_path):
+    activity, _ = _facilitate_inputs(tmp_path)
+    values, header = vio.read_volume(activity)
+    out, want = tmp_path / "out.csv", tmp_path / "want.csv"
+    assert main(["export", "--volume", str(activity), "--slice", "s=1", "--slice", "v=2",
+                 "--out", str(out)]) == 0
+    vio.export_slice_csv(want, values, header["axes"], {"s": 1, "v": 2})
+    assert out.read_text() == want.read_text()
+    assert out.read_text().startswith("q1,q2,theta,value\n")
+
+
+@pytest.mark.parametrize("kind", ["circle", "plane-wave"])
+def test_make_stimulus_renders_the_api_stimulus(tmp_path, kind):
+    out = tmp_path / "stimulus.vol"
+    if kind == "circle":
+        argv = ["--set", "size=32", "--set", "n_frames=4", "--set", "radius=10"]
+        stim, truth = dashed_circle(
+            Experiment1Config(size=32, n_frames=4, radius=10.0).stimulus_spec())
+    else:
+        argv = ["--dims", "12", "10", "5", "--p", "1.2", "--theta", "0.7", "--v", "0.8"]
+        stim, truth = plane_wave((12, 10, 5), 1.2, 0.7, 0.8)
+    assert main(["make-stimulus", "--kind", kind, *argv, "--out", str(out)]) == 0
+    got, header = vio.read_volume(out)
+    assert np.array_equal(got, stim.data.astype(got.dtype))
+    assert header["provenance"]["truth"] == json.loads(json.dumps(truth))
 
 
 def test_facilitate_output_does_not_depend_on_the_thread_count(tmp_path):
@@ -418,7 +518,7 @@ def test_experiment2_leaves_every_facilitate_output_as_returned(tmp_path, monkey
 
     monkeypatch.setattr(experiments, "facilitate", recording)
     out = tmp_path / "traj"
-    assert main([*TINY_EXPERIMENT2, "--dt", "2", "--dtheta", "0.5", "--out", str(out)]) == 0
+    assert main([*TINY_EXPERIMENT2, "--set", "sweep=[[2, 0.5]]", "--out", str(out)]) == 0
     # the first part with the all-ones frame, then the second part with the band
     assert len(returned) == 2
     assert all(np.array_equal(act.values, kept) for act, kept in returned)

@@ -161,8 +161,8 @@ def test_decomposed_gap_table_matches_the_whole_stimulus_reference(tmp_path):
     cfg = replace(TINY, sweep=(*TINY.sweep, (0, 0.3)))
     cache = tmp_path / "kernels"
     table = run_experiment2(cfg, tmp_path / "run", kernel_cache=cache)
-    lattice = trajectory_lattice(cfg.kernel_halfwidth, cfg.kernel_n_ds, _grid(cfg))
-    kernel = load_or_estimate_kernel(cache, cfg.sde(), lattice)
+    _, spec, lattice = cfg.model()
+    kernel = load_or_estimate_kernel(cache, spec, lattice)
     want = _reference_table(cfg, kernel)
     scale = max(abs(row["energy"]) for row in want)
     for row, ref in zip(table, want):

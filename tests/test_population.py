@@ -405,6 +405,21 @@ class TestGatherContract:
         with pytest.raises(ValueError):
             facilitate(act, kernel)
 
+    def test_a_kernel_of_another_velocity_spacing_is_rejected(self, small4):
+        # v_m = 2 keeps the kernel's shape but doubles its v spacing
+        grid, _ = small4
+        kernel = synthetic_kernel(contour_lattice(3, ManifoldGrid(6, 3, 2.0)))
+        act = LiftedActivity(grid, np.ones((7, 7, 1, 6, 3)), "facilitation", np.array([0]))
+        with pytest.raises(ValueError, match="velocity spacings differ"):
+            facilitate(act, kernel)
+
+    def test_repeated_frame_times_are_rejected(self, small5):
+        grid, kernel = small5
+        act = LiftedActivity(grid, np.ones((7, 7, 3, 6, 3)), "facilitation",
+                             np.array([0, 1, 1]))
+        with pytest.raises(ValueError, match="must be distinct"):
+            FacilitationPlan(kernel, grid, (7, 7)).apply(act)
+
     def test_plan_rejects_an_activity_it_was_not_built_for(self):
         # a plan's FFT periods are for its dims and its shears for its grid's
         # velocities; v_m = 2 has the same shapes as v_m = 1, so only the
