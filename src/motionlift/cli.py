@@ -13,8 +13,8 @@ for byte.
 
 Exit codes: 0 success, 2 invalid usage or configuration, 3 a named input
 file does not exist, 4 malformed volume/kernel file (a kernel whose axes
-are off the layout of its SDE's mode included), 5 numerical or validation
-failure.
+are off the layout of its SDE's mode, or that holds a NaN or infinite
+value, included), 5 numerical or validation failure.
 """
 
 from __future__ import annotations

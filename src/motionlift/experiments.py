@@ -52,7 +52,7 @@ from .kernels import (
     estimate_kernel,
     trajectory_lattice,
 )
-from .population import activity_steady, facilitate, facilitation_difference
+from .population import activity_steady, check_c_f, facilitate, facilitation_difference
 from .stimuli import (
     CircleStimulusSpec,
     StimulusError,
@@ -269,6 +269,7 @@ def run_experiment1(cfg: Experiment1Config, out_dir, *, n_threads: int = 1,
         raise StimulusError(f"no pixel lies background_margin = {cfg.background_margin} or "
                             "more from the circle, so no background sample can be drawn")
     # the model is built, and a bad one refused, before any output
+    check_c_f(cfg.c_f)
     grid, spec, lattice = cfg.model()
     bank = GaborBank(grid, cfg.p_modulus)
     resolved = asdict(cfg)
@@ -497,9 +498,12 @@ def run_experiment2(cfg: Experiment2Config, out_dir, *, n_threads: int = 1,
     straight into the stacked buffer.  T1 is never stacked with D and T2:
     that one call held about a quarter more memory than the sweep's peak.
     """
-    # a bad sweep point or model is refused before any output
+    # a bad sweep point, readout window or model is refused before any output
     for delta_t, delta_theta in cfg.sweep:
         cfg.stimulus_spec(int(delta_t), float(delta_theta))
+    if cfg.gap_margin < 0:
+        raise StimulusError(f"gap_margin must be >= 0, got {cfg.gap_margin}")
+    check_c_f(cfg.c_f)
     grid, spec, lattice = cfg.model()
     bank = GaborBank(grid, cfg.p_modulus)
     resolved = asdict(cfg)

@@ -71,11 +71,14 @@ class ManifoldGrid:
     """The fiber lattice of the lifted domain, and its one record.
 
     Orientations are n_theta bins over [0, 2*pi) and velocities n_v bins
-    spanning [-v_m, v_m] with v = 0 a bin center.  The Gabor bank, the
-    kernel lattices (``kernels.contour_lattice``, ``trajectory_lattice``)
-    and the gather read their fiber bins and spacings from here.  Spatial
-    nodes are the pixels of the movie or activity at hand, and the frames
-    an activity holds are its own ``s_frames``.
+    spanning [-v_m, v_m] with v = 0 a bin center.  n_theta is even, so the
+    grid maps onto itself under the half turn (theta, v) -> (theta + pi, -v),
+    bin (i, j) to (i + n_theta/2, n_v - 1 - j); the lift and the gather
+    compute one fiber of each such pair.  The Gabor bank, the kernel
+    lattices (``kernels.contour_lattice``, ``trajectory_lattice``) and the
+    gather read their fiber bins and spacings from here.  Spatial nodes are
+    the pixels of the movie or activity at hand, and the frames an activity
+    holds are its own ``s_frames``.
     """
 
     n_theta: int = 16
@@ -85,6 +88,8 @@ class ManifoldGrid:
     def __post_init__(self):
         if self.n_theta < 4:
             raise ValueError(f"n_theta must be >= 4, got {self.n_theta}")
+        if self.n_theta % 2:
+            raise ValueError(f"n_theta must be even so theta + pi is a bin, got {self.n_theta}")
         if self.n_v < 1 or self.n_v % 2 == 0:
             raise ValueError(f"n_v must be odd so v = 0 is a bin center, got {self.n_v}")
         if not self.v_m > 0:
@@ -347,12 +352,10 @@ def energy_filter(stimulus: StimulusVolume, bank: GaborBank, frames=None) -> Lif
 
     Two shortcuts leave out work whose result is known:
 
-    - At even n_theta the filter at (theta + pi, -v), index
-      (i + n_theta/2, n_v - 1 - j), is the conjugate of the one at
-      (theta, v), so their energies agree.  Only v < 0 at every theta and
-      v = 0 at theta < pi are lifted; each energy is copied to its
-      partner, which is an exact copy.  At odd n_theta no fiber has a
-      partner and every fiber is lifted.
+    - The filter at (theta + pi, -v), index (i + n_theta/2, n_v - 1 - j),
+      is the conjugate of the one at (theta, v), so their energies agree.
+      Only v < 0 at every theta and v = 0 at theta < pi are lifted; each
+      energy is copied to its partner, which is an exact copy.
     - A kept frame is blank-reach when every movie frame within the
       filter's temporal reach (rt frames either way) is all zeros.  Its
       energy is exactly 0, as the direct sum gives, and it is written as
@@ -390,8 +393,8 @@ def energy_filter(stimulus: StimulusVolume, bank: GaborBank, frames=None) -> Lif
     env = t_response(0, 1)  # the envelope term's temporal factor is the same at every v
     n_th, n_v = grid.n_theta, grid.n_v
     c = n_v // 2  # the v = 0 bin
-    half = n_th // 2 if n_th % 2 == 0 else 0  # (i, j) pairs with (i + half, n_v - 1 - j)
-    temporal = [(t_response(j, 0), t_response(j, 2)) for j in range(c + 1 if half else n_v)]
+    half = n_th // 2  # (i, j) pairs with (i + half, n_v - 1 - j)
+    temporal = [(t_response(j, 0), t_response(j, 2)) for j in range(c + 1)]
 
     def energy(i, j):
         """Fiber (i, j)'s energy at the live frames, axes (x1, x2, s)."""
@@ -403,18 +406,17 @@ def energy_filter(stimulus: StimulusVolume, bank: GaborBank, frames=None) -> Lif
         lin = np.fft.ifft2(spectrum.reshape(px, py, live_frames.size), axes=(0, 1))
         return np.abs(lin[rx : rx + nx, rx : rx + ny]) ** 2
 
-    # row holds orientation i's energies, fiber-major.  At even n_theta its
-    # v > 0 half is the lifted (i + half, v < 0) energies, and orientation
-    # i + half is row in reverse v order.
+    # row holds orientation i's energies, fiber-major.  Its v > 0 half is
+    # the lifted (i + half, v < 0) energies, and orientation i + half is row
+    # in reverse v order.
     row = np.empty((n_v, nx, ny, live_frames.size))
-    for i in range(half or n_th):
-        for j in range(c + 1 if half else n_v):
+    for i in range(half):
+        for j in range(c + 1):
             row[j] = energy(i, j)
-        for j in range(c if half else 0):
+        for j in range(c):
             row[n_v - 1 - j] = energy(i + half, j)
         values[:, :, out, i] = row.transpose(1, 2, 3, 0)
-        if half:
-            values[:, :, out, i + half] = row[::-1].transpose(1, 2, 3, 0)
+        values[:, :, out, i + half] = row[::-1].transpose(1, 2, 3, 0)
     return LiftedActivity(grid, values, "raw", frames)
 
 

@@ -237,6 +237,8 @@ class KernelGrid:
         if self.values.ndim != len(self.axes):
             raise ValueError("kernel values rank does not match axes")
         _check_layout(self.lattice, self.spec.mode)
+        if not np.isfinite(self.values).all():
+            raise ValueError("kernel values must be finite")
         if self.values.size and float(self.values.min()) < 0:
             raise ValueError("kernel values must be nonnegative")
 
@@ -257,22 +259,15 @@ def _batch_counts(n_paths: int) -> list[int]:
     return [min(BATCH_SIZE, n_walks - b * BATCH_SIZE) for b in range(n_batches)]
 
 
-def _simulate_batch_histogram(
-    spec: SdeSpec,
-    lattice: KernelLattice,
-    nb: int,
-    child_seed,
-    start_jitter: bool = False,
-) -> np.ndarray:
-    """Run one batch of paths and count each step's passage through the lattice.
+def _simulate_batch_histogram(spec: SdeSpec, lattice: KernelLattice, nb: int,
+                              child_seed) -> np.ndarray:
+    """Run one batch of paths from the origin and count each step's passage
+    through the lattice.
 
     Returns the flat int64 passage counts.  The per-path random stream order
-    is (step, channel, path), fixed.  The drift follows the spec's mode;
-    whether deposits use a ds axis follows the lattice rank, so
-    trajectory-mode paths can also be binned on the 4D per-parameter lattice
-    for oracle comparisons.  With ``start_jitter`` each path starts from a
-    half-cell Gaussian about the origin instead of at it; such walks are
-    test-only, and the estimate never mirrors them.
+    is (step, channel, path), fixed.  The drift, and whether deposits use a
+    ds axis, follow the spec's mode; the lattice has that mode's layout
+    (``_check_layout``).
 
     Steps are walked in blocks of ``STEP_BLOCK``.  Row 0 of each walk holds
     the state before the block and row r + 1 the state after its step r;
@@ -284,9 +279,8 @@ def _simulate_batch_histogram(
     sk = math.sqrt(2.0 * dt) * spec.kappa
     sa = math.sqrt(2.0 * dt) * spec.alpha
     trajectory = spec.mode == "trajectory"
-    has_ds = len(lattice.shape) == 5
     sh = lattice.shape
-    ax_t, ax_v = (3, 4) if has_ds else (2, 3)
+    ax_t, ax_v = (3, 4) if trajectory else (2, 3)
     n_th, n_v = sh[ax_t], sh[ax_v]
     d_th = lattice.spacing[ax_t]
     o_v, d_v = lattice.origin[ax_v], lattice.spacing[ax_v]
@@ -294,19 +288,13 @@ def _simulate_batch_histogram(
     d_q1, d_q2 = lattice.spacing[0], lattice.spacing[1]
     block = min(STEP_BLOCK, spec.n_steps)
     q1, q2, th, v = (np.zeros((block + 1, nb)) for _ in range(4))
-    if start_jitter:
-        jit = rng.standard_normal((4, nb)) * 0.5
-        q1[0] = jit[0] * d_q1
-        q2[0] = jit[1] * d_q2
-        th[0] = jit[2] * d_th
-        v[0] = jit[3] * d_v
     noise = np.empty((block, 2, nb))
     # each bounded axis gets a guard bin either side that collects the
     # passages off it (theta wraps); guard bins are cut away at the end.  The
     # ds axis leads, so a step's ds bin is one offset for the whole row.
     gshape = (sh[0] + 2, sh[1] + 2, n_th, n_v + 2)
     gsize = int(np.prod(gshape))
-    n_s = sh[2] + 2 if has_ds else 1
+    n_s = sh[2] + 2 if trajectory else 1
     counts = np.zeros(n_s * gsize, dtype=np.int64)
     for k0 in range(0, spec.n_steps, block):
         m = min(block, spec.n_steps - k0)
@@ -340,13 +328,13 @@ def _simulate_batch_histogram(
         for w in (q1, q2, th, v):
             w[0] = w[m]
         flat = ((i1 * gshape[1] + i2) * n_th + it) * gshape[3] + iv
-        if has_ds:
+        if trajectory:
             # ds bin j covers (j-1, j]; steps past the last bin hit a guard bin
             i_s = [math.ceil((k0 + r + 1) * dt - 1e-9) - 1 for r in range(m)]
             flat += (np.clip(i_s, -1, sh[2]) + 1)[:, None] * gsize
         counts += np.bincount(flat.ravel(), minlength=counts.size)
     counts = counts.reshape(n_s, *gshape)[:, 1:-1, 1:-1, :, 1:-1]
-    if has_ds:
+    if trajectory:
         counts = np.moveaxis(counts[1:-1], 0, 2)  # to (q1, q2, s, theta, v)
     return counts.ravel()
 

@@ -29,18 +29,19 @@ corner tables built once per plan), transformed in batches, and mixed over
 the fibers by one batched matrix product per chunk of Fourier bins.  Only
 the (dtheta, dv) planes of an offset that hold a nonzero value after
 truncation are sampled and transformed; the others map to a zero
-spectrum.  At even n_theta only the input orientations theta' < pi
-are sampled and transformed: turning a stencil by pi reflects it through
-the origin, so the spectrum at theta' + pi is a phase times the conjugate
-of one built at theta' (the half turn of Cohen & Welling's group acting on
-filters by index permutation), and the contraction applies it without
-building it.  An offset's stencil spectra are built and mixed in blocks
-of consecutive built orientations, at least one and as many as fit in the
-larger of ``_BLOCK_BYTES`` (32 MiB) and the output spectra the call holds
-anyway, and each block is freed before the next is built, so one block's
-spectra are held at a time.  Each FFT period only holds the output window
-that is kept, by the alias-free rule of ``gabor.fft_period``.  The result
-matches the explicit gather (``facilitate_reference``) to 1e-10 and
+spectrum.  Only the input orientations theta' < pi are sampled and
+transformed (every grid has an even n_theta): turning a stencil by pi
+reflects it through the origin, so the spectrum at theta' + pi is a phase
+times the conjugate of one built at theta' (the half turn of Cohen &
+Welling's group acting on filters by index permutation), and the
+contraction applies it without building it.  An offset's stencil
+spectra are built and mixed in blocks of consecutive built orientations,
+at least one and as many as fit in the larger of ``_BLOCK_BYTES``
+(32 MiB) and the output spectra the call holds anyway, and each block is
+freed before the next is built, so one block's spectra are held at a
+time.  Each FFT period only holds the output window that is kept, by
+the alias-free rule of ``gabor.fft_period``.  The result matches the
+explicit gather (``facilitate_reference``) to 1e-10 and
 is deterministic for fixed shapes.  The frame FFTs, the stencil spectra and
 the contraction are dealt over ``n_threads`` workers (by frame, by
 (theta', phi) unit and by chunk of Fourier bins), each worker taking the
@@ -142,12 +143,11 @@ class FacilitationPlan:
     the plan builds once in the calling thread and every offset shares, so
     sampling a batch of planes is four take-multiply-adds.
 
-    The built orientations are those below pi at even n_theta, and all of
-    them at odd n_theta.  Turning by pi maps the stencil sample at offset
-    (a, b) of (theta' + pi, phi) to the one at (s - a, -b) of
-    (theta', phi*), where phi* = (1 - phi) mod 1 is the class of -v (the
-    velocity bins are symmetric about 0) and s = 0 for phi = 0, else 1.
-    In the FFT period that reads
+    The built orientations are those below pi.  Turning by pi maps the
+    stencil sample at offset (a, b) of (theta' + pi, phi) to the one at
+    (s - a, -b) of (theta', phi*), where phi* = (1 - phi) mod 1 is the
+    class of -v (the velocity bins are symmetric about 0) and s = 0 for
+    phi = 0, else 1.  In the FFT period that reads
     S_{theta'+pi, phi}(k) = exp(-2 pi i (k1 (2 ext + s) / pad1
     + k2 2 ext / pad2)) conj(S_{theta', phi*}(k)), so an input fiber at
     theta' >= pi has its row index at the source unit (theta' - pi, phi*)
@@ -225,9 +225,8 @@ class FacilitationPlan:
         self.pad1 = fft_period(dims[0] + self.max_m, self.ext)
         self.pad2 = fft_period(dims[1], self.ext)
 
-        # at even n_theta only theta' < pi is built, and theta' + pi is its
-        # half turn
-        self.n_built = nth // 2 if nth % 2 == 0 else nth
+        # only theta' < pi is built, and theta' + pi is its half turn
+        self.n_built = nth // 2
         i_p = np.arange(nth)[:, None, None, None]
         j_p = np.arange(nv)[None, :, None, None]
         mirrored = i_p >= self.n_built
@@ -267,8 +266,7 @@ class FacilitationPlan:
         """k-major stencil spectra of offset d for the built input
         orientations t0 <= t' < t1, plus a trailing zero row: one column per
         (theta', phi) unit and nonzero plane of the offset.  ``_mix`` asks
-        only for built orientations, so at even n_theta never for
-        theta' >= pi.
+        only for built orientations, so never for theta' >= pi.
 
         The units are dealt over the workers; unit u fills columns
         [u n_pl, (u + 1) n_pl), and its worker samples its planes through
@@ -315,18 +313,17 @@ class FacilitationPlan:
         input orientations by block; within a block the k-chunks are dealt
         over the workers, each owning disjoint rows of phat.
 
-        At even n_theta a block of built orientations T serves the input
-        fibers at T and, as their mirrored half, those at T + pi.  A mirrored
-        fiber's stencil spectrum is
+        A block of built orientations T serves the input fibers at T and,
+        as their mirrored half, those at T + pi.  A mirrored fiber's
+        stencil spectrum is
         exp(-2 pi i (k1 (2 ext + s) / pad1 + k2 2 ext / pad2)) times the
-        conjugate of its source unit's (see ``__init__``): the x shift is part
-        of its ``delta``, the y shift is added to its phase, and no mirrored
-        spectrum is built.  The conjugate is taken on the mirrored inputs and
+        conjugate of its source unit's (see ``__init__``): the x shift is
+        part of its ``delta``, the y shift is added to its phase, and no
+        mirrored spectrum is built.  The conjugate is taken on the mirrored inputs and
         products: the mirrored half enters phat as
         conj(conj(phase f) @ spectra), one matmul after the direct one."""
         phis, rows, delta = self.mixing[d]
-        nth, nv, nb = self.grid.n_theta, self.grid.n_v, self.n_built
-        halves = nth // nb  # 2 where theta' + pi is mirrored, else 1
+        nv, nb = self.grid.n_v, self.n_built
         nk, nf = len(phat), rows.shape[1]
         blk = len(phis) * len(self.planes[d][0])  # spectra per built orientation
         # each block costs one read-modify-write pass over phat, so a block may
@@ -338,15 +335,15 @@ class FacilitationPlan:
         kphase = -2j * np.pi * np.repeat(np.fft.fftfreq(self.pad1), nk2)[:, None]
         yphase = -4j * np.pi * self.ext * np.tile(np.arange(nk2) / self.pad2, self.pad1)[:, None]
         # input fibers as (half turn, built orientation and velocity)
-        fib = fhat.reshape(nk, fhat.shape[1], halves, nb * nv)
-        rows = rows.reshape(halves, nb * nv, nf)
-        delta = delta.reshape(halves, nb * nv)
+        fib = fhat.reshape(nk, fhat.shape[1], 2, nb * nv)
+        rows = rows.reshape(2, nb * nv, nf)
+        delta = delta.reshape(2, nb * nv)
         runs = _runs(outs)
         for t0 in range(0, nb, per):
             t1 = min(t0 + per, nb)
             built = slice(t0 * nv, t1 * nv)
             m0 = (t1 - t0) * nv  # the block's mirrored fibers follow its built ones
-            n_in = halves * m0
+            n_in = 2 * m0
             spectra = self._spectra(d, t0, t1, workers)
             # rows of other blocks never occur here; the zero row moves to the block's end
             block_rows = np.minimum(rows[:, built] - t0 * blk, (t1 - t0) * blk).reshape(n_in, nf)
@@ -372,10 +369,10 @@ class FacilitationPlan:
                 phase[:kc, m0:] += yphase[k0:k1]
                 np.exp(phase[:kc], out=phase[:kc])  # (kc, n_in)
                 np.take(fib[k0:k1, :, :, built], ins, axis=1, mode="clip",
-                        out=f[:kc].reshape(kc, len(ins), halves, m0))
+                        out=f[:kc].reshape(kc, len(ins), 2, m0))
                 np.multiply(f[:kc], phase[:kc, None], out=f[:kc])
                 np.take(spectra[k0:k1], block_rows, axis=1, out=mix[:kc], mode="clip")
-                for h in range(halves):
+                for h in range(2):
                     cols = slice(h * m0, (h + 1) * m0)
                     if h:
                         np.conjugate(f[:kc, :, cols], out=f[:kc, :, cols])
@@ -551,6 +548,12 @@ def facilitate_reference(activity: LiftedActivity, kernel: KernelGrid) -> Lifted
     return activity.with_values(out, "facilitation")
 
 
+def check_c_f(c_f: float) -> None:
+    """Raise unless the facilitation gain c_f is >= 0."""
+    if c_f < 0:
+        raise ValueError("the model is purely excitatory: c_f must be >= 0")
+
+
 def activity_steady(
     raw: LiftedActivity, facil: LiftedActivity, c_f: float, mu: float, beta: float
 ) -> LiftedActivity:
@@ -559,8 +562,7 @@ def activity_steady(
     The drive is formed in the output array and the sigmoid is taken in
     place in cache-sized chunks (``sigmoid_in_place``), so the call holds
     about one field."""
-    if c_f < 0:
-        raise ValueError("the model is purely excitatory: c_f must be >= 0")
+    check_c_f(c_f)
     if raw.kind != "raw":
         raise ValueError("activity_steady expects the raw energy as first input")
     if facil.kind != "facilitation":

@@ -55,6 +55,11 @@ class CircleStimulusSpec:
             raise StimulusError("radius and segment width must be positive")
         if not 0.0 < self.gap_fraction < 1.0:
             raise StimulusError(f"gap_fraction must be in (0, 1), got {self.gap_fraction}")
+        n, margin = self.size, self.radius + self.segment_width
+        for t in (0, self.n_frames - 1):  # the motion is straight, so its ends bound it
+            cx, cy = self.center_at(t)
+            if min(cx, cy) - margin < -0.5 or max(cx, cy) + margin > n - 0.5:
+                raise StimulusError(f"circle leaves the frame at t={t}")
 
     def center_at(self, t: int) -> tuple[float, float]:
         # anchored so the mid frame is centered in the image
@@ -74,14 +79,6 @@ def dashed_circle(spec: CircleStimulusSpec) -> tuple[StimulusVolume, dict]:
     with apparent velocity v* = velocity . (cos phi, sin phi).
     """
     n = spec.size
-    margin = spec.radius + spec.segment_width
-    for t in (0, spec.n_frames - 1):
-        cx, cy = spec.center_at(t)
-        if (
-            cx - margin < -0.5 or cx + margin > n - 0.5
-            or cy - margin < -0.5 or cy + margin > n - 0.5
-        ):
-            raise StimulusError(f"circle leaves the frame at t={t}")
     seg_angle = 2.0 * math.pi / spec.n_segments
     drawn = seg_angle * (1.0 - spec.gap_fraction)
     ax = _supersample_axis(n)
@@ -144,10 +141,19 @@ class TrajectoryStimulusSpec:
             raise StimulusError(
                 f"t1 + delta_t = {self.t1 + self.delta_t} must be < n_frames = {self.n_frames}"
             )
+        n, a = self.size, self.eccentricity * self.minor_axis / 2.0
+        for t in self.visible_frames():
+            cx, cy, _ = self.position_at(t)
+            if min(cx, cy) < -a - 0.5 or max(cx, cy) > n - 0.5 + a:
+                raise StimulusError(f"object is fully outside the frame at t={t}")
 
     @property
     def t2(self) -> int:
         return self.t1 + self.delta_t
+
+    def visible_frames(self) -> list[int]:
+        """The frames the object is drawn in: those before t1 and from t2 on."""
+        return [*range(self.t1), *range(self.t2, self.n_frames)]
 
     def path(self) -> dict:
         """Way-points of the piecewise-linear continuous trajectory.
@@ -180,22 +186,15 @@ class TrajectoryStimulusSpec:
         return (p["turn"][0] + arc * d[0], p["turn"][1] + arc * d[1], th)
 
 
-def _render_ellipse_frames(spec: TrajectoryStimulusSpec, visible) -> np.ndarray:
+def _render_ellipse_frames(spec: TrajectoryStimulusSpec) -> np.ndarray:
     n = spec.size
     b = spec.minor_axis / 2.0  # semi-axis along the motion
     a = spec.eccentricity * b  # semi-axis across the motion
     ax = _supersample_axis(n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     frames = np.zeros((n, n, spec.n_frames))
-    for t in range(spec.n_frames):
-        if not visible(t):
-            continue
+    for t in spec.visible_frames():
         cx, cy, th = spec.position_at(t)
-        if (
-            cx < -a - 0.5 or cx > n - 0.5 + a
-            or cy < -a - 0.5 or cy > n - 0.5 + a
-        ):
-            raise StimulusError(f"object is fully outside the frame at t={t}")
         dx = X - cx
         dy = Y - cy
         along = dx * math.cos(th) + dy * math.sin(th)
@@ -215,7 +214,7 @@ def occluded_trajectory(
     from t2 on.  By construction S1 and S2 have disjoint temporal support
     and S3 = S1 + S2 on every frame.
     """
-    s3 = _render_ellipse_frames(spec, lambda t: t < spec.t1 or t >= spec.t2)
+    s3 = _render_ellipse_frames(spec)
     s1 = s3.copy()
     s1[:, :, spec.t1 :] = 0.0
     s2 = s3.copy()

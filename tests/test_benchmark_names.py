@@ -5,7 +5,9 @@ tests read that file without running it and check that each such name
 still exists and is callable, and that each call it makes still fits the
 signature, so that deleting or renaming one cannot break the benchmark
 unseen.  The harness's oracle also reads the activity's grid and frames and
-the kernel's fields; the last test runs it on small gathers.
+the kernel's fields; a test runs it on small gathers.  The last test
+resolves the config of every workload in ``perfbench/run.py`` and builds
+its model, so a config rule cannot refuse a benchmark run unseen.
 """
 
 import ast
@@ -17,11 +19,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionlift.gabor import LiftedActivity, ManifoldGrid
+from motionlift import cli
+from motionlift.gabor import GaborBank, LiftedActivity, ManifoldGrid
 from motionlift.kernels import KernelGrid, SdeSpec, contour_lattice, trajectory_lattice
 from motionlift.population import facilitate
 
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CHILD = PERFBENCH / "child.py"
+
+
+def _load(monkeypatch, path: Path):
+    """A harness file loaded as a module without running its main, writing
+    its bytecode cache or keeping any source path it puts on sys.path; it is
+    in ``sys.modules`` (its dataclasses look themselves up there) for the
+    test only."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _child_tree_and_modules():
@@ -79,13 +97,7 @@ def test_every_package_call_of_the_benchmark_fits_the_signature():
 
 @pytest.mark.parametrize("rank", [4, 5])
 def test_the_benchmark_oracle_passes_on_small_gathers(monkeypatch, rank):
-    # load the harness as a module without writing its bytecode cache or
-    # keeping the source path it puts on sys.path
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    child = _load(monkeypatch, CHILD)
     grid = ManifoldGrid(6, 3, 1.0)
     if rank == 4:
         lat, ns, mode = contour_lattice(3, grid), 1, "contour"
@@ -103,3 +115,26 @@ def test_the_benchmark_oracle_passes_on_small_gathers(monkeypatch, rank):
     result = child.oracle_check(capture, seed=11)
     assert result["rank"] == rank and result["nodes"] == child.ORACLE_NODES
     assert result["max_rel_err"] <= 1e-9
+
+
+def test_every_benchmark_workload_resolves_to_a_model(monkeypatch):
+    # each workload's argv, with the flags the harness adds, through the CLI's
+    # own parser and config resolution, up to the checks a run makes before
+    # its output: the stimulus specs, the fiber grid, the lift's bank, the
+    # SDE and the kernel lattice
+    run = _load(monkeypatch, PERFBENCH / "run.py")
+    for table in (run.WORKLOADS, run.TINY):
+        for workload in table.values():
+            args = cli.build_parser().parse_args(
+                [*workload.argv, "--out", "out", "--seed", "1", "--kernel-cache", "cache"])
+            if args.command == "experiment1":
+                cfg = cli._experiment_config(cli.Experiment1Config, args)
+                cfg.stimulus_spec()
+            else:
+                cfg = cli._experiment_config(cli.Experiment2Config, args)
+                for delta_t, delta_theta in cfg.sweep:
+                    cfg.stimulus_spec(delta_t, delta_theta)
+            grid, spec, lattice = cfg.model()
+            GaborBank(grid, cfg.p_modulus)
+            assert spec.n_paths == cfg.n_paths and lattice.shape[-2:] == (
+                grid.n_theta, 2 * grid.n_v - 1)

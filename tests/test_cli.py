@@ -199,6 +199,7 @@ EXIT_CASES = [
     ("filter-axes", 5, "stimulus axes ['q1', 'q2', 'theta'] are not (q1, q2, s)"),
     ("filter-frames", 5, "frames [99] outside the stimulus's frames 0..5"),
     ("kernel --set n_theta=3", 5, "n_theta must be >= 4, got 3"),
+    ("kernel --set n_theta=5", 5, "n_theta must be even so theta + pi is a bin, got 5"),
     ("kernel --set n_v=4", 5, "n_v must be odd so v = 0 is a bin center, got 4"),
     ("kernel --seed -5", 5, "seed must be >= 0, got -5"),
     # a single slice has no frame pair for a trajectory kernel to link
@@ -210,6 +211,8 @@ EXIT_CASES = [
      "malformed kernel header: ValueError('the s axis must start at ds = 1 with a spacing of 1"),
     ("kernel-5d-contour-sde", 4,
      'malformed kernel header: ValueError("a contour kernel has the axes'),
+    # a NaN has no mass to check, so the kernel's values are checked themselves
+    ("kernel-nan-value", 4, "malformed kernel header: ValueError('kernel values must be finite')"),
 ]
 
 
@@ -298,6 +301,8 @@ def test_documented_exit_codes(tmp_path, capsys, case, code, message):
                                                                  *h["spacing"][3:]]})
             elif case == "kernel-5d-contour-sde":
                 _edit_header(kernel, lambda h: {**h, "sde": {**h["sde"], "mode": "contour"}})
+            elif case == "kernel-nan-value":  # the payload's last value
+                kernel.write_bytes(kernel.read_bytes()[:-4] + struct.pack("<f", math.nan))
         argv = ["facilitate", "--activity", str(activity), "--kernel", str(kernel),
                 "--out", str(out)]
     assert main(argv) == code
@@ -318,12 +323,15 @@ BAD_FIELDS = [
     (SMALL_EXPERIMENT1, "segment_width=0", "radius and segment width must be positive"),
     (SMALL_EXPERIMENT1, "gap_fraction=1", "gap_fraction must be in (0, 1), got 1.0"),
     (SMALL_EXPERIMENT1, "samples_per_gap=0", "samples_per_gap must be >= 1, got 0"),
+    (SMALL_EXPERIMENT1, "radius=40", "circle leaves the frame at t=0"),
     (TINY_EXPERIMENT2, "eccentricity=0.5", "eccentricity must be >= 1, got 0.5"),
     (TINY_EXPERIMENT2, "speed=-1", "speed must be >= 0 and minor_axis positive"),
     (TINY_EXPERIMENT2, "minor_axis=0", "speed must be >= 0 and minor_axis positive"),
     (TINY_EXPERIMENT2, "sweep=[[2, 0.5], [-2, 0]]", "t1 and delta_t must be nonnegative"),
     (TINY_EXPERIMENT2, "sweep=[[2, 0.5], [12, 0]]",
      "t1 + delta_t = 12 must be < n_frames = 12"),
+    (TINY_EXPERIMENT2, "speed=4", "object is fully outside the frame at t=0"),
+    (TINY_EXPERIMENT2, "gap_margin=-3", "gap_margin must be >= 0, got -3"),
 ]
 
 
@@ -342,15 +350,18 @@ def test_a_bad_stimulus_or_sampling_field_is_a_config_error(tmp_path, capsys, co
     (["--set", "kappa=-1"], "kappa and alpha must be nonnegative"),
     (["--set", "n_paths=0"], "n_paths must be >= 1"),
     (["--set", "n_v=4"], "n_v must be odd so v = 0 is a bin center, got 4"),
+    (["--set", "n_theta=5"], "n_theta must be even so theta + pi is a bin, got 5"),
     (["--set", "p_modulus=4"], "|p| = 4.0 is not below the Nyquist limit pi"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["kappa=-1", "n_paths=0", "n_v=4", "p_modulus=4", "seed=-1"])
+    (["--set", "c_f=-1"], "the model is purely excitatory: c_f must be >= 0"),
+], ids=["kappa=-1", "n_paths=0", "n_v=4", "n_theta=5", "p_modulus=4", "seed=-1", "c_f=-1"])
 @pytest.mark.parametrize("command", [SMALL_EXPERIMENT1, TINY_EXPERIMENT2],
                          ids=["experiment1", "experiment2"])
 def test_a_bad_model_is_refused_before_any_output(tmp_path, capsys, command, override,
                                                   message):
-    # the grid, the lift's bank, the SDE and the kernel lattice are built
-    # before the output tree, so nothing of it is written
+    # the grid, the lift's bank, the SDE, the kernel lattice and the
+    # facilitation gain are checked before the output tree, so nothing of
+    # it is written
     out = tmp_path / "run"
     assert main([*command, *override, "--out", str(out)]) == 5
     err = capsys.readouterr().err.splitlines()[-1]

@@ -238,11 +238,6 @@ class TestEnergyFilter:
             slow = energy_filter_direct(stim, bank, frames)
             assert fast.s_frames.tolist() == list(frames)
             assert np.abs(fast.values - slow.values).max() < 1e-10
-        # an odd n_theta has no (theta + pi, -v) partners: every fiber is lifted
-        bank = GaborBank(ManifoldGrid(5, 3, 1.0), P_HALF)
-        fast = energy_filter(stim, bank, (4, 6))
-        slow = energy_filter_direct(stim, bank, (4, 6))
-        assert np.abs(fast.values - slow.values).max() < 1e-10
 
     def test_blank_reach_frames_are_exact_zeros(self):
         # frames 2-5 and 17-19 hold the movie; a kept frame whose +-rt
@@ -371,6 +366,17 @@ class TestLiftSurface:
 
 
 class TestActivityValidation:
+    @pytest.mark.parametrize("n_theta", [5, 7, 15])
+    def test_an_odd_orientation_count_is_refused(self, n_theta):
+        # the lift and the gather compute one fiber of each pair (theta, v),
+        # (theta + pi, -v), so theta + pi must be a bin
+        with pytest.raises(ValueError, match=f"n_theta must be even .*, got {n_theta}"):
+            ManifoldGrid(n_theta, 3, 1.0)
+        grid = ManifoldGrid(n_theta + 1, 5, 1.0)
+        half = grid.n_theta // 2
+        assert np.allclose(grid.thetas[half:], grid.thetas[:half] + math.pi)
+        assert np.array_equal(grid.vs[::-1], -grid.vs)
+
     def test_kind_checked(self, small_grid):
         with pytest.raises(ValueError):
             LiftedActivity(small_grid, -np.ones((2, 2, 1, 8, 5)), "raw",

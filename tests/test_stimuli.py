@@ -59,10 +59,9 @@ class TestDashedCircle:
         assert s2.data.sum() < s1.data.sum()
 
     def test_leaving_frame_raises(self):
-        spec = CircleStimulusSpec(size=64, n_frames=40, radius=25.0,
-                                  velocity=(0.0, 1.0))
-        with pytest.raises(StimulusError):
-            dashed_circle(spec)
+        # the spec itself refuses it, so a pipeline does so before any output
+        with pytest.raises(StimulusError, match="circle leaves the frame at t=0"):
+            CircleStimulusSpec(size=64, n_frames=40, radius=25.0, velocity=(0.0, 1.0))
 
 
 class TestOccludedTrajectory:
@@ -124,6 +123,12 @@ class TestOccludedTrajectory:
     def test_eccentricity_below_one_rejected(self):
         with pytest.raises(ValueError):
             TrajectoryStimulusSpec(eccentricity=0.5)
+
+    def test_leaving_frame_raises(self):
+        # at t = 0 the object is 19 frames of speed 1 from the centre of a
+        # 21-pixel frame; the spec itself refuses it
+        with pytest.raises(StimulusError, match="object is fully outside the frame at t=0"):
+            TrajectoryStimulusSpec(size=21, n_frames=40, speed=1.0, t1=18, delta_t=2)
 
 
 class TestCalibrationStimuli:
