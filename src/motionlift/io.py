@@ -142,6 +142,8 @@ def read_kernel(path):
     values, header = read_volume(path)
     if header.get("kind") != "kernel":
         raise VolumeFormatError(f"{path}: kind {header.get('kind')!r} is not 'kernel'")
+    if not np.isfinite(values).all():  # NaN fails no comparison, so the mass check misses it
+        raise VolumeFormatError(f"{path}: the kernel payload holds NaN or infinite values")
     mass = float(values.sum())
     if abs(mass - 1.0) > 1e-6:  # float32 storage rounds the unit mass slightly
         raise VolumeFormatError(f"{path}: stored kernel mass {mass} is not 1")
@@ -168,6 +170,22 @@ def bind_axes(values: np.ndarray, axes, bindings: dict) -> tuple[np.ndarray, lis
     return np.asarray(values)[index], [name for name in axes if name not in bindings]
 
 
+def _write_rows(path, names, tables, idx: np.ndarray, values: np.ndarray) -> None:
+    """Write a CSV of the header ``names,value`` and one row per row of ``idx``.
+
+    A row holds each index's text in its axis's table (``tables[d]`` holds the
+    text of every index along axis d), then the repr of its float value: the
+    shortest text that round-trips.  With no axes, each row's coordinate text
+    is empty, as the header's is.
+    """
+    cols = [np.asarray(table, dtype=object)[idx[:, d]] for d, table in enumerate(tables)]
+    cols = cols or [[""] * len(values)]
+    cols.append(map(repr, np.asarray(values, dtype=float).tolist()))
+    lines = [",".join(names) + ",value", *map(",".join, zip(*cols)), ""]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+
+
 def export_slice_csv(path, values: np.ndarray, axes, bindings: dict) -> None:
     """Export a slice of a field as CSV.
 
@@ -176,11 +194,9 @@ def export_slice_csv(path, values: np.ndarray, axes, bindings: dict) -> None:
     followed by ``value``.  Output is deterministic.
     """
     sliced, free = bind_axes(values, axes, bindings)
-    with open(path, "w") as fh:
-        fh.write(",".join(free) + ",value\n")
-        for coords in np.ndindex(*sliced.shape):
-            row = ",".join(str(int(c)) for c in coords)
-            fh.write(f"{row},{float(sliced[coords])!r}\n")
+    tables = [[str(i) for i in range(n)] for n in sliced.shape]
+    _write_rows(path, free, tables, np.argwhere(np.ones(sliced.shape, dtype=bool)),
+                sliced.ravel())
 
 
 def export_isosurface_points(
@@ -194,7 +210,6 @@ def export_isosurface_points(
     emitted in C order.  Returns the number of points written.
     """
     values = np.asarray(values)
-    axes = list(axes)
     origin = list(origin) if origin is not None else [0.0] * values.ndim
     spacing = list(spacing) if spacing is not None else [1.0] * values.ndim
     above = values >= isovalue
@@ -207,11 +222,7 @@ def export_isosurface_points(
             interior &= padded[tuple(neighbour)]
     shell = above & ~interior
     idx = np.argwhere(shell)
-    # whole columns of Python floats: repr gives the shortest round-trip text
-    cols = [map(repr, np.asarray(origin[d] + spacing[d] * idx[:, d], dtype=float).tolist())
-            for d in range(values.ndim)]
-    cols.append(map(repr, values[shell].astype(float).tolist()))
-    with open(path, "w") as fh:
-        fh.write(",".join(axes) + ",value\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+    tables = [list(map(repr, np.asarray(origin[d] + spacing[d] * np.arange(n), dtype=float)
+                       .tolist())) for d, n in enumerate(values.shape)]
+    _write_rows(path, axes, tables, idx, values[shell])
     return int(len(idx))

@@ -36,6 +36,27 @@ def _downsample(frame: np.ndarray) -> np.ndarray:
     return frame.reshape(n1, SUPERSAMPLE, n2, SUPERSAMPLE).mean(axis=(1, 3))
 
 
+def _coverage(n: int, center, reach: float, covered) -> np.ndarray:
+    """One n x n frame: each pixel's share of its supersamples that ``covered``
+    keeps.
+
+    Only the samples within ``reach`` of ``center`` along each axis are tried.
+    ``covered(dx, dy)`` gets their offsets from the centre as two 1D axes and
+    returns the (i, j) indices of the covered samples on the grid they span.
+    A covered count over SUPERSAMPLE**2 is exact, so the frame equals the
+    mean over every sample's 0/1 value.
+    """
+    ax = _supersample_axis(n)
+    lo, off = [], []
+    for c in center:
+        start, stop = np.searchsorted(ax, (c - reach, c + reach), side="right")
+        lo.append(start)
+        off.append(ax[start:stop] - c)
+    i, j = covered(*off)
+    pixel = (i + lo[0]) // SUPERSAMPLE * n + (j + lo[1]) // SUPERSAMPLE
+    return np.bincount(pixel, minlength=n * n).reshape(n, n) / SUPERSAMPLE**2
+
+
 @dataclass(frozen=True)
 class CircleStimulusSpec:
     """Dashed circle in uniform linear motion."""
@@ -81,19 +102,19 @@ def dashed_circle(spec: CircleStimulusSpec) -> tuple[StimulusVolume, dict]:
     n = spec.size
     seg_angle = 2.0 * math.pi / spec.n_segments
     drawn = seg_angle * (1.0 - spec.gap_fraction)
-    ax = _supersample_axis(n)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
     half_w = spec.segment_width / 2.0
+
+    def on_segment(dx, dy):
+        r = np.hypot(dx[:, None], dy[None, :])
+        i, j = np.nonzero(np.abs(r - spec.radius) <= half_w)
+        phi = np.mod(np.arctan2(dy[j], dx[i]), 2.0 * math.pi)
+        keep = np.mod(phi, seg_angle) <= drawn
+        return i[keep], j[keep]
+
+    reach = spec.radius + half_w + 1.0  # off the ring, with a pixel to spare for rounding
     frames = np.empty((n, n, spec.n_frames))
     for t in range(spec.n_frames):
-        cx, cy = spec.center_at(t)
-        dx = X - cx
-        dy = Y - cy
-        r = np.hypot(dx, dy)
-        phi = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
-        in_ring = np.abs(r - spec.radius) <= half_w
-        in_segment = np.mod(phi, seg_angle) <= drawn
-        frames[:, :, t] = _downsample((in_ring & in_segment).astype(np.float64))
+        frames[:, :, t] = _coverage(n, spec.center_at(t), reach, on_segment)
     gap_centers = [
         (k + 0.5 + 0.5 * (1.0 - spec.gap_fraction)) * seg_angle for k in range(spec.n_segments)
     ]
@@ -190,17 +211,17 @@ def _render_ellipse_frames(spec: TrajectoryStimulusSpec) -> np.ndarray:
     n = spec.size
     b = spec.minor_axis / 2.0  # semi-axis along the motion
     a = spec.eccentricity * b  # semi-axis across the motion
-    ax = _supersample_axis(n)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
     frames = np.zeros((n, n, spec.n_frames))
     for t in spec.visible_frames():
         cx, cy, th = spec.position_at(t)
-        dx = X - cx
-        dy = Y - cy
-        along = dx * math.cos(th) + dy * math.sin(th)
-        across = -dx * math.sin(th) + dy * math.cos(th)
-        inside = (along / b) ** 2 + (across / a) ** 2 <= 1.0
-        frames[:, :, t] = _downsample(inside.astype(np.float64))
+
+        def inside(dx, dy):
+            along = dx[:, None] * math.cos(th) + dy[None, :] * math.sin(th)
+            across = -dx[:, None] * math.sin(th) + dy[None, :] * math.cos(th)
+            return np.nonzero((along / b) ** 2 + (across / a) ** 2 <= 1.0)
+
+        # a >= b, so no point farther than a from the centre is inside
+        frames[:, :, t] = _coverage(n, (cx, cy), a + 1.0, inside)
     return frames
 
 

@@ -211,8 +211,8 @@ EXIT_CASES = [
      "malformed kernel header: ValueError('the s axis must start at ds = 1 with a spacing of 1"),
     ("kernel-5d-contour-sde", 4,
      'malformed kernel header: ValueError("a contour kernel has the axes'),
-    # a NaN has no mass to check, so the kernel's values are checked themselves
-    ("kernel-nan-value", 4, "malformed kernel header: ValueError('kernel values must be finite')"),
+    # a NaN has no mass to check, so the payload is checked for it first
+    ("kernel-nan-value", 4, "kernel.knl: the kernel payload holds NaN or infinite values"),
 ]
 
 

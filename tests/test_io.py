@@ -117,6 +117,21 @@ def test_export_slice_csv_deterministic(tmp_path):
     assert float(lines[1].split(",")[-1]) == values[0, 0, 1]
 
 
+@pytest.mark.parametrize("bindings", [{}, {"s": 1}, {"q1": 2, "s": 0}, {"q1": 0, "q2": 3, "s": 1}])
+def test_export_slice_csv_matches_row_by_row_format(tmp_path, bindings):
+    values = np.random.default_rng(2).uniform(-1, 1, (3, 4, 2)).astype(np.float32)
+    axes = ("q1", "q2", "s")
+    path = tmp_path / "slice.csv"
+    vio.export_slice_csv(path, values, axes, bindings)
+    # every cell of the slice, printed one row at a time in C order
+    index = tuple(bindings.get(name, slice(None)) for name in axes)
+    sliced = values[index]
+    lines = [",".join(name for name in axes if name not in bindings) + ",value"]
+    for coords in np.ndindex(*sliced.shape):
+        lines.append(",".join(str(c) for c in coords) + f",{float(sliced[coords])!r}")
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_export_isosurface_shell(tmp_path):
     values = np.zeros((9, 9))
     yy, xx = np.meshgrid(np.arange(9), np.arange(9), indexing="ij")
@@ -130,25 +145,41 @@ def test_export_isosurface_shell(tmp_path):
     assert n > 0
 
 
+ISO_FIELDS = [  # (shape, origin, spacing) in 3D, 4D and 5D
+    ((6, 5, 4), (-2.5, 1.0, 0.1), (0.5, 2.0, 0.3)),
+    ((5, 4, 3, 6), (-3.0, -0.7, 0.0, -1.25), (0.1, 0.3, 0.7853981633974483, 0.25)),
+    ((4, 3, 3, 4, 3), (-1.5, -1.5, 1.0, -0.3, -2.0), (0.75, 0.75, 1.0, 1.5707963267948966, 2.0)),
+]
+
+
 def test_export_isosurface_matches_row_by_row_format(tmp_path):
-    values = np.random.default_rng(3).uniform(0, 1, (6, 5, 4))
-    origin, spacing = (-2.5, 1.0, 0.1), (0.5, 2.0, 0.3)
+    for shape, origin, spacing in ISO_FIELDS:
+        values = np.random.default_rng(3).uniform(0, 1, shape)
+        axes = ("q1", "q2", "s", "theta", "v")[:len(shape)]
+        path = tmp_path / "iso.csv"
+        n = vio.export_isosurface_points(path, values, axes, 0.4, origin=origin, spacing=spacing)
+        # the shell, recomputed the slow way, printed one row at a time
+        above = values >= 0.4
+        pad = np.pad(above, 1, constant_values=False)
+        inner = (slice(1, -1),) * len(shape)
+        interior = above.copy()
+        for axis in range(len(shape)):
+            for step in (1, -1):
+                interior &= np.roll(pad, step, axis=axis)[inner]
+        lines = [",".join(axes) + ",value"]
+        for coords in np.argwhere(above & ~interior):
+            phys = [float(origin[d] + spacing[d] * coords[d]) for d in range(len(shape))]
+            lines.append(",".join(repr(p) for p in phys) + f",{float(values[tuple(coords)])!r}")
+        assert n == len(lines) - 1 > 0, shape
+        assert path.read_text() == "\n".join(lines) + "\n", shape
+
+
+def test_export_isosurface_of_an_empty_shell_is_the_header(tmp_path):
     path = tmp_path / "iso.csv"
-    n = vio.export_isosurface_points(path, values, ("q1", "q2", "s"), 0.4,
-                                     origin=origin, spacing=spacing)
-    # the shell, recomputed the slow way, printed one row at a time
-    above = values >= 0.4
-    pad = np.pad(above, 1, constant_values=False)
-    interior = above.copy()
-    for axis in range(3):
-        for step in (1, -1):
-            interior &= np.roll(pad, step, axis=axis)[1:-1, 1:-1, 1:-1]
-    lines = ["q1,q2,s,value"]
-    for coords in np.argwhere(above & ~interior):
-        phys = [float(origin[d] + spacing[d] * coords[d]) for d in range(3)]
-        lines.append(",".join(repr(p) for p in phys) + f",{float(values[tuple(coords)])!r}")
-    assert n == len(lines) - 1 > 0
-    assert path.read_text() == "\n".join(lines) + "\n"
+    n = vio.export_isosurface_points(path, np.zeros((4, 3, 2)), ("q1", "q2", "s"), 0.5,
+                                     origin=(-1.0, 0.0, 2.0), spacing=(0.5, 1.0, 3.0))
+    assert n == 0
+    assert path.read_text() == "q1,q2,s,value\n"
 
 
 def test_config_hash_stability():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from motionlift.stimuli import (
+    SUPERSAMPLE,
     CircleStimulusSpec,
     StimulusError,
     TrajectoryStimulusSpec,
@@ -17,6 +19,47 @@ from motionlift.stimuli import (
 )
 
 
+# Oracles: the renderers the direct way, testing every supersample of every
+# frame on a dense meshgrid and averaging each pixel's block of samples.
+
+def _dense_grid(n):
+    ax = (np.arange(n * SUPERSAMPLE) + 0.5) * (1.0 / SUPERSAMPLE) - 0.5
+    return np.meshgrid(ax, ax, indexing="ij")
+
+
+def _block_mean(mask):
+    n = mask.shape[0] // SUPERSAMPLE
+    return mask.astype(np.float64).reshape(n, SUPERSAMPLE, n, SUPERSAMPLE).mean(axis=(1, 3))
+
+
+def dense_circle_frames(spec, frames):
+    seg_angle = 2.0 * math.pi / spec.n_segments
+    drawn = seg_angle * (1.0 - spec.gap_fraction)
+    X, Y = _dense_grid(spec.size)
+    out = []
+    for t in frames:
+        cx, cy = spec.center_at(t)
+        dx, dy = X - cx, Y - cy
+        in_ring = np.abs(np.hypot(dx, dy) - spec.radius) <= spec.segment_width / 2.0
+        phi = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
+        out.append(_block_mean(in_ring & (np.mod(phi, seg_angle) <= drawn)))
+    return np.stack(out, axis=-1)
+
+
+def dense_ellipse_frames(spec):
+    b = spec.minor_axis / 2.0
+    a = spec.eccentricity * b
+    X, Y = _dense_grid(spec.size)
+    frames = np.zeros((spec.size, spec.size, spec.n_frames))
+    for t in spec.visible_frames():
+        cx, cy, th = spec.position_at(t)
+        dx, dy = X - cx, Y - cy
+        along = dx * math.cos(th) + dy * math.sin(th)
+        across = -dx * math.sin(th) + dy * math.cos(th)
+        frames[:, :, t] = _block_mean((along / b) ** 2 + (across / a) ** 2 <= 1.0)
+    return frames
+
+
 class TestDashedCircle:
     def test_paper_configuration_renders(self):
         spec = CircleStimulusSpec(size=200, n_frames=64, radius=50.0,
@@ -26,6 +69,25 @@ class TestDashedCircle:
         assert 0.0 <= stim.data.min() and stim.data.max() <= 1.0
         assert stim.data.max() > 0.9  # solid strokes survive supersampling
         assert len(truth["gap_center_angles"]) == 12
+        frames = [0, 31, 63]
+        assert stim.data[:, :, frames].tobytes() == dense_circle_frames(spec, frames).tobytes()
+
+    @given(size=st.integers(12, 48), n_frames=st.integers(1, 4), n_segments=st.integers(1, 16),
+           gap_fraction=st.floats(0.05, 0.95), segment_width=st.floats(0.25, 4.0),
+           velocity=st.tuples(st.floats(-0.75, 0.75), st.floats(-0.75, 0.75)),
+           reach=st.just(1.0) | st.floats(0.1, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_dense_render(self, size, n_frames, n_segments, gap_fraction,
+                                      segment_width, velocity, reach):
+        # reach 1 puts the ring's margin on the frame's edge (1e-9 inside it)
+        room = size / 2.0 - max(map(abs, velocity)) * (n_frames - 1) / 2.0
+        assume(room - segment_width > 0.05)
+        spec = CircleStimulusSpec(size=size, n_frames=n_frames,
+                                  radius=reach * (room - segment_width) - 1e-9,
+                                  n_segments=n_segments, segment_width=segment_width,
+                                  gap_fraction=gap_fraction, velocity=velocity)
+        want = dense_circle_frames(spec, range(n_frames))
+        assert dashed_circle(spec)[0].data.tobytes() == want.tobytes()
 
     def test_zero_velocity_means_identical_frames(self):
         spec = CircleStimulusSpec(size=64, n_frames=5, radius=20.0,
@@ -115,6 +177,27 @@ class TestOccludedTrajectory:
                                           delta_theta=dth)
             s3, _, _, _ = occluded_trajectory(spec)
             assert s3.data.max() > 0.5
+
+    @given(size=st.integers(11, 40), eccentricity=st.floats(1.0, 4.0),
+           minor_axis=st.floats(0.5, 4.0), speed=st.floats(0.0, 1.5),
+           theta_init=st.floats(0.0, 2.0 * math.pi), delta_theta=st.floats(-math.pi, math.pi),
+           t1=st.integers(0, 6), delta_t=st.integers(0, 4), after=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_dense_render(self, size, eccentricity, minor_axis, speed, theta_init,
+                                      delta_theta, t1, delta_t, after):
+        # fast objects on small frames leave it in part: the render clips them
+        try:
+            spec = TrajectoryStimulusSpec(
+                size=size, n_frames=t1 + delta_t + after, eccentricity=eccentricity,
+                minor_axis=minor_axis, speed=speed, theta_init=theta_init, t1=t1,
+                delta_t=delta_t, delta_theta=delta_theta)
+        except StimulusError:
+            assume(False)
+        s3, s1, s2, _ = occluded_trajectory(spec)
+        want = dense_ellipse_frames(spec)
+        assert s3.data.tobytes() == want.tobytes()
+        assert s1.data[:, :, :t1].tobytes() == want[:, :, :t1].tobytes()
+        assert s2.data[:, :, spec.t2:].tobytes() == want[:, :, spec.t2:].tobytes()
 
     def test_invalid_gap_rejected(self):
         with pytest.raises(ValueError):
